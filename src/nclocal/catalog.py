@@ -15,7 +15,7 @@ from typing import Optional
 
 from .elliptic import WeierstrassModel, j_invariant
 
-__all__ = ["CatalogEntry", "load_catalog", "curve_by_label", "CM_J_INVARIANTS"]
+__all__ = ["CatalogEntry", "load_catalog", "CM_J_INVARIANTS"]
 
 # j-invariants of the class-number-one CM orders, keyed by discriminant
 CM_J_INVARIANTS = {
@@ -98,10 +98,3 @@ def load_catalog(path: Optional[str] = None) -> list:
         if not isinstance(records, list):
             raise ValueError("catalog file must hold a JSON array")
     return [_entry_from_record(rec) for rec in records]
-
-
-def curve_by_label(label: str, path: Optional[str] = None) -> CatalogEntry:
-    for entry in load_catalog(path):
-        if entry.label == label:
-            return entry
-    raise ValueError(f"no catalog entry labeled {label!r}")

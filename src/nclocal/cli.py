@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from . import catalog as catalog_mod
 from .ck_k0 import CKDescriptor, k0_group, k0_order
 from .elliptic import (
+    AP_GUARD,
     GROUP_GUARD,
     WeierstrassModel,
     classify_reduction,
@@ -34,6 +35,10 @@ from .intmat import IntMatrix, mat_pow
 from .quadratic_cf import QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
 from .zeta import DEFAULT_ORDER, lemma1_check
 
+# integers in a --primes range; 362 primes just below AP_GUARD take 10 s
+# (12 s at --order 12) on one core of a 2-vCPU VM
+PRIMES_SPAN_GUARD = 10**4
+
 
 def _parse_period(text: str) -> list:
     try:
@@ -46,19 +51,25 @@ def _parse_period(text: str) -> list:
 
 
 def _parse_primes(text: str) -> list:
+    """Primes of "lo..hi" or "p,q,..."; the guards are checked before any
+    primality test runs."""
     from ._factor import is_prime
 
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
-    out = []
-    for tok in text.split(","):
-        p = int(tok)
+        lo, hi = max(int(lo_s), 2), int(hi_s)
+        if hi - lo + 1 > PRIMES_SPAN_GUARD:
+            raise ValueError(f"guard exceeded: prime range {text!r} spans more than 10^4 integers")
+        if hi > AP_GUARD:
+            raise ValueError(f"guard exceeded: prime range {text!r} reaches past 10^12")
+        return [p for p in range(lo, hi + 1) if is_prime(p)]
+    primes = [int(tok) for tok in text.split(",")]
+    for p in primes:
+        if p > AP_GUARD:
+            raise ValueError(f"guard exceeded: prime {p} > 10^12")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        out.append(p)
-    return out
+    return primes
 
 
 # ---------------------------------------------------------------------------

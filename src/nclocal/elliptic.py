@@ -5,8 +5,10 @@ F_{p^n}, and the group structure of the rational points.
 Models live either over Q (exact Fraction coefficients) or over a finite
 field (FieldElement coefficients).  No minimal-model search happens
 anywhere: the classifier sees exactly the model it is given, and callers
-supply p-integral equations.  Counting is brute force behind desk-scale
-guards; all derived counts go through the trace recurrence.
+supply p-integral equations.  a_p comes from Shanks-Mestre baby-step
+giant-step above p = 229 and from a brute-force count below it; the
+brute-force counter stays as the oracle that tests the fast path.  All
+derived counts go through the trace recurrence.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Optional
 
 from ._factor import factorize
@@ -42,14 +44,22 @@ __all__ = [
     "isomorphic_over_closure",
     "isomorphism_witness",
     "model_over_ext",
+    "AP_GUARD",
     "COUNT_GUARD",
     "GROUP_GUARD",
     "CLASSIFY_GUARD",
 ]
 
-COUNT_GUARD = 10**7
-GROUP_GUARD = 10**6
-CLASSIFY_GUARD = 10**4
+# measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11
+AP_GUARD = 10**12  # a_p by baby-step giant-step: 0.04 s per prime just below
+COUNT_GUARD = 10**7  # brute-force count: 28 s at p = 9999991, over 4 min at 3137^2
+GROUP_GUARD = 10**6  # group of E(F_{317^2}): 114 s
+CLASSIFY_GUARD = 10**4  # a node at p = 9973: 0.6 s
+# Mestre: for p > 229, E or its quadratic twist has a point whose order
+# has a single multiple in the Hasse interval (Schoof, JTNB 7 (1995),
+# section 3), so baby-step giant-step always ends with one #E; below it
+# a_p comes from count_points, at most 229 steps
+MESTRE_BOUND = 229
 
 
 class UnclassifiableReductionError(ValueError):
@@ -331,9 +341,6 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
 # point counting
 # ---------------------------------------------------------------------------
 
-_SQUARE_TABLE_LIMIT = 2 * 10**5
-
-
 def _affine_count(e: WeierstrassModel, n: int) -> int:
     """Number of affine F_{p^n}-solutions of the Weierstrass equation."""
     field = e.field
@@ -350,8 +357,6 @@ def _affine_count(e: WeierstrassModel, n: int) -> int:
                 for y in range(2)
                 if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0
             )
-        use_table = p <= _SQUARE_TABLE_LIMIT
-        squares = frozenset(x * x % p for x in range(p // 2 + 1)) if use_table else None
         half = (p - 1) // 2
         total = 0
         for x in range(p):
@@ -360,7 +365,7 @@ def _affine_count(e: WeierstrassModel, n: int) -> int:
             disc = (b * b + 4 * c) % p
             if disc == 0:
                 total += 1
-            elif (disc in squares) if use_table else (pow(disc, half, p) == 1):
+            elif pow(disc, half, p) == 1:
                 total += 2
         return total
     ext = finite_field(p, n)
@@ -398,7 +403,11 @@ def _affine_count(e: WeierstrassModel, n: int) -> int:
 
 
 def count_points(e: WeierstrassModel, n: int = 1) -> int:
-    """#E(F_{p^n}) including the point at infinity, by brute force."""
+    """#E(F_{p^n}) including the point at infinity, by brute force.
+
+    The oracle for the baby-step giant-step a_p; trace_of_frobenius
+    counts this way only at p <= MESTRE_BOUND.
+    """
     if is_singular(e):
         raise ValueError("singular model (use count_nonsingular)")
     return _affine_count(e, n) + 1
@@ -415,9 +424,13 @@ def count_nonsingular(e: WeierstrassModel, n: int = 1) -> int:
 
 
 def trace_of_frobenius(e: WeierstrassModel) -> int:
-    """a_p = p + 1 - #E(F_p); the Hasse bound is asserted."""
+    """a_p = p + 1 - #E(F_p): baby-step giant-step for p > MESTRE_BOUND,
+    a brute-force count below; the Hasse bound is checked."""
     p = e.field.p
-    ap = p + 1 - count_points(e, 1)
+    if p > AP_GUARD:
+        raise ValueError("guard exceeded: p > 10^12")
+    n = count_points(e, 1) if p <= MESTRE_BOUND else _order_by_bsgs(e)
+    ap = p + 1 - n
     if ap * ap > 4 * p:
         raise RuntimeError(f"count bug: |a_p|={abs(ap)} violates the Hasse bound at p={p}")
     return ap
@@ -442,7 +455,7 @@ def point_counts_via_recurrence(ap: int, p: int, n_max: int) -> list:
 
 
 # raw group-law core: points are None or (x, y) in the field's native
-# representation; the FieldElement wrappers delegate here
+# representation; group_structure and the baby-step giant-step a_p use it
 
 
 def _raw_consts(e: WeierstrassModel) -> tuple:
@@ -498,24 +511,6 @@ def _raw_mul(f, consts, pt, k: int):
         base = _raw_add(f, consts, base, base)
         k >>= 1
     return acc
-
-
-def _ec_add(e: WeierstrassModel, pt1, pt2):
-    f = e.field
-    unwrap = lambda pt: None if pt is None else (pt[0].val, pt[1].val)  # noqa: E731
-    out = _raw_add(f, _raw_consts(e), unwrap(pt1), unwrap(pt2))
-    if out is None:
-        return None
-    return (FieldElement(f, out[0]), FieldElement(f, out[1]))
-
-
-def _ec_mul(e: WeierstrassModel, pt, k: int):
-    f = e.field
-    raw = None if pt is None else (pt[0].val, pt[1].val)
-    out = _raw_mul(f, _raw_consts(e), raw, k)
-    if out is None:
-        return None
-    return (FieldElement(f, out[0]), FieldElement(f, out[1]))
 
 
 def _affine_points_raw(e: WeierstrassModel) -> Iterator:
@@ -606,6 +601,110 @@ def group_structure(e: WeierstrassModel, n: int = 1) -> AbelianGroupInv:
     assert d1 * d2 == n_points and d2 % d1 == 0, "structure bookkeeping failed"
     assert (q - 1) % d1 == 0, "d1 must divide q-1"
     return AbelianGroupInv((d1, d2))
+
+
+# ---------------------------------------------------------------------------
+# a_p by baby-step giant-step
+# ---------------------------------------------------------------------------
+
+
+def _killing_multiples(field: PrimeField, consts: tuple, pt, step: int, lo: int, hi: int) -> list:
+    """The first two multiples m of ``step`` in [lo, hi] with [m]pt = O,
+    by baby-step giant-step over m = m0 + step*j, 0 <= j <= span."""
+    m0 = -(-lo // step) * step
+    span = (hi - m0) // step
+    if span < 0:
+        return []
+    stride = _raw_mul(field, consts, pt, step)
+    target = _raw_neg(field, consts, _raw_mul(field, consts, pt, m0))
+    # j * stride = target; baby steps i * stride for i < w, giant steps of w
+    w = isqrt(span) + 1
+    baby = {None: 0}
+    cur = None
+    for i in range(1, w):
+        cur = _raw_add(field, consts, cur, stride)
+        if cur is None:
+            # stride has order i: the solutions are j0 + i*k
+            if target not in baby:
+                return []
+            j0 = baby[target]
+            return [m0 + step * j for j in (j0, j0 + i) if j <= span]
+        baby[cur] = i
+    giant = _raw_neg(field, consts, _raw_mul(field, consts, stride, w))
+    found = []
+    probe = target
+    for k in range(span // w + 1):
+        i = baby.get(probe)
+        if i is not None and k * w + i <= span:
+            found.append(m0 + step * (k * w + i))
+            if len(found) == 2:
+                break
+        probe = _raw_add(field, consts, probe, giant)
+    return found
+
+
+def _order_by_bsgs(e: WeierstrassModel) -> int:
+    """#E(F_p) for p > MESTRE_BOUND by Shanks-Mestre baby-step giant-step
+    (Cohen, GTM 138, Alg. 7.4.12).
+
+    On the short model y^2 = x^3 + Ax + B with A = -27c4, B = -54c6, each
+    x0 with r = f(x0) != 0 gives the point (r*x0, r^2) on
+    y^2 = x^3 + A r^2 x + B r^3, which is E when r is a square and the
+    quadratic twist E' when it is not.  Each point narrows the multiples
+    its order has in the Hasse interval; the lcm of point orders is kept
+    for E and E' separately, and the scan stops when a single N with
+    L_E | N and L_E' | 2p + 2 - N is left.  x0 runs 0, 1, 2, ... so the
+    result is deterministic.
+    """
+    field = e.field
+    p = field.p
+    inv = invariants(e)
+    if inv.disc == 0:
+        raise ValueError("singular model (use count_nonsingular)")
+    a, b = -27 * inv.c4.val % p, -54 * inv.c6.val % p
+    width = isqrt(4 * p)
+    lo, hi = p + 1 - width, p + 1 + width
+    lcm_e, lcm_twist = 1, 1
+    half = (p - 1) // 2
+    for x0 in range(p):
+        r = (x0 * x0 * x0 + a * x0 + b) % p
+        if r == 0:
+            continue
+        r2 = r * r % p
+        consts = (0, 0, 0, a * r2 % p, b * r2 * r % p)
+        on_e = pow(r, half, p) == 1
+        # orders on the twist live in [lo, hi] too: 2p + 2 - [lo, hi] = [lo, hi]
+        step = lcm_e if on_e else lcm_twist
+        found = _killing_multiples(field, consts, (r * x0 % p, r2), step, lo, hi)
+        if not found:
+            raise RuntimeError(f"no point order in the Hasse interval at p={p}")
+        if len(found) == 1:
+            return found[0] if on_e else 2 * p + 2 - found[0]
+        # consecutive killing multiples of step differ by lcm(step, ord)
+        if on_e:
+            lcm_e = found[1] - found[0]
+        else:
+            lcm_twist = found[1] - found[0]
+        n = _single_candidate(p, lcm_e, lcm_twist, lo, hi)
+        if n is not None:
+            return n
+    raise RuntimeError(f"baby-step giant-step left #E ambiguous at p={p}")
+
+
+def _single_candidate(p: int, lcm_e: int, lcm_twist: int, lo: int, hi: int) -> Optional[int]:
+    """The N in [lo, hi] with lcm_e | N and lcm_twist | 2p + 2 - N, when
+    exactly one exists; counted by the Chinese remainder theorem."""
+    g = gcd(lcm_e, lcm_twist)
+    if (2 * p + 2) % g:
+        raise RuntimeError(f"point orders of E and its twist are inconsistent at p={p}")
+    modulus = lcm_e // g * lcm_twist
+    # N = lcm_e * k with (lcm_e/g) k = (2p+2)/g mod lcm_twist/g
+    rest = lcm_twist // g
+    k = (2 * p + 2) // g * pow(lcm_e // g, -1, rest) % rest
+    first = lo + (lcm_e * k - lo) % modulus
+    if first > hi:
+        raise RuntimeError(f"no #E in the Hasse interval fits the point orders at p={p}")
+    return first if first + modulus > hi else None
 
 
 # ---------------------------------------------------------------------------

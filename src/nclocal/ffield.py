@@ -179,7 +179,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def pow(self, a, e: int):
         if e < 0:

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .ck_k0 import build_lp, k0_order_sequence
 from .elliptic import (
+    ReductionType,
     UnclassifiableReductionError,
     WeierstrassModel,
     classify_reduction,
@@ -163,15 +164,20 @@ def euler_factor_polynomial(ap: int, p: int) -> list:
 def curve_local_zeta(e: WeierstrassModel, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """exp(sum N_n z^n / n) for the reduction of e at p.
 
-    Good reduction uses the trace recurrence seeded by a brute-forced
-    a_p, and the result is checked against the closed rational form
+    Good reduction uses the trace recurrence seeded by a_p, and the
+    result is checked against the closed rational form
     (1 - a_p z + p z^2)/((1-z)(1-pz)).  Bad reduction counts the
     nonsingular points p^n - alpha^n.
     """
     red = reduce_mod_p(e, p)
     rt = classify_reduction(red)
+    ap = trace_of_frobenius(red) if rt.is_good else None
+    return _curve_series(p, rt, ap, order)
+
+
+def _curve_series(p: int, rt: ReductionType, ap: Optional[int], order: int) -> TruncatedSeries:
+    """The curve_local_zeta series from already computed local data."""
     if rt.is_good:
-        ap = trace_of_frobenius(red)
         counts = point_counts_via_recurrence(ap, p, order)
         ser = _exp_counts(counts, order)
         closed = _poly_series(euler_factor_polynomial(ap, p), order) * _poly_series(
@@ -274,12 +280,10 @@ def lemma1_check(
     for p in primes:
         red = reduce_mod_p(e, p)
         rt = classify_reduction(red)
-        curve = curve_local_zeta(e, p, order)
+        ap = trace_of_frobenius(red) if rt.is_good else None
+        curve = _curve_series(p, rt, ap, order)
         if rt.is_good:
-            if a_matrix is not None:
-                trace_slot = mat_pow(a_matrix, p).trace()
-            else:
-                trace_slot = trace_of_frobenius(red)
+            trace_slot = mat_pow(a_matrix, p).trace() if a_matrix is not None else ap
             torus = torus_local_zeta(p, order, good=True, trace_ap=trace_slot, mode=mode)
             signed = None
             alpha = None

@@ -127,6 +127,29 @@ class TestZeta:
         code, _, err = run(capsys, "zeta", "--model", "[0,0,0,-1,0]", "--primes", "4,6")
         assert code == 2
 
+    def test_prime_range_guards(self, capsys, monkeypatch):
+        import nclocal._factor
+
+        def no_primality_tests(n):
+            raise AssertionError("a guard must reject the range before any primality test")
+
+        monkeypatch.setattr(nclocal._factor, "is_prime", no_primality_tests)
+        for primes in ("2..10002", "2..1000000000000", "1000000000000..1000000000100", "1000000000039"):
+            code, out, err = run(capsys, "zeta", "--model", "[0,0,0,-1,0]", "--primes", primes)
+            assert code == 2 and out == "" and "guard exceeded" in err, primes
+
+    def test_range_at_the_span_guard(self, capsys):
+        code, out, _ = run(capsys, "zeta", "--model", "[0,0,0,-1,0]", "--primes", "2..10001", "--order", "2")
+        assert code == 0 and len(json.loads(out)) == 1229
+
+    def test_large_prime_fast(self, capsys):
+        # p = 3 mod 4: y^2 = x^3 - x is supersingular, a_p = 0
+        code, out, _ = run(capsys, "zeta", "--model", "[0,0,0,-1,0]", "--primes", "9999991", "--order", "2")
+        (report,) = json.loads(out)
+        assert code == 0 and report["good"] and report["verdict"] == "match"
+        # (1 + p z^2) / ((1 - z)(1 - p z)) = 1 + (p + 1) z + (p + 1)^2 z^2 + ...
+        assert report["curve_coeffs"] == ["1", "9999992", str(9999992**2)]
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "zeta", "--model", "[0,0,0,-1,0]", "--primes", "3,5", "--order", "2",

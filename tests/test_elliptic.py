@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from nclocal._factor import is_prime
 from nclocal.catalog import CM_J_INVARIANTS, load_catalog
 from nclocal.elliptic import (
+    AP_GUARD,
+    MESTRE_BOUND,
     AdmissibleTransform,
     ReductionKind,
     WeierstrassModel,
@@ -278,6 +284,89 @@ class TestCounting:
                     continue
                 ap = trace_of_frobenius(red)  # raises internally if bound broken
                 assert ap * ap <= 4 * p
+
+
+def primes_between(lo, hi):
+    return [p for p in range(lo, hi + 1) if is_prime(p)]
+
+
+def primes_from(start, residue, modulus, count):
+    out = []
+    p = start
+    while len(out) < count:
+        if p % modulus == residue and is_prime(p):
+            out.append(p)
+        p += 1
+    return out
+
+
+def is_perfect_square(n):
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+CATALOG = {entry.label: entry.model for entry in load_catalog()}
+FAST_PRIMES = primes_between(MESTRE_BOUND + 1, 10**5)
+
+
+class TestFastTrace:
+    """a_p by baby-step giant-step above MESTRE_BOUND, against the
+    brute-force oracle count_points."""
+
+    def test_matches_count_on_catalog(self):
+        for label, model in CATALOG.items():
+            for p in primes_between(MESTRE_BOUND + 1, 3000):
+                red = reduce_mod_p(model, p)
+                if invariants(red).disc == 0:
+                    continue
+                assert trace_of_frobenius(red) == p + 1 - count_points(red), (label, p)
+
+    @settings(max_examples=25)
+    @given(
+        st.sampled_from(sorted(CATALOG)),
+        st.sampled_from((1, -1)),
+        st.tuples(*(st.integers(-50, 50) for _ in range(3))),
+        st.sampled_from(FAST_PRIMES),
+    )
+    @example("cm-163", -1, (7, -3, 5), FAST_PRIMES[-1])
+    @example("cm-8", 1, (-2, 9, 1), FAST_PRIMES[-2])
+    def test_matches_count_on_isomorphic_models(self, label, u, rst, p):
+        e = transform(CATALOG[label], AdmissibleTransform.over_q(u, *rst))
+        red = reduce_mod_p(e, p)
+        assume(invariants(red).disc != 0)
+        assert trace_of_frobenius(red) == p + 1 - count_points(red)
+
+    @pytest.mark.parametrize("start", [10**9, 10**12 - 10**4])
+    def test_closed_forms_at_large_p(self, start):
+        # supersingular: y^2 = x^3 - x at p = 3 mod 4, y^2 = x^3 + 1 at p = 2 mod 3
+        for p in primes_from(start, 3, 4, 3):
+            assert trace_of_frobenius(reduce_mod_p(E_MINUS_X, p)) == 0
+        for p in primes_from(start, 2, 3, 3):
+            assert trace_of_frobenius(reduce_mod_p(E_PLUS_1, p)) == 0
+        # ordinary: p = (a_p/2)^2 + b^2 over Z[i], 4p = a_p^2 + 3c^2 over Z[omega]
+        for p in primes_from(start, 1, 4, 3):
+            ap = trace_of_frobenius(reduce_mod_p(E_MINUS_X, p))
+            assert ap % 2 == 0 and is_perfect_square(p - (ap // 2) ** 2)
+        for p in primes_from(start, 1, 3, 3):
+            ap = trace_of_frobenius(reduce_mod_p(E_PLUS_1, p))
+            rest = 4 * p - ap * ap
+            assert rest % 3 == 0 and is_perfect_square(rest // 3)
+
+    def test_deterministic(self):
+        # equal inputs, fresh objects: the point scan has no randomness
+        p = primes_from(10**9, 1, 4, 1)[0]
+        runs = {trace_of_frobenius(reduce_mod_p(WeierstrassModel.over_q(0, 0, 0, -1, 0), p)) for _ in range(3)}
+        assert len(runs) == 1
+
+    def test_singular_rejected(self):
+        fp = PrimeField(1009)
+        node = WeierstrassModel.over_field(fp, 0, 1, 0, 0, 0)  # y^2 = x^3 + x^2
+        with pytest.raises(ValueError, match="singular"):
+            trace_of_frobenius(node)
+
+    def test_guard(self):
+        p = primes_from(AP_GUARD, 1, 2, 1)[0]
+        with pytest.raises(ValueError, match="guard"):
+            trace_of_frobenius(reduce_mod_p(E_MINUS_X, p))
 
 
 class TestGroupStructure:

@@ -165,6 +165,12 @@ class TestLemma1Check:
         # tr(A^p) of the [2,1] incidence matrix is not a_p, so mismatches appear
         assert {r.verdict for r in reports} == {"mismatch"}
 
+    def test_curve_side_equals_curve_local_zeta(self):
+        # bad primes 2 and 3, good ones on both sides of the fast a_p path
+        primes = [2, 3, 5, 227, 229, 233, 10007]
+        for r in lemma1_check(E_PLUS_1, primes, 5):
+            assert r.curve_series == curve_local_zeta(E_PLUS_1, r.p, 5)
+
     def test_json_schema_keys(self):
         (good_rep,) = lemma1_check(E_MINUS_X, [5], 3)
         d = good_rep.to_json_dict()
