@@ -120,6 +120,8 @@ def _cmd_k0(args) -> tuple:
 
 
 def _cmd_curve(args) -> tuple:
+    if not 1 <= args.n <= MAX_LEVEL:
+        raise ValueError(f"--n must be between 1 and {MAX_LEVEL}")
     e = WeierstrassModel.parse(args.model)
     inv = invariants(e)
     payload = {
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="invariants, reduction type, counts, groups")
     p_curve.add_argument("--model", required=True, help='"[a1,a2,a3,a4,a6]", rationals as "n/d"')
     p_curve.add_argument("--p", type=int, default=None)
-    p_curve.add_argument("--n", type=int, default=1)
+    p_curve.add_argument("--n", type=int, default=1, help=f"levels 1..{MAX_LEVEL}")
     add_format(p_curve)
     p_curve.set_defaults(func=_cmd_curve)
 

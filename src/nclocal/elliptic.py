@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 from ._factor import factorize
 from .ck_k0 import AbelianGroupInv
-from .ffield import FieldElement, PrimeField, finite_field, is_square
+from .ffield import EXT_FIELD_GUARD, FieldElement, PrimeField, finite_field, is_square
 
 __all__ = [
     "WeierstrassModel",
@@ -52,8 +52,10 @@ __all__ = [
 
 # measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11
 AP_GUARD = 10**12  # a_p by baby-step giant-step: 0.04 s per prime just below
-COUNT_GUARD = 10**7  # brute-force count: 28 s at p = 9999991, over 4 min at 3137^2
-GROUP_GUARD = 10**6  # group of E(F_{317^2}): 114 s
+# brute-force count over F_p: 28 s at p = 9999991; over F_{p^n}, n > 1,
+# fields stop at ffield.EXT_FIELD_GUARD = 10^6, 7.1 s at 997^2
+COUNT_GUARD = 10**7
+GROUP_GUARD = 10**6  # group of E(F_{317^2}): 25 s; of E(F_{997^2}): 375 s, 193 MB
 CLASSIFY_GUARD = 10**4  # a node at p = 9973: 0.6 s
 # Mestre: for p > 229, E or its quadratic twist has a point whose order
 # has a single multiple in the Hasse interval (Schoof, JTNB 7 (1995),
@@ -368,36 +370,34 @@ def _affine_count(e: WeierstrassModel, n: int) -> int:
             elif pow(disc, half, p) == 1:
                 total += 2
         return total
+    if q > EXT_FIELD_GUARD:
+        raise ValueError("guard exceeded: p^n > 10^6 for n > 1")
+    # F_p values are valid F_{p^n} values
     ext = finite_field(p, n)
-    av1, av2, av3, av4, av6 = (ext.from_int(v) for v in (a1, a2, a3, a4, a6))
     mul, add = ext.mul, ext.add
-    zero = ext.zero()
     if p == 2:
         # y^2 + B y = C has one solution when B = 0, else two iff
         # Tr(C / B^2) = 0 after the substitution y = B z
         total = 0
         for x in ext.elements():
             x2 = mul(x, x)
-            b = add(mul(av1, x), av3)
-            c = add(add(mul(x2, x), mul(av2, x2)), add(mul(av4, x), av6))
-            if b == zero:
+            b = add(mul(a1, x), a3)
+            c = add(add(mul(x2, x), mul(a2, x2)), add(mul(a4, x), a6))
+            if b == 0:
                 total += 1
-            else:
-                binv2 = ext.inv(mul(b, b))
-                if ext.absolute_trace(mul(c, binv2)) == 0:
-                    total += 2
+            elif ext.absolute_trace(mul(c, ext.inv(mul(b, b)))) == 0:
+                total += 2
         return total
-    squares = frozenset(mul(z, z) for z in ext.elements())
+    four = ext.from_int(4)
     total = 0
-    neg = ext.neg
     for x in ext.elements():
         x2 = mul(x, x)
-        b = add(mul(av1, x), av3)
-        rhs = add(add(mul(x2, x), mul(av2, x2)), add(mul(av4, x), av6))
-        disc = add(mul(b, b), mul(ext.from_int(4), rhs))
-        if disc == zero:
+        b = add(mul(a1, x), a3)
+        rhs = add(add(mul(x2, x), mul(a2, x2)), add(mul(a4, x), a6))
+        disc = add(mul(b, b), mul(four, rhs))
+        if disc == 0:
             total += 1
-        elif disc in squares:
+        elif is_square(ext, disc):
             total += 2
     return total
 
@@ -735,18 +735,17 @@ def _short_form(e: WeierstrassModel) -> tuple:
     return short, total
 
 
-def _embed_transform(tr: AdmissibleTransform, ext) -> AdmissibleTransform:
-    return AdmissibleTransform(
-        *(FieldElement(ext, ext.from_int(v.val) if ext.degree > 1 else v.val) for v in (tr.u, tr.r, tr.s, tr.t))
-    )
+def _embed_transform(tr: AdmissibleTransform, field) -> AdmissibleTransform:
+    return AdmissibleTransform(*(FieldElement(field, v.val) for v in (tr.u, tr.r, tr.s, tr.t)))
 
 
 def isomorphism_witness(e1: WeierstrassModel, e2: WeierstrassModel, max_degree: Optional[int] = None):
     """Explicit (u,r,s,t) over a small extension witnessing isomorphism.
 
     Searches twist scalars u over F_{p^k} with k <= 2 generically and
-    k <= 6 for j in {0, 1728}; returns (transform, field) or None when
-    the j-invariants differ.  Requires p > 3.
+    k <= 6 for j in {0, 1728}, while p^k <= EXT_FIELD_GUARD; returns
+    (transform, field) or None when the j-invariants differ.  Requires
+    p > 3.
     """
     if not isinstance(e1.field, PrimeField):
         raise ValueError("witness search needs models over F_p")
@@ -757,24 +756,17 @@ def isomorphism_witness(e1: WeierstrassModel, e2: WeierstrassModel, max_degree: 
         return None
     s1, t1 = _short_form(e1)
     s2, t2 = _short_form(e2)
-    a_1, b_1 = s1.a4, s1.a6
-    a_2, b_2 = s2.a4, s2.a6
-    j = j_invariant(e1)
-    special = b_1 == 0 or a_1 == 0
+    special = s1.a6 == 0 or s1.a4 == 0
     degrees = (1, 2, 3, 4, 6) if special else (1, 2)
     if max_degree is not None:
         degrees = tuple(k for k in degrees if k <= max_degree)
     for k in degrees:
-        if p**k > COUNT_GUARD:
+        if p**k > EXT_FIELD_GUARD:
             break
-        ext = finite_field(p, k)
-        if k == 1:
-            field = e1.field
-            embed = lambda v: v  # noqa: E731
-        else:
-            field = ext
-            embed = lambda v: FieldElement(ext, ext.from_int(v.val))  # noqa: E731
-        ea1, eb1, ea2, eb2 = embed(a_1), embed(b_1), embed(a_2), embed(b_2)
+        # F_p values are valid F_{p^k} values
+        field = finite_field(p, k)
+        ea1, eb1, ea2, eb2 = (FieldElement(field, v.val) for v in (s1.a4, s1.a6, s2.a4, s2.a6))
+        zero = FieldElement.of(field, 0)
         for uv in field.elements():
             if uv == field.zero():
                 continue
@@ -782,15 +774,8 @@ def isomorphism_witness(e1: WeierstrassModel, e2: WeierstrassModel, max_degree: 
             u4 = u**4
             u6 = u4 * u * u
             if ea2 * u4 == ea1 and eb2 * u6 == eb1:
-                tw = AdmissibleTransform(
-                    u, FieldElement.of(field, 0), FieldElement.of(field, 0), FieldElement.of(field, 0)
-                )
-                if k == 1:
-                    total = t1.then(tw).then(t2.inverse())
-                    base1, base2 = e1, e2
-                else:
-                    total = _embed_transform(t1, ext).then(tw).then(_embed_transform(t2, ext).inverse())
-                    base1, base2 = model_over_ext(e1, ext), model_over_ext(e2, ext)
-                if transform(base1, total) == base2:
+                tw = AdmissibleTransform(u, zero, zero, zero)
+                total = _embed_transform(t1, field).then(tw).then(_embed_transform(t2, field).inverse())
+                if transform(model_over_ext(e1, field), total) == model_over_ext(e2, field):
                     return total, field
     return None

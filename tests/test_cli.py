@@ -82,6 +82,15 @@ class TestCurve:
         code, _, err = run(capsys, "curve", "--model", '["1/5",0,0,1,1]', "--p", "5")
         assert code == 2 and "p-integral" in err
 
+    def test_n_zero_exit_2(self, capsys):
+        code, out, err = run(capsys, "curve", "--model", "[0,0,0,-1,0]", "--p", "5", "--n", "0")
+        assert code == 2 and out == "" and "--n must be between 1 and 6" in err
+
+    def test_n_past_max_level_exit_2(self, capsys):
+        # rejected before any level is counted, so no 4300-digit p^n is printed
+        code, out, err = run(capsys, "curve", "--model", "[0,0,0,-1,0]", "--p", "2", "--n", "20000")
+        assert code == 2 and out == "" and "--n must be between 1 and 6" in err
+
 
 class TestLocalize:
     def test_good(self, capsys):

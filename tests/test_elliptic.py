@@ -260,6 +260,11 @@ class TestCounting:
         with pytest.raises(ValueError, match="guard"):
             count_points(reduce_mod_p(E_MINUS_X, 5), 11)
 
+    def test_extension_guard(self):
+        # F_{p^n} stops at 10^6 elements for n > 1; F_p goes on to 10^7
+        with pytest.raises(ValueError, match="guard exceeded: p\\^n > 10\\^6"):
+            count_points(reduce_mod_p(E_MINUS_X, 1009), 2)
+
     def test_counts_independent_of_modulus(self):
         # the F_9 point count does not depend on which irreducible modulus
         # presents the field
