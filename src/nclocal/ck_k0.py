@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ._factor import is_prime
-from .intmat import IntMatrix, identity, mat_pow, smith_normal_form
+from .intmat import IntMatrix, mat_pow, smith_normal_form
 
 __all__ = [
     "CKDescriptor",
@@ -22,6 +22,7 @@ __all__ = [
     "epsilon",
     "k0_group",
     "k0_order",
+    "k0_signed_order",
     "k0_order_sequence",
 ]
 
@@ -116,12 +117,8 @@ def _presentation_matrix(eps: CKDescriptor) -> IntMatrix:
     # K0 = Z^k / (I - eps^t) Z^k; scalars are 1x1
     if eps.kind == "scalar":
         return IntMatrix(1, 1, (1 - eps.scalar,))
-    m = eps.matrix
-    rel = identity(m.rows)
-    mt = m.transpose()
-    return IntMatrix(
-        m.rows, m.rows, tuple(rel.entries[i] - mt.entries[i] for i in range(len(rel.entries)))
-    )
+    m, k = eps.matrix, eps.matrix.rows
+    return IntMatrix(k, k, tuple((i == j) - m.at(j, i) for i in range(k) for j in range(k)))
 
 
 def k0_group(eps: CKDescriptor) -> AbelianGroupInv:
@@ -131,23 +128,20 @@ def k0_group(eps: CKDescriptor) -> AbelianGroupInv:
     return AbelianGroupInv(tuple(s.at(i, i) for i in range(m.rows)))
 
 
+def k0_signed_order(eps: CKDescriptor) -> int:
+    """det(I - eps^t) = det(I - eps): |K0| up to sign, 0 when K0 is infinite."""
+    return _presentation_matrix(eps).det()
+
+
 def k0_order(eps: CKDescriptor) -> int:
     """|K0| as |det(I - eps)|; 0 when the group is infinite."""
-    if eps.kind == "scalar":
-        return abs(1 - eps.scalar)
-    m = eps.matrix
-    rel = identity(m.rows)
-    diff = IntMatrix(
-        m.rows, m.rows, tuple(rel.entries[i] - m.entries[i] for i in range(len(m.entries)))
-    )
-    return abs(diff.det())
+    return abs(k0_signed_order(eps))
 
 
 def k0_order_sequence(
     p: int, n_max: int, good: bool, *, trace_ap: Optional[int] = None, alpha: Optional[int] = None
 ) -> list:
-    """[|K0| at n=1..n_max]; the single source of torus-side counts, shared
-    by the localization pipeline and the zeta series so they can never drift."""
+    """[|K0| at n=1..n_max], one descriptor per level."""
     return [
         k0_order(epsilon(p, n, good, trace_ap=trace_ap, alpha=alpha)) for n in range(1, n_max + 1)
     ]

@@ -21,23 +21,23 @@ from .elliptic import (
     AP_GUARD,
     GROUP_GUARD,
     WeierstrassModel,
-    classify_reduction,
     count_nonsingular,
     group_structure,
     invariants,
     j_invariant,
-    point_counts_via_recurrence,
-    reduce_mod_p,
-    trace_of_frobenius,
 )
 from .functor import MAX_LEVEL, localize, theorem1_check
 from .intmat import IntMatrix, mat_pow
 from .quadratic_cf import QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
-from .zeta import DEFAULT_ORDER, lemma1_check
+from .zeta import DEFAULT_ORDER, lemma1_check, local_data
 
 # integers in a --primes range; 362 primes just below AP_GUARD take 10 s
 # (12 s at --order 12) on one core of a 2-vCPU VM
 PRIMES_SPAN_GUARD = 10**4
+# largest series order of zeta; --primes 2..10001 at order 12 takes 4.4 s
+ORDER_GUARD = 12
+# most theorem1 trials; 100 at p = 999999999989 take 3.3 s
+TRIALS_GUARD = 100
 
 
 def _parse_period(text: str) -> list:
@@ -137,23 +137,21 @@ def _cmd_curve(args) -> tuple:
     if inv.disc != 0:
         payload["j"] = str(j_invariant(e))
     if args.p is not None:
-        red = reduce_mod_p(e, args.p)
-        rt = classify_reduction(red)
+        local = local_data(e, args.p)
+        rt = local.reduction
         payload["p"] = args.p
         payload["reduction"] = rt.kind.value
-        n_max = args.n
         if rt.is_good:
-            ap = trace_of_frobenius(red)
-            payload["a_p"] = ap
-            payload["counts"] = point_counts_via_recurrence(ap, args.p, n_max)
+            payload["a_p"] = local.a_p
+            payload["counts"] = local.point_counts(args.n)
             payload["groups"] = [
-                list(group_structure(red, n).invariant_factors) if args.p**n <= GROUP_GUARD else None
-                for n in range(1, n_max + 1)
+                list(group_structure(local.reduced, n).invariant_factors) if args.p**n <= GROUP_GUARD else None
+                for n in range(1, args.n + 1)
             ]
         else:
             payload["alpha"] = rt.alpha
-            payload["nonsingular_counts"] = [args.p**n - rt.alpha**n for n in range(1, n_max + 1)]
-            payload["nonsingular_count_brute"] = count_nonsingular(red, 1)
+            payload["nonsingular_counts"] = local.point_counts(args.n)
+            payload["nonsingular_count_brute"] = count_nonsingular(local.reduced, 1)
     return payload, False
 
 
@@ -165,6 +163,8 @@ def _cmd_localize(args) -> tuple:
 
 
 def _cmd_zeta(args) -> tuple:
+    if not 1 <= args.order <= ORDER_GUARD:
+        raise ValueError(f"--order must be between 1 and {ORDER_GUARD}")
     e = WeierstrassModel.parse(args.model)
     primes = _parse_primes(args.primes)
     period = _parse_period(args.period) if args.period else None
@@ -175,6 +175,8 @@ def _cmd_zeta(args) -> tuple:
 
 
 def _cmd_theorem1(args) -> tuple:
+    if not 1 <= args.trials <= TRIALS_GUARD:
+        raise ValueError(f"--trials must be between 1 and {TRIALS_GUARD}")
     e = WeierstrassModel.parse(args.model)
     report = theorem1_check(e, args.p, args.trials, args.seed)
     return report.to_json_dict(), not report.all_passed
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta = sub.add_parser("zeta", help="curve vs torus local zeta factors")
     p_zeta.add_argument("--model", required=True)
     p_zeta.add_argument("--primes", required=True, help='"2..50" or "3,5,7"')
-    p_zeta.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_zeta.add_argument("--order", type=int, default=DEFAULT_ORDER, help=f"series order 1..{ORDER_GUARD}")
     p_zeta.add_argument("--mode", choices=("absolute", "signed"), default="absolute")
     p_zeta.add_argument("--period", default=None, help="exploration-mode CF period")
     add_format(p_zeta)
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1 = sub.add_parser("theorem1", help="random-transform invariance transcript")
     p_t1.add_argument("--model", required=True)
     p_t1.add_argument("--p", type=int, required=True)
-    p_t1.add_argument("--trials", type=int, default=20)
+    p_t1.add_argument("--trials", type=int, default=20, help=f"1..{TRIALS_GUARD}")
     p_t1.add_argument("--seed", type=int, default=0)
     add_format(p_t1)
     p_t1.set_defaults(func=_cmd_theorem1)

@@ -8,7 +8,9 @@ anywhere: the classifier sees exactly the model it is given, and callers
 supply p-integral equations.  a_p comes from Shanks-Mestre baby-step
 giant-step above p = 229 and from a brute-force count below it; the
 brute-force counter stays as the oracle that tests the fast path.  All
-derived counts go through the trace recurrence.
+derived counts go through the trace recurrence, from a LocalData record.
+Brute-force counts, point lists and singular points share one fibre
+solver over F_p and F_{p^n}: at each x the equation reads y^2 + b*y = c.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ __all__ = [
     "j_invariant",
     "transform",
     "reduce_mod_p",
+    "ReductionError",
     "classify_reduction",
     "count_points",
     "count_nonsingular",
     "trace_of_frobenius",
     "point_counts_via_recurrence",
+    "LocalData",
     "group_structure",
     "isomorphic_over_closure",
     "isomorphism_witness",
@@ -52,16 +56,24 @@ __all__ = [
 
 # measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11
 AP_GUARD = 10**12  # a_p by baby-step giant-step: 0.04 s per prime just below
-# brute-force count over F_p: 28 s at p = 9999991; over F_{p^n}, n > 1,
-# fields stop at ffield.EXT_FIELD_GUARD = 10^6, 7.1 s at 997^2
+# brute-force count over F_p: 37 s at p = 9999991 (the oracle; the CLI
+# counts only at p <= MESTRE_BOUND and in the classifier); over F_{p^n},
+# n > 1, fields stop at ffield.EXT_FIELD_GUARD = 10^6, 7.1 s at 997^2
 COUNT_GUARD = 10**7
 GROUP_GUARD = 10**6  # group of E(F_{317^2}): 25 s; of E(F_{997^2}): 375 s, 193 MB
-CLASSIFY_GUARD = 10**4  # a node at p = 9973: 0.6 s
+# singular models only (a good prime needs just the discriminant): one
+# scan of the fibres, 0.06 s for a node at p = 9973
+CLASSIFY_GUARD = 10**4
 # Mestre: for p > 229, E or its quadratic twist has a point whose order
 # has a single multiple in the Hasse interval (Schoof, JTNB 7 (1995),
 # section 3), so baby-step giant-step always ends with one #E; below it
 # a_p comes from count_points, at most 229 steps
 MESTRE_BOUND = 229
+
+
+class ReductionError(ValueError):
+    """Raised when a model has no reduction at p: p is not prime, the
+    model is not over Q, or a coefficient is not p-integral."""
 
 
 class UnclassifiableReductionError(ValueError):
@@ -214,12 +226,15 @@ def transform(e: WeierstrassModel, tr: AdmissibleTransform) -> WeierstrassModel:
 def reduce_mod_p(e: WeierstrassModel, p: int) -> WeierstrassModel:
     """Coefficientwise reduction of a p-integral model over Q."""
     if e.field is not None:
-        raise ValueError("model is not over Q")
-    fp = PrimeField(p)
+        raise ReductionError("model is not over Q")
+    try:
+        fp = PrimeField(p)
+    except ValueError as err:
+        raise ReductionError(str(err)) from None
     vals = []
     for a in e.coefficients:
         if a.denominator % p == 0:
-            raise ValueError(f"model not p-integral at p={p} (coefficient {a})")
+            raise ReductionError(f"model not p-integral at p={p} (coefficient {a})")
         vals.append(a.numerator * fp.inv(a.denominator % p) % p)
     return WeierstrassModel.over_field(fp, *vals)
 
@@ -259,33 +274,22 @@ class ReductionType:
 
 
 def _singular_points(e: WeierstrassModel) -> list:
-    """All affine singular points of a model over F_p (they are rational)."""
-    field = e.field
-    p = field.p
-    if p > CLASSIFY_GUARD:
+    """All affine singular points of a model over F_p, raw values: the
+    points of _affine_points_raw where both partials vanish (the singular
+    points of a Weierstrass cubic are rational over F_p)."""
+    f = e.field
+    if f.p > CLASSIFY_GUARD:
         raise ValueError("classification guard exceeded")
-    a1, a2, a3, a4, a6 = e.coefficients
-
-    def on_curve_singular(x, y):
-        f = y * y + a1 * x * y + a3 * y - (x * x * x + a2 * x * x + a4 * x + a6)
-        fx = a1 * y - (3 * x * x + 2 * a2 * x + a4)
-        fy = 2 * y + a1 * x + a3
-        return f == 0 and fx == 0 and fy == 0
-
-    pts = []
-    if p <= 3:
-        for xv in range(p):
-            for yv in range(p):
-                x, y = FieldElement.of(field, xv), FieldElement.of(field, yv)
-                if on_curve_singular(x, y):
-                    pts.append((x, y))
-        return pts
-    for xv in range(p):
-        x = FieldElement.of(field, xv)
-        y = -(a1 * x + a3) / 2
-        if on_curve_singular(x, y):
-            pts.append((x, y))
-    return pts
+    a1, a2, a3, a4, _ = _raw_consts(e)
+    mul, add, zero = f.mul, f.add, f.zero()
+    two, three = f.from_int(2), f.from_int(3)
+    # F_y = 2y + a1 x + a3, F_x = a1 y - (3x^2 + 2 a2 x + a4)
+    return [
+        (x, y)
+        for x, y in _affine_points_raw(e)
+        if add(add(mul(two, y), mul(a1, x)), a3) == zero
+        and mul(a1, y) == add(mul(add(mul(three, x), mul(two, a2)), x), a4)
+    ]
 
 
 def classify_reduction(e: WeierstrassModel) -> ReductionType:
@@ -308,9 +312,8 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
         raise UnclassifiableReductionError(
             f"expected a unique singular point, found {len(sing)}"
         )
-    x0, y0 = sing[0]
-    ns_count = count_nonsingular(e, 1)
-    alpha_by_count = p - ns_count
+    # #E_ns: the affine points but the singular one, plus infinity
+    alpha_by_count = p - _affine_count(e, 1)
     if p <= 3:
         if inv.c4 == 0:
             kind = ReductionKind.ADDITIVE
@@ -321,8 +324,10 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
         if (kind is ReductionKind.ADDITIVE) != (alpha_by_count == 0):
             raise UnclassifiableReductionError("c4 and counting disagree")
         return ReductionType(kind, alpha_by_count)
+    x0, y0 = (FieldElement(e.field, v) for v in sing[0])
     shifted = transform(e, AdmissibleTransform(FieldElement.of(e.field, 1), x0, FieldElement.of(e.field, 0), y0))
-    assert shifted.a3 == 0 and shifted.a4 == 0 and shifted.a6 == 0
+    if not (shifted.a3 == 0 and shifted.a4 == 0 and shifted.a6 == 0):
+        raise RuntimeError(f"singular point ({x0}, {y0}) of {e} does not move to the origin")
     tangent_disc = shifted.a1 * shifted.a1 + 4 * shifted.a2
     if tangent_disc == 0:
         kind, alpha = ReductionKind.ADDITIVE, 0
@@ -343,61 +348,45 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
 # point counting
 # ---------------------------------------------------------------------------
 
+def _fibres(e: WeierstrassModel) -> Iterator:
+    """(x, b, c) for each x of the model's field, raw values, where the
+    equation at x reads y^2 + b*y = c."""
+    f = e.field
+    a1, a2, a3, a4, a6 = _raw_consts(e)
+    mul, add = f.mul, f.add
+    for x in f.elements():
+        yield x, add(mul(a1, x), a3), add(mul(add(mul(add(x, a2), x), a4), x), a6)
+
+
+def _at_level(e: WeierstrassModel, n: int) -> WeierstrassModel:
+    """A model over F_p base-changed to F_{p^n}."""
+    return e if n == 1 else model_over_ext(e, finite_field(e.field.p, n))
+
+
 def _affine_count(e: WeierstrassModel, n: int) -> int:
     """Number of affine F_{p^n}-solutions of the Weierstrass equation."""
-    field = e.field
-    p = field.p
-    q = p**n
+    q = e.field.p**n
     if q > COUNT_GUARD:
         raise ValueError("guard exceeded: p^n > 10^7")
-    a1, a2, a3, a4, a6 = (a.val for a in e.coefficients)
-    if n == 1:
-        if p == 2:
-            return sum(
-                1
-                for x in range(2)
-                for y in range(2)
-                if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % 2 == 0
-            )
-        half = (p - 1) // 2
-        total = 0
-        for x in range(p):
-            b = (a1 * x + a3) % p
-            c = (x * x * x + a2 * x * x + a4 * x + a6) % p
-            disc = (b * b + 4 * c) % p
-            if disc == 0:
-                total += 1
-            elif pow(disc, half, p) == 1:
-                total += 2
-        return total
-    if q > EXT_FIELD_GUARD:
+    if n > 1 and q > EXT_FIELD_GUARD:
         raise ValueError("guard exceeded: p^n > 10^6 for n > 1")
-    # F_p values are valid F_{p^n} values
-    ext = finite_field(p, n)
-    mul, add = ext.mul, ext.add
-    if p == 2:
-        # y^2 + B y = C has one solution when B = 0, else two iff
-        # Tr(C / B^2) = 0 after the substitution y = B z
-        total = 0
-        for x in ext.elements():
-            x2 = mul(x, x)
-            b = add(mul(a1, x), a3)
-            c = add(add(mul(x2, x), mul(a2, x2)), add(mul(a4, x), a6))
-            if b == 0:
-                total += 1
-            elif ext.absolute_trace(mul(c, ext.inv(mul(b, b)))) == 0:
-                total += 2
-        return total
-    four = ext.from_int(4)
+    curve = _at_level(e, n)
+    f = curve.field
+    mul, zero = f.mul, f.zero()
+    if f.char == 2:
+        # y^2 + b y = c has one root when b = 0, else two iff
+        # Tr(c / b^2) = 0 after the substitution y = b z
+        return sum(
+            1 if b == zero else 2 * (f.absolute_trace(mul(c, f.inv(mul(b, b)))) == 0)
+            for _, b, c in _fibres(curve)
+        )
+    four = f.from_int(4)
     total = 0
-    for x in ext.elements():
-        x2 = mul(x, x)
-        b = add(mul(a1, x), a3)
-        rhs = add(add(mul(x2, x), mul(a2, x2)), add(mul(a4, x), a6))
-        disc = add(mul(b, b), mul(four, rhs))
-        if disc == 0:
+    for _, b, c in _fibres(curve):
+        disc = f.add(mul(b, b), mul(four, c))
+        if disc == zero:
             total += 1
-        elif is_square(ext, disc):
+        elif is_square(f, disc):
             total += 2
     return total
 
@@ -447,6 +436,27 @@ def point_counts_via_recurrence(ap: int, p: int, n_max: int) -> list:
         out.append(p**k + 1 - s_cur)
         s_prev, s_cur = s_cur, ap * s_cur - p * s_prev
     return out
+
+
+@dataclass(frozen=True)
+class LocalData:
+    """A rational model at one prime: its reduction, the reduction type
+    and, at a good prime only, a_p; built by zeta.local_data."""
+
+    reduced: WeierstrassModel
+    reduction: ReductionType
+    a_p: Optional[int] = None
+
+    @property
+    def p(self) -> int:
+        return self.reduced.field.p
+
+    def point_counts(self, n_max: int) -> list:
+        """[N_1, ..., N_n_max]: #E(F_{p^n}) by the trace recurrence at a
+        good prime, #E_ns(F_{p^n}) = p^n - alpha^n at a bad one."""
+        if self.reduction.is_good:
+            return point_counts_via_recurrence(self.a_p, self.p, n_max)
+        return [self.p**n - self.reduction.alpha**n for n in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -516,22 +526,18 @@ def _raw_mul(f, consts, pt, k: int):
 def _affine_points_raw(e: WeierstrassModel) -> Iterator:
     """All affine points of a model over its (small) field, raw values."""
     f = e.field
-    a1, a2, a3, a4, a6 = _raw_consts(e)
-    mul, add, sub = f.mul, f.add, f.sub
+    mul, zero = f.mul, f.zero()
     if f.char == 2:
+        # y = b z turns y^2 + b y = c into z^2 + z = c / b^2
         halves: dict = {}
         for z in f.elements():
-            halves.setdefault(add(mul(z, z), z), []).append(z)
-        for x in f.elements():
-            xsq = mul(x, x)
-            b = add(mul(a1, x), a3)
-            c = add(add(mul(xsq, x), mul(a2, xsq)), add(mul(a4, x), a6))
-            if b == f.zero():
+            halves.setdefault(f.add(mul(z, z), z), []).append(z)
+        for x, b, c in _fibres(e):
+            if b == zero:
                 # y^2 = c: the Frobenius is bijective
-                yield (x, f.pow(c, f.order // 2) if f.order > 2 else c)
+                yield (x, f.pow(c, f.order // 2))
             else:
-                scaled = mul(c, f.inv(mul(b, b)))
-                for z in halves.get(scaled, []):
+                for z in halves.get(mul(c, f.inv(mul(b, b))), ()):
                     yield (x, mul(b, z))
         return
     roots: dict = {}
@@ -539,17 +545,12 @@ def _affine_points_raw(e: WeierstrassModel) -> Iterator:
         roots.setdefault(mul(z, z), z)
     inv2 = f.inv(f.from_int(2))
     four = f.from_int(4)
-    for x in f.elements():
-        xsq = mul(x, x)
-        b = add(mul(a1, x), a3)
-        c = add(add(mul(xsq, x), mul(a2, xsq)), add(mul(a4, x), a6))
-        disc = add(mul(b, b), mul(four, c))
-        if disc == f.zero():
-            yield (x, mul(f.neg(b), inv2))
-        elif disc in roots:
-            r = roots[disc]
-            yield (x, mul(sub(r, b), inv2))
-            yield (x, mul(sub(f.neg(r), b), inv2))
+    for x, b, c in _fibres(e):
+        r = roots.get(f.add(mul(b, b), mul(four, c)))
+        if r is not None:
+            yield (x, mul(f.sub(r, b), inv2))
+            if r != zero:
+                yield (x, mul(f.sub(f.neg(r), b), inv2))
 
 
 def _divisors(n: int) -> list:
@@ -563,7 +564,7 @@ def group_structure(e: WeierstrassModel, n: int = 1) -> AbelianGroupInv:
     """E(F_{p^n}) as Z/d1 x Z/d2 with d1 | d2, by full enumeration.
 
     d2 is the group exponent (lcm of point orders), d1 = N/d2; the
-    classical constraint d1 | q-1 is asserted.  The point scan stops
+    classical constraint d1 | q-1 is checked.  The point scan stops
     early once the running lcm L is the only divisor of N that is a
     multiple of L with N/L dividing q-1: the true exponent always has
     both properties, so no later point can change the answer.
@@ -574,7 +575,7 @@ def group_structure(e: WeierstrassModel, n: int = 1) -> AbelianGroupInv:
     q = p**n
     if q > GROUP_GUARD:
         raise ValueError("guard exceeded: p^n > 10^6")
-    curve = e if n == 1 else model_over_ext(e, finite_field(p, n))
+    curve = _at_level(e, n)
     field = curve.field
     consts = _raw_consts(curve)
     pts = list(_affine_points_raw(curve))
@@ -598,8 +599,10 @@ def group_structure(e: WeierstrassModel, n: int = 1) -> AbelianGroupInv:
             break
     d2 = exponent
     d1 = n_points // d2
-    assert d1 * d2 == n_points and d2 % d1 == 0, "structure bookkeeping failed"
-    assert (q - 1) % d1 == 0, "d1 must divide q-1"
+    if d1 * d2 != n_points or d2 % d1 or (q - 1) % d1:
+        raise RuntimeError(
+            f"group of {e} over F_{p}^{n}: Z/{d1} x Z/{d2} breaks d1 d2 = N = {n_points}, d1 | d2 or d1 | q-1"
+        )
     return AbelianGroupInv((d1, d2))
 
 

@@ -193,6 +193,9 @@ class PrimeField:
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))
 
+    def absolute_trace(self, a) -> int:
+        return a
+
     def element_repr(self, a) -> str:
         return str(a)
 
@@ -591,9 +594,6 @@ class FieldElement:
 
     def __hash__(self):
         return hash((self.field, self.val))
-
-    def is_zero(self) -> bool:
-        return self.val == self.field.zero()
 
     def __repr__(self):
         return self.field.element_repr(self.val)

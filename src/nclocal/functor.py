@@ -15,21 +15,19 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ck_k0 import build_lp, epsilon, k0_group, k0_order_sequence
+from .ck_k0 import build_lp, epsilon, k0_group, k0_order
 from .elliptic import (
     AdmissibleTransform,
+    ReductionError,
     ReductionType,
     WeierstrassModel,
-    classify_reduction,
     group_structure,
     isomorphic_over_closure,
-    point_counts_via_recurrence,
-    reduce_mod_p,
-    trace_of_frobenius,
     transform,
 )
 from .intmat import IntMatrix, conjugacy_test, mat_pow
 from .quadratic_cf import incidence_matrix
+from .zeta import local_data
 
 __all__ = [
     "LocalizationResult",
@@ -106,69 +104,40 @@ def localize(
     if not 1 <= n_max <= MAX_LEVEL:
         raise ValueError(f"n_max must be between 1 and {MAX_LEVEL}")
     try:
-        red = reduce_mod_p(e, p)
-    except ValueError as err:
+        local = local_data(e, p)
+    except ReductionError as err:
         raise ValueError(f"{err}; apply a clearing transform first") from None
-    rt = classify_reduction(red)
+    rt, ap = local.reduction, local.a_p
+    levels = range(1, n_max + 1)
+    descriptors = tuple(epsilon(p, n, rt.is_good, trace_ap=ap, alpha=rt.alpha) for n in levels)
+    orders = tuple(k0_order(d) for d in descriptors)
+    counts = tuple(local.point_counts(n_max))
+    if rt.is_good and orders != counts:
+        raise RuntimeError(f"K0 order must equal the point count: {orders} != {counts} for {e} at p={p}")
     exploration = None
-    if rt.is_good:
-        ap = trace_of_frobenius(red)
-        lp = build_lp(ap, p)
-        descriptors = tuple(epsilon(p, n, True, trace_ap=ap) for n in range(1, n_max + 1))
-        orders = tuple(k0_order_sequence(p, n_max, True, trace_ap=ap))
-        counts = tuple(point_counts_via_recurrence(ap, p, n_max))
-        groups = tuple(k0_group(d) for d in descriptors)
-        curve_groups = tuple(
-            group_structure(red, n) if p**n <= LOCALIZE_GROUP_GUARD else None
-            for n in range(1, n_max + 1)
-        )
-        for n in range(n_max):
-            assert orders[n] == counts[n], "K0 order must equal the point count"
-        if period is not None:
-            a_matrix = incidence_matrix(period)
-            tr_ap = mat_pow(a_matrix, p).trace()
-            exploration = {
-                "period": list(period),
-                "trace_ap_matrix": tr_ap,
-                "a_p": ap,
-                "matches_a_p": tr_ap == ap,
-            }
-        return LocalizationResult(
-            p=p,
-            n_max=n_max,
-            reduction=rt,
-            descriptors=descriptors,
-            k0_groups=groups,
-            k0_orders=orders,
-            curve_counts=counts,
-            curve_groups=curve_groups,
-            a_p=ap,
-            lp=lp,
-            exploration=exploration,
-        )
-    alpha = rt.alpha
-    descriptors = tuple(epsilon(p, n, False, alpha=alpha) for n in range(1, n_max + 1))
-    orders = tuple(k0_order_sequence(p, n_max, False, alpha=alpha))
-    counts = tuple(p**n - alpha**n for n in range(1, n_max + 1))
-    groups = tuple(k0_group(d) for d in descriptors)
     if period is not None:
-        a_matrix = incidence_matrix(period)
+        tr_ap = mat_pow(incidence_matrix(period), p).trace()
         exploration = {
             "period": list(period),
-            "trace_ap_matrix": mat_pow(a_matrix, p).trace(),
-            "a_p": None,
-            "matches_a_p": None,
+            "trace_ap_matrix": tr_ap,
+            "a_p": ap,
+            "matches_a_p": None if ap is None else tr_ap == ap,
         }
     return LocalizationResult(
         p=p,
         n_max=n_max,
         reduction=rt,
         descriptors=descriptors,
-        k0_groups=groups,
+        k0_groups=tuple(k0_group(d) for d in descriptors),
         k0_orders=orders,
         curve_counts=counts,
-        curve_groups=(None,) * n_max,
-        alpha=alpha,
+        curve_groups=tuple(
+            group_structure(local.reduced, n) if rt.is_good and p**n <= LOCALIZE_GROUP_GUARD else None
+            for n in levels
+        ),
+        a_p=ap,
+        lp=build_lp(ap, p) if rt.is_good else None,
+        alpha=rt.alpha,
         exploration=exploration,
     )
 
@@ -245,13 +214,9 @@ def theorem1_check(e: WeierstrassModel, p: int, trials: int, seed: int) -> Theor
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    base_red = reduce_mod_p(e, p)
-    base_rt = classify_reduction(base_red)
-    if base_rt.is_good:
-        base_lp = build_lp(trace_of_frobenius(base_red), p)
-        baseline = str(base_lp)
-    else:
-        baseline = f"alpha={base_rt.alpha}"
+    base = local_data(e, p)
+    good = base.reduction.is_good
+    baseline = str(build_lp(base.a_p, p)) if good else f"alpha={base.reduction.alpha}"
     records = []
     for i in range(trials):
         rng = random.Random(seed * 1_000_003 + i)
@@ -263,15 +228,11 @@ def theorem1_check(e: WeierstrassModel, p: int, trials: int, seed: int) -> Theor
             tr = _random_transform(rng, p)
         else:
             raise RuntimeError("could not generate a p-integral transform")
-        red2 = reduce_mod_p(e2, p)
-        if base_rt.is_good:
-            closure_ok = isomorphic_over_closure(base_red, red2)
-            lp2 = build_lp(trace_of_frobenius(red2), p)
-            inv_ok = lp2 == base_lp
-        else:
-            closure_ok = None  # j undefined on singular reductions
-            rt2 = classify_reduction(red2)
-            inv_ok = (not rt2.is_good) and rt2.alpha == base_rt.alpha
+        local = local_data(e2, p)
+        # j is undefined on singular reductions
+        closure_ok = isomorphic_over_closure(base.reduced, local.reduced) if good else None
+        # equal a_p gives equal (a_p, p; -1, 0)
+        inv_ok = local.reduction == base.reduction and local.a_p == base.a_p
         passed = inv_ok and (closure_ok is not False)
         records.append(
             TrialRecord(
@@ -287,7 +248,7 @@ def theorem1_check(e: WeierstrassModel, p: int, trials: int, seed: int) -> Theor
         )
     return Theorem1Report(
         p=p,
-        good=base_rt.is_good,
+        good=good,
         seed=seed,
         baseline=baseline,
         trials=tuple(records),

@@ -2,7 +2,8 @@
 
 The curve side exponentiates point counts, the torus side exponentiates
 K0 orders, and the comparison engine lines the two up coefficient for
-coefficient.  Everything is Fraction arithmetic; no floating point.
+coefficient.  Each prime is read once, by ``local_data``.  Everything is
+Fraction arithmetic; no floating point.
 """
 
 from __future__ import annotations
@@ -12,22 +13,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ck_k0 import build_lp, k0_order_sequence
+from .ck_k0 import epsilon, k0_order, k0_order_sequence, k0_signed_order
 from .elliptic import (
-    ReductionType,
+    LocalData,
     UnclassifiableReductionError,
     WeierstrassModel,
     classify_reduction,
-    point_counts_via_recurrence,
     reduce_mod_p,
     trace_of_frobenius,
 )
-from .intmat import IntMatrix, identity, mat_pow
+from .intmat import mat_pow
 from .quadratic_cf import incidence_matrix
 
 __all__ = [
     "TruncatedSeries",
     "LocalFactorReport",
+    "local_data",
     "series_exp",
     "series_log",
     "curve_local_zeta",
@@ -156,6 +157,15 @@ def _exp_counts(counts: Sequence[int], order: int) -> TruncatedSeries:
     return series_exp(s)
 
 
+def local_data(e: WeierstrassModel, p: int) -> LocalData:
+    """Reduce a model over Q at p, classify the reduction and, at a good
+    prime, compute a_p: the one local pass that localize, theorem1_check,
+    the zeta factors, the Dirichlet coefficients and the CLI share."""
+    red = reduce_mod_p(e, p)
+    rt = classify_reduction(red)
+    return LocalData(red, rt, trace_of_frobenius(red) if rt.is_good else None)
+
+
 def euler_factor_polynomial(ap: int, p: int) -> list:
     """Numerator-only local data 1 - a_p z + p z^2, as [1, -a_p, p]."""
     return [1, -ap, p]
@@ -169,25 +179,20 @@ def curve_local_zeta(e: WeierstrassModel, p: int, order: int = DEFAULT_ORDER) ->
     (1 - a_p z + p z^2)/((1-z)(1-pz)).  Bad reduction counts the
     nonsingular points p^n - alpha^n.
     """
-    red = reduce_mod_p(e, p)
-    rt = classify_reduction(red)
-    ap = trace_of_frobenius(red) if rt.is_good else None
-    return _curve_series(p, rt, ap, order)
+    return _curve_series(local_data(e, p), order)
 
 
-def _curve_series(p: int, rt: ReductionType, ap: Optional[int], order: int) -> TruncatedSeries:
+def _curve_series(local: LocalData, order: int) -> TruncatedSeries:
     """The curve_local_zeta series from already computed local data."""
-    if rt.is_good:
-        counts = point_counts_via_recurrence(ap, p, order)
-        ser = _exp_counts(counts, order)
-        closed = _poly_series(euler_factor_polynomial(ap, p), order) * _poly_series(
+    ser = _exp_counts(local.point_counts(order), order)
+    if local.reduction.is_good:
+        p = local.p
+        closed = _poly_series(euler_factor_polynomial(local.a_p, p), order) * _poly_series(
             [1, -(p + 1), p], order
         ).reciprocal()
-        assert ser == closed, "exp-sum and rational form disagree"
-        return ser
-    alpha = rt.alpha
-    counts = [p**n - alpha**n for n in range(1, order + 1)]
-    return _exp_counts(counts, order)
+        if ser != closed:
+            raise RuntimeError(f"exp-sum and rational form disagree at p={p}, a_p={local.a_p}")
+    return ser
 
 
 def torus_local_zeta(
@@ -202,25 +207,13 @@ def torus_local_zeta(
     """exp(sum |K0| z^n / n) with K0 orders from the descriptor pipeline.
 
     mode="signed" is a diagnostic that drops the absolute value: it uses
-    det(I - L_p^n) at good primes and alpha^n at bad primes.
+    det(I - eps_n), which is det(I - L_p^n) at good primes and alpha^n at
+    bad primes.
     """
-    if mode not in ("absolute", "signed"):
+    order_of = {"absolute": k0_order, "signed": k0_signed_order}.get(mode)
+    if order_of is None:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "absolute":
-        counts = k0_order_sequence(p, order, good, trace_ap=trace_ap, alpha=alpha)
-    elif good:
-        if trace_ap is None:
-            raise ValueError("good prime requires trace_ap")
-        lp = build_lp(trace_ap, p)
-        counts = []
-        for n in range(1, order + 1):
-            m = mat_pow(lp, n)
-            delta = IntMatrix(2, 2, tuple(identity(2).entries[i] - m.entries[i] for i in range(4)))
-            counts.append(delta.det())
-    else:
-        if alpha not in (-1, 0, 1):
-            raise ValueError(f"alpha must be one of -1, 0, 1; got {alpha}")
-        counts = [alpha**n for n in range(1, order + 1)]
+    counts = [order_of(epsilon(p, n, good, trace_ap=trace_ap, alpha=alpha)) for n in range(1, order + 1)]
     return _exp_counts(counts, order)
 
 
@@ -278,12 +271,11 @@ def lemma1_check(
     a_matrix = incidence_matrix(period) if period is not None else None
     reports = []
     for p in primes:
-        red = reduce_mod_p(e, p)
-        rt = classify_reduction(red)
-        ap = trace_of_frobenius(red) if rt.is_good else None
-        curve = _curve_series(p, rt, ap, order)
+        local = local_data(e, p)
+        rt = local.reduction
+        curve = _curve_series(local, order)
         if rt.is_good:
-            trace_slot = mat_pow(a_matrix, p).trace() if a_matrix is not None else ap
+            trace_slot = mat_pow(a_matrix, p).trace() if a_matrix is not None else local.a_p
             torus = torus_local_zeta(p, order, good=True, trace_ap=trace_slot, mode=mode)
             signed = None
             alpha = None
@@ -347,15 +339,14 @@ def dirichlet_coefficients(e: WeierstrassModel, x: int) -> list:
     coeffs[1] = 1
     local: dict = {}
     for p in _sieve_primes(x):
-        red = reduce_mod_p(e, p)
         try:
-            rt = classify_reduction(red)
+            data = local_data(e, p)
         except UnclassifiableReductionError as err:
             warnings.warn(f"skipping p={p}: {err}")
             local[p] = [1] + [0] * 40
             continue
-        if rt.is_good:
-            ap = trace_of_frobenius(red)
+        if data.reduction.is_good:
+            ap = data.a_p
             curve_side = _local_dirichlet(ap, p, x)
             k0_first = k0_order_sequence(p, 1, True, trace_ap=ap)[0]
             torus_ap = p + 1 - k0_first
@@ -368,7 +359,7 @@ def dirichlet_coefficients(e: WeierstrassModel, x: int) -> list:
             power = p
             k = 1
             while power <= x:
-                out.append(rt.alpha**k)
+                out.append(data.reduction.alpha**k)
                 power *= p
                 k += 1
             local[p] = out

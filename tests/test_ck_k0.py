@@ -10,6 +10,7 @@ from nclocal.ck_k0 import (
     k0_group,
     k0_order,
     k0_order_sequence,
+    k0_signed_order,
 )
 from nclocal.intmat import IntMatrix, mat_pow
 
@@ -129,3 +130,27 @@ class TestK0:
             eps = CKDescriptor(kind="matrix", matrix=m)
             eps_t = CKDescriptor(kind="matrix", matrix=m.transpose())
             assert k0_group(eps).invariant_factors == k0_group(eps_t).invariant_factors
+
+
+class TestSignedOrder:
+    def test_signed_order_is_det_of_i_minus_lp_power(self):
+        for t in (-4, 0, 3):
+            for p in (2, 5, 7):
+                for n in range(1, 6):
+                    m = mat_pow(build_lp(t, p), n)
+                    expected = (1 - m.at(0, 0)) * (1 - m.at(1, 1)) - m.at(0, 1) * m.at(1, 0)
+                    eps = epsilon(p, n, True, trace_ap=t)
+                    assert k0_signed_order(eps) == expected
+                    assert k0_order(eps) == abs(expected)
+
+    def test_signed_order_at_bad_primes_is_alpha_power(self):
+        for alpha in (-1, 0, 1):
+            for n in range(1, 6):
+                assert k0_signed_order(epsilon(11, n, False, alpha=alpha)) == alpha**n
+
+    def test_order_is_group_order(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            m = IntMatrix(3, 3, tuple(rng.randint(-5, 5) for _ in range(9)))
+            eps = CKDescriptor(kind="matrix", matrix=m)
+            assert k0_order(eps) == k0_group(eps).order

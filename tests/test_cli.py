@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from nclocal.cli import main
 
@@ -204,3 +207,47 @@ class TestCatalog:
         code, out, _ = run(capsys, "catalog", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "label,coefficients,cm_discriminant,j,notes"
+
+
+class TestGuards:
+    """--order and --trials are checked before any work: exit 2, empty stdout."""
+
+    def test_zeta_order_outside_1_to_12(self, capsys):
+        for order in ("0", "13", "-1"):
+            code, out, err = run(capsys, "zeta", "--model", "[0,0,0,-1,0]", "--primes", "2..20", "--order", order)
+            assert code == 2 and out == "" and "--order must be between 1 and 12" in err, order
+
+    def test_zeta_order_edges_accepted(self, capsys):
+        for order in ("1", "12"):
+            code, out, _ = run(capsys, "zeta", "--model", "[0,0,0,-1,0]", "--primes", "3", "--order", order)
+            (report,) = json.loads(out)
+            assert code == 0 and len(report["curve_coeffs"]) == int(order) + 1
+
+    def test_theorem1_trials_outside_1_to_100(self, capsys):
+        for trials in ("0", "101", "-1"):
+            code, out, err = run(capsys, "theorem1", "--model", "[0,0,0,-1,0]", "--p", "5", "--trials", trials)
+            assert code == 2 and out == "" and "--trials must be between 1 and 100" in err, trials
+
+    def test_guards_checked_before_the_model_is_read(self, capsys):
+        code, out, err = run(capsys, "zeta", "--model", "[bad", "--primes", "2..20", "--order", "13")
+        assert code == 2 and out == "" and "--order" in err
+        code, out, err = run(capsys, "theorem1", "--model", "[bad", "--p", "5", "--trials", "101")
+        assert code == 2 and out == "" and "--trials" in err
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+class TestGoldens:
+    """Exact stdout of reduction types no other test pins byte for byte.
+
+    Each file holds the command on its first line and the expected stdout
+    after it.
+    """
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDENS.glob("*.txt")))
+    def test_stdout_byte_identical(self, capsys, name):
+        command, expected = (GOLDENS / f"{name}.txt").read_text().split("\n", 1)
+        code, out, err = run(capsys, *command.split()[1:])
+        assert code == 0 and err == ""
+        assert out == expected

@@ -28,7 +28,8 @@ from nclocal.elliptic import (
     trace_of_frobenius,
     transform,
 )
-from nclocal.ffield import FieldElement, PrimeField
+from nclocal.elliptic import _affine_count, _affine_points_raw, _singular_points
+from nclocal.ffield import FieldElement, PrimeField, finite_field
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)  # y^2 = x^3 - x
 E_PLUS_1 = WeierstrassModel.over_q(0, 0, 0, 0, 1)  # y^2 = x^3 + 1
@@ -473,3 +474,100 @@ class TestCatalog:
         path.write_text(json.dumps(good))
         entries = load_catalog(str(path))
         assert entries[0].model == E_MINUS_X
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def brute_singular_points(e):
+    """Oracle: every (x, y) of F_p^2 on the curve where both partials vanish."""
+    f = e.field
+    a1, a2, a3, a4, a6 = e.coefficients
+    pts = set()
+    for xv in range(f.p):
+        for yv in range(f.p):
+            x, y = FieldElement.of(f, xv), FieldElement.of(f, yv)
+            on_curve = y * y + a1 * x * y + a3 * y - (x * x * x + a2 * x * x + a4 * x + a6) == 0
+            fx = a1 * y - (3 * x * x + 2 * a2 * x + a4)
+            fy = 2 * y + a1 * x + a3
+            if on_curve and fx == 0 and fy == 0:
+                pts.add((xv, yv))
+    return pts
+
+
+def brute_affine_count(e):
+    """Oracle: the affine points of a model over F_p by a full (x, y) scan."""
+    p = e.field.p
+    a1, a2, a3, a4, a6 = (a.val for a in e.coefficients)
+    return sum(
+        1
+        for x in range(p)
+        for y in range(p)
+        if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % p == 0
+    )
+
+
+def small_models():
+    rng = random.Random(2024)
+    models = [entry.model for entry in load_catalog()]
+    models += [WeierstrassModel.over_q(*(rng.randint(-6, 6) for _ in range(5))) for _ in range(60)]
+    # singular over Q: a node, a cusp, and both with a1, a3 != 0
+    singular = ((0, 1, 0, 0, 0), (0, 0, 0, 0, 0), (2, 6, 6, 10, 3), (2, 5, 6, 6, -1))
+    models += [WeierstrassModel.over_q(*c) for c in singular]
+    return models
+
+
+class TestFibreSolver:
+    """The one fibre solver behind counting, point lists and singular points,
+    against full (x, y) scans."""
+
+    def test_singular_points_match_brute_scan(self):
+        seen = set()
+        for e in small_models():
+            for p in SMALL_PRIMES:
+                red = reduce_mod_p(e, p)
+                if invariants(red).disc != 0:
+                    assert _singular_points(red) == []
+                    continue
+                assert set(_singular_points(red)) == brute_singular_points(red), (e, p)
+                seen.add(p)
+        assert seen == set(SMALL_PRIMES)
+
+    def test_counts_match_brute_scan(self):
+        for e in small_models():
+            for p in SMALL_PRIMES:
+                red = reduce_mod_p(e, p)
+                brute = brute_affine_count(red)
+                assert _affine_count(red, 1) == len(list(_affine_points_raw(red))) == brute, (e, p)
+
+    def test_points_lie_on_the_curve_over_extensions(self):
+        for e in (E_MINUS_X, E_PLUS_1, WeierstrassModel.over_q(1, 0, 1, 4, -6)):
+            for p, n in ((2, 3), (3, 2), (5, 2)):
+                red = reduce_mod_p(e, p)
+                if invariants(red).disc == 0:
+                    continue
+                curve = model_over_ext(red, finite_field(p, n))
+                f = curve.field
+                a1, a2, a3, a4, a6 = (a.val for a in curve.coefficients)
+                pts = list(_affine_points_raw(curve))
+                assert len(set(pts)) == len(pts) == _affine_count(red, n)
+                for x, y in pts:
+                    lhs = f.add(f.mul(y, y), f.mul(f.add(f.mul(a1, x), a3), y))
+                    rhs = f.add(f.mul(f.add(f.mul(f.add(x, a2), x), a4), x), a6)
+                    assert lhs == rhs
+
+    def test_classifier_node_near_the_guard(self):
+        # a node just below CLASSIFY_GUARD
+        node = WeierstrassModel.over_field(PrimeField(9973), 0, 1, 0, 0, 0)
+        assert _singular_points(node) == [(0, 0)]
+        rt = classify_reduction(node)
+        assert rt.kind is ReductionKind.SPLIT_MULTIPLICATIVE
+        assert count_nonsingular(node) == 9973 - 1
+
+    def test_classify_shift_check_raises(self, monkeypatch):
+        import nclocal.elliptic as elliptic_mod
+
+        node = WeierstrassModel.over_field(PrimeField(5), 0, 1, 0, 0, 0)
+        monkeypatch.setattr(elliptic_mod, "_singular_points", lambda e: [(1, 0)])
+        with pytest.raises(RuntimeError, match="does not move to the origin"):
+            classify_reduction(node)

@@ -167,3 +167,36 @@ class TestFootnote2:
     def test_bad_prime_rejected(self):
         with pytest.raises(ValueError, match="good prime"):
             footnote2_experiment(E_PLUS_1, 3, 1)
+
+
+class TestLocalizeErrors:
+    def test_reduction_errors_carry_the_hint(self):
+        with pytest.raises(ValueError, match="^4 is not prime; apply a clearing transform first$"):
+            localize(E_MINUS_X, 4, 1)
+
+    def test_classifier_errors_do_not(self):
+        node = WeierstrassModel.over_q(0, 1, 0, 0, 0)  # y^2 = x^3 + x^2, singular at every p
+        with pytest.raises(ValueError, match="^classification guard exceeded$"):
+            localize(node, 10007, 1)
+
+    def test_k0_check_raises(self, monkeypatch):
+        import nclocal.functor as functor_mod
+
+        monkeypatch.setattr(functor_mod, "k0_order", lambda eps: 0)
+        with pytest.raises(RuntimeError, match="K0 order must equal the point count"):
+            localize(E_MINUS_X, 5, 2)
+
+    def test_k0_check_survives_optimize_flag(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import nclocal.functor as f\n"
+            "from nclocal.elliptic import WeierstrassModel\n"
+            "f.k0_order = lambda eps: 0\n"
+            "f.localize(WeierstrassModel.over_q(0, 0, 0, -1, 0), 5, 2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1 and "RuntimeError: K0 order must equal the point count" in proc.stderr

@@ -230,3 +230,29 @@ class TestDirichlet:
         assert any("skipping p=2" in str(w.message) for w in caught)
         assert coeffs[2] == 0 and coeffs[4] == 0
         assert coeffs[5] == -2  # good primes unaffected
+
+
+class TestLocalData:
+    def test_good_prime(self):
+        from nclocal.elliptic import trace_of_frobenius
+        from nclocal.zeta import local_data
+
+        local = local_data(E_MINUS_X, 5)
+        assert local.p == 5 and local.reduction.is_good
+        assert local.a_p == trace_of_frobenius(local.reduced) == -2
+        assert local.point_counts(3) == [8, 32, 104]
+
+    def test_bad_prime(self):
+        from nclocal.zeta import local_data
+
+        local = local_data(WeierstrassModel.over_q(0, 2, 0, 0, 0), 5)  # non-split node
+        assert local.a_p is None and local.reduction.alpha == -1
+        assert local.point_counts(3) == [5 + 1, 25 - 1, 125 + 1]
+        assert local.point_counts(1) == [count_nonsingular(local.reduced, 1)]
+
+    def test_rational_form_check_raises(self, monkeypatch):
+        import nclocal.zeta as zeta_mod
+
+        monkeypatch.setattr(zeta_mod, "euler_factor_polynomial", lambda ap, p: [1, -ap + 1, p])
+        with pytest.raises(RuntimeError, match="exp-sum and rational form disagree at p=5"):
+            curve_local_zeta(E_MINUS_X, 5, 3)
