@@ -23,7 +23,6 @@ __all__ = [
     "k0_group",
     "k0_order",
     "k0_signed_order",
-    "k0_order_sequence",
 ]
 
 
@@ -136,12 +135,3 @@ def k0_signed_order(eps: CKDescriptor) -> int:
 def k0_order(eps: CKDescriptor) -> int:
     """|K0| as |det(I - eps)|; 0 when the group is infinite."""
     return abs(k0_signed_order(eps))
-
-
-def k0_order_sequence(
-    p: int, n_max: int, good: bool, *, trace_ap: Optional[int] = None, alpha: Optional[int] = None
-) -> list:
-    """[|K0| at n=1..n_max], one descriptor per level."""
-    return [
-        k0_order(epsilon(p, n, good, trace_ap=trace_ap, alpha=alpha)) for n in range(1, n_max + 1)
-    ]

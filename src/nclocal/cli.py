@@ -72,6 +72,13 @@ def _parse_primes(text: str) -> list:
     return primes
 
 
+def _check_p(p: Optional[int]) -> None:
+    """Bound --p before the model is read: a bad prime needs no a_p, so
+    nothing later would stop a p past AP_GUARD."""
+    if p is not None and p > AP_GUARD:
+        raise ValueError("guard exceeded: p > 10^12")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, verdict_failed)
 # ---------------------------------------------------------------------------
@@ -122,6 +129,7 @@ def _cmd_k0(args) -> tuple:
 def _cmd_curve(args) -> tuple:
     if not 1 <= args.n <= MAX_LEVEL:
         raise ValueError(f"--n must be between 1 and {MAX_LEVEL}")
+    _check_p(args.p)
     e = WeierstrassModel.parse(args.model)
     inv = invariants(e)
     payload = {
@@ -156,6 +164,7 @@ def _cmd_curve(args) -> tuple:
 
 
 def _cmd_localize(args) -> tuple:
+    _check_p(args.p)
     e = WeierstrassModel.parse(args.model)
     period = _parse_period(args.period) if args.period else None
     res = localize(e, args.p, args.nmax, period=period)
@@ -177,6 +186,7 @@ def _cmd_zeta(args) -> tuple:
 def _cmd_theorem1(args) -> tuple:
     if not 1 <= args.trials <= TRIALS_GUARD:
         raise ValueError(f"--trials must be between 1 and {TRIALS_GUARD}")
+    _check_p(args.p)
     e = WeierstrassModel.parse(args.model)
     report = theorem1_check(e, args.p, args.trials, args.seed)
     return report.to_json_dict(), not report.all_passed

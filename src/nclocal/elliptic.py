@@ -5,12 +5,14 @@ F_{p^n}, and the group structure of the rational points.
 Models live either over Q (exact Fraction coefficients) or over a finite
 field (FieldElement coefficients).  No minimal-model search happens
 anywhere: the classifier sees exactly the model it is given, and callers
-supply p-integral equations.  a_p comes from Shanks-Mestre baby-step
-giant-step above p = 229 and from a brute-force count below it; the
-brute-force counter stays as the oracle that tests the fast path.  All
-derived counts go through the trace recurrence, from a LocalData record.
-Brute-force counts, point lists and singular points share one fibre
-solver over F_p and F_{p^n}: at each x the equation reads y^2 + b*y = c.
+supply p-integral equations.  The reduction type comes from the
+discriminant, c4 and a square test of -c6, with no point scan at odd p.
+a_p comes from Shanks-Mestre baby-step giant-step above p = 229 and from
+a brute-force count below it; the brute-force counter stays as the
+oracle that tests the fast path.  All derived counts go through the
+trace recurrence, from a LocalData record.  Brute-force counts and point
+lists share one fibre solver over F_p and F_{p^n}: at each x the
+equation reads y^2 + b*y = c.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "AdmissibleTransform",
     "ReductionKind",
     "ReductionType",
-    "UnclassifiableReductionError",
     "invariants",
     "WInvariants",
     "j_invariant",
@@ -51,19 +52,15 @@ __all__ = [
     "AP_GUARD",
     "COUNT_GUARD",
     "GROUP_GUARD",
-    "CLASSIFY_GUARD",
 ]
 
 # measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11
 AP_GUARD = 10**12  # a_p by baby-step giant-step: 0.04 s per prime just below
-# brute-force count over F_p: 37 s at p = 9999991 (the oracle; the CLI
-# counts only at p <= MESTRE_BOUND and in the classifier); over F_{p^n},
-# n > 1, fields stop at ffield.EXT_FIELD_GUARD = 10^6, 7.1 s at 997^2
-COUNT_GUARD = 10**7
+# brute-force count over F_{p^n}: 3.4 s at p = 999983, 7.1 s at 997^2
+# (the oracle; the CLI counts for a_p only at p <= MESTRE_BOUND, and once
+# at a bad prime in `curve`)
+COUNT_GUARD = 10**6
 GROUP_GUARD = 10**6  # group of E(F_{317^2}): 25 s; of E(F_{997^2}): 375 s, 193 MB
-# singular models only (a good prime needs just the discriminant): one
-# scan of the fibres, 0.06 s for a node at p = 9973
-CLASSIFY_GUARD = 10**4
 # Mestre: for p > 229, E or its quadratic twist has a point whose order
 # has a single multiple in the Hasse interval (Schoof, JTNB 7 (1995),
 # section 3), so baby-step giant-step always ends with one #E; below it
@@ -74,11 +71,6 @@ MESTRE_BOUND = 229
 class ReductionError(ValueError):
     """Raised when a model has no reduction at p: p is not prime, the
     model is not over Q, or a coefficient is not p-integral."""
-
-
-class UnclassifiableReductionError(ValueError):
-    """Raised when a singular model defeats the classifier (degenerate
-    small-characteristic corner with no unique singular point)."""
 
 
 @dataclass(frozen=True)
@@ -273,74 +265,32 @@ class ReductionType:
         return f"{self.kind.value} (alpha={self.alpha})"
 
 
-def _singular_points(e: WeierstrassModel) -> list:
-    """All affine singular points of a model over F_p, raw values: the
-    points of _affine_points_raw where both partials vanish (the singular
-    points of a Weierstrass cubic are rational over F_p)."""
-    f = e.field
-    if f.p > CLASSIFY_GUARD:
-        raise ValueError("classification guard exceeded")
-    a1, a2, a3, a4, _ = _raw_consts(e)
-    mul, add, zero = f.mul, f.add, f.zero()
-    two, three = f.from_int(2), f.from_int(3)
-    # F_y = 2y + a1 x + a3, F_x = a1 y - (3x^2 + 2 a2 x + a4)
-    return [
-        (x, y)
-        for x, y in _affine_points_raw(e)
-        if add(add(mul(two, y), mul(a1, x)), a3) == zero
-        and mul(a1, y) == add(mul(add(mul(three, x), mul(two, a2)), x), a4)
-    ]
-
-
 def classify_reduction(e: WeierstrassModel) -> ReductionType:
-    """Reduction type of a model over F_p.
+    """Reduction type of a model over F_p, from its invariants alone
+    (Silverman, GTM 106, Prop. III.1.4; Cremona, Algorithms for Modular
+    Elliptic Curves, 3.2).
 
-    Good when the discriminant is nonzero.  Otherwise the unique singular
-    point is translated to the origin and the tangent-cone discriminant
-    decides node vs cusp and split vs non-split (p > 3); for p <= 3 the
-    kind comes from c4 and alpha from the count of nonsingular points.
-    The slope verdict is always cross-checked against #E_ns = p - alpha.
+    Good when the discriminant is nonzero, additive (a cusp, alpha = 0)
+    when c4 = 0 as well, and multiplicative (a node) otherwise: split,
+    alpha = 1, when -c6 is a square mod p and non-split, alpha = -1, when
+    it is not.  At p = 2, where every element is a square, alpha comes
+    from #E_ns(F_2) = 2 - alpha, a count over the two fibres.
     """
     if not isinstance(e.field, PrimeField):
         raise ValueError("classification needs a model over F_p")
-    p = e.field.p
     inv = invariants(e)
     if inv.disc != 0:
         return ReductionType(ReductionKind.GOOD)
-    sing = _singular_points(e)
-    if len(sing) != 1:
-        raise UnclassifiableReductionError(
-            f"expected a unique singular point, found {len(sing)}"
-        )
-    # #E_ns: the affine points but the singular one, plus infinity
-    alpha_by_count = p - _affine_count(e, 1)
-    if p <= 3:
-        if inv.c4 == 0:
-            kind = ReductionKind.ADDITIVE
-        elif alpha_by_count == 1:
-            kind = ReductionKind.SPLIT_MULTIPLICATIVE
-        else:
-            kind = ReductionKind.NONSPLIT_MULTIPLICATIVE
-        if (kind is ReductionKind.ADDITIVE) != (alpha_by_count == 0):
-            raise UnclassifiableReductionError("c4 and counting disagree")
-        return ReductionType(kind, alpha_by_count)
-    x0, y0 = (FieldElement(e.field, v) for v in sing[0])
-    shifted = transform(e, AdmissibleTransform(FieldElement.of(e.field, 1), x0, FieldElement.of(e.field, 0), y0))
-    if not (shifted.a3 == 0 and shifted.a4 == 0 and shifted.a6 == 0):
-        raise RuntimeError(f"singular point ({x0}, {y0}) of {e} does not move to the origin")
-    tangent_disc = shifted.a1 * shifted.a1 + 4 * shifted.a2
-    if tangent_disc == 0:
-        kind, alpha = ReductionKind.ADDITIVE, 0
-    elif is_square(e.field, tangent_disc.val):
-        kind, alpha = ReductionKind.SPLIT_MULTIPLICATIVE, 1
+    if inv.c4 == 0:
+        return ReductionType(ReductionKind.ADDITIVE, 0)
+    if e.field.p == 2:
+        # the affine points but the singular one, plus infinity
+        alpha = 2 - _affine_count(e, 1)
+        if alpha not in (1, -1):
+            raise RuntimeError(f"a node of {e} over F_2 gives alpha={alpha}, not +-1")
     else:
-        kind, alpha = ReductionKind.NONSPLIT_MULTIPLICATIVE, -1
-    if alpha != alpha_by_count:
-        raise UnclassifiableReductionError(
-            f"slope method alpha={alpha} but #E_ns gives alpha={alpha_by_count}"
-        )
-    if (kind is ReductionKind.ADDITIVE) != (inv.c4 == 0):
-        raise UnclassifiableReductionError("tangent cone and c4 disagree")
+        alpha = 1 if is_square(e.field, (-inv.c6).val) else -1
+    kind = ReductionKind.SPLIT_MULTIPLICATIVE if alpha == 1 else ReductionKind.NONSPLIT_MULTIPLICATIVE
     return ReductionType(kind, alpha)
 
 
@@ -365,11 +315,8 @@ def _at_level(e: WeierstrassModel, n: int) -> WeierstrassModel:
 
 def _affine_count(e: WeierstrassModel, n: int) -> int:
     """Number of affine F_{p^n}-solutions of the Weierstrass equation."""
-    q = e.field.p**n
-    if q > COUNT_GUARD:
-        raise ValueError("guard exceeded: p^n > 10^7")
-    if n > 1 and q > EXT_FIELD_GUARD:
-        raise ValueError("guard exceeded: p^n > 10^6 for n > 1")
+    if e.field.p**n > COUNT_GUARD:
+        raise ValueError("guard exceeded: p^n > 10^6")
     curve = _at_level(e, n)
     f = curve.field
     mul, zero = f.mul, f.zero()
@@ -405,11 +352,10 @@ def count_points(e: WeierstrassModel, n: int = 1) -> int:
 def count_nonsingular(e: WeierstrassModel, n: int = 1) -> int:
     """Number of nonsingular F_{p^n}-points including infinity.
 
-    The singular points of a Weierstrass cubic are rational over the
-    prime field, so excluding them is an exact subtraction.
+    A Weierstrass cubic is irreducible, so a singular model has exactly
+    one singular point, and it is rational over the prime field.
     """
-    sing = 0 if not is_singular(e) else len(_singular_points(e))
-    return _affine_count(e, n) - sing + 1
+    return _affine_count(e, n) - int(is_singular(e)) + 1
 
 
 def trace_of_frobenius(e: WeierstrassModel) -> int:

@@ -7,8 +7,8 @@ element of F_{p^n} is an int whose base-p digits are its coefficients;
 products, sums and inverses are lookups in log, exp and Zech tables
 (Lidl-Niederreiter, Finite Fields, 2.1) that each field builds once and
 caches.  Extensions stop at p^n <= 10^6 (EXT_FIELD_GUARD), where the
-tables take 12 MB and about 1 s to build; enumeration of any field stops
-at 10^7.
+tables take 12 MB and about 1 s to build; code that enumerates a field
+bounds its size itself.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ __all__ = [
     "finite_field",
     "find_irreducible",
     "is_square",
-    "enumerate_field",
-    "FIELD_SIZE_GUARD",
     "EXT_FIELD_GUARD",
 ]
 
-FIELD_SIZE_GUARD = 10**7
 EXT_FIELD_GUARD = 10**6
 
 
@@ -504,13 +501,6 @@ def is_square(field, a) -> bool:
     if a == field.zero():
         return True
     return field.pow(a, (field.order - 1) // 2) == field.one()
-
-
-def enumerate_field(field) -> Iterator:
-    """Each element exactly once, in the field's deterministic order."""
-    if field.order > FIELD_SIZE_GUARD:
-        raise ValueError("field too large")
-    return field.elements()
 
 
 class FieldElement:

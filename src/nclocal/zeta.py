@@ -8,15 +8,13 @@ Fraction arithmetic; no floating point.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ck_k0 import epsilon, k0_order, k0_order_sequence, k0_signed_order
+from .ck_k0 import epsilon, k0_order, k0_signed_order
 from .elliptic import (
     LocalData,
-    UnclassifiableReductionError,
     WeierstrassModel,
     classify_reduction,
     reduce_mod_p,
@@ -282,8 +280,10 @@ def lemma1_check(
             compared = torus
         else:
             alpha = rt.alpha
-            torus = torus_local_zeta(p, order, good=False, alpha=alpha, mode="absolute")
-            signed = torus_local_zeta(p, order, good=False, alpha=alpha, mode="signed")
+            # one descriptor per level feeds both conventions
+            levels = [epsilon(p, n, False, alpha=alpha) for n in range(1, order + 1)]
+            torus = _exp_counts([k0_order(d) for d in levels], order)
+            signed = _exp_counts([k0_signed_order(d) for d in levels], order)
             compared = signed if mode == "signed" else torus
         mismatch = curve.first_mismatch(compared)
         reports.append(
@@ -330,8 +330,7 @@ def dirichlet_coefficients(e: WeierstrassModel, x: int) -> list:
     local factors, numerator convention.
 
     The torus side is rebuilt from K0 orders and must agree at every m
-    supported on good primes; bad primes contribute alpha^k, and a bad
-    prime whose model defeats the classifier is skipped with a warning.
+    supported on good primes; bad primes contribute alpha^k.
     """
     if x > 10**4:
         raise ValueError("bound exceeds the desk-scale guard 10^4")
@@ -339,20 +338,14 @@ def dirichlet_coefficients(e: WeierstrassModel, x: int) -> list:
     coeffs[1] = 1
     local: dict = {}
     for p in _sieve_primes(x):
-        try:
-            data = local_data(e, p)
-        except UnclassifiableReductionError as err:
-            warnings.warn(f"skipping p={p}: {err}")
-            local[p] = [1] + [0] * 40
-            continue
+        data = local_data(e, p)
         if data.reduction.is_good:
             ap = data.a_p
             curve_side = _local_dirichlet(ap, p, x)
-            k0_first = k0_order_sequence(p, 1, True, trace_ap=ap)[0]
-            torus_ap = p + 1 - k0_first
+            torus_ap = p + 1 - k0_order(epsilon(p, 1, True, trace_ap=ap))
             torus_side = _local_dirichlet(torus_ap, p, x)
             if curve_side != torus_side:
-                raise AssertionError(f"curve and torus local coefficients differ at p={p}")
+                raise RuntimeError(f"curve and torus local coefficients differ at p={p}")
             local[p] = curve_side
         else:
             out = [1]
@@ -375,5 +368,5 @@ def dirichlet_coefficients(e: WeierstrassModel, x: int) -> list:
         while rest % p == 0:
             rest //= p
             k += 1
-        coeffs[m] = local[p][k] * coeffs[rest] if k < len(local[p]) else 0
+        coeffs[m] = local[p][k] * coeffs[rest]
     return [(m, coeffs[m]) for m in range(1, x + 1)]

@@ -206,7 +206,7 @@ def test_criterion_6_classifier_cross_check():
         assert models, "no singular models generated"
         multiplicative_seen = {1: 0, -1: 0}
         for p, model in models:
-            rt = classify_reduction(model)  # slope method with internal checks
+            rt = classify_reduction(model)  # from c4 and -c6, no point scan
             alpha_count = p - count_nonsingular(model, 1)
             assert rt.alpha == alpha_count, (p, rt)
             disc = _tangent_discriminant(model)

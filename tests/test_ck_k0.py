@@ -9,7 +9,6 @@ from nclocal.ck_k0 import (
     epsilon,
     k0_group,
     k0_order,
-    k0_order_sequence,
     k0_signed_order,
 )
 from nclocal.intmat import IntMatrix, mat_pow
@@ -118,9 +117,12 @@ class TestK0:
                     s_prev, s_cur = s_cur, t * s_cur - p * s_prev
 
     def test_bad_prime_orders(self):
-        assert k0_order_sequence(7, 5, False, alpha=1) == [1, 1, 1, 1, 1]
-        assert k0_order_sequence(7, 5, False, alpha=-1) == [1, 1, 1, 1, 1]
-        assert k0_order_sequence(7, 5, False, alpha=0) == [0, 0, 0, 0, 0]
+        def orders(alpha):
+            return [k0_order(epsilon(7, n, False, alpha=alpha)) for n in range(1, 6)]
+
+        assert orders(1) == [1, 1, 1, 1, 1]
+        assert orders(-1) == [1, 1, 1, 1, 1]
+        assert orders(0) == [0, 0, 0, 0, 0]
 
     def test_transpose_convention_immaterial_for_factors(self):
         # invariant factors of coker(I - e^t) and coker(I - e) agree

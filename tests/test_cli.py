@@ -234,6 +234,42 @@ class TestGuards:
         code, out, err = run(capsys, "theorem1", "--model", "[bad", "--p", "5", "--trials", "101")
         assert code == 2 and out == "" and "--trials" in err
 
+    def test_p_past_the_a_p_guard(self, capsys):
+        # y^2 = x^3 + x^2 is singular at every p, so no a_p would stop it
+        for command in ("curve", "localize", "theorem1"):
+            for model in ("[0,1,0,0,0]", "[bad"):
+                code, out, err = run(capsys, command, "--model", model, "--p", "1000000000039")
+                assert code == 2 and out == "" and err == "error: guard exceeded: p > 10^12\n", (command, model)
+
+
+class TestBadPrimes:
+    """Nodes are classified from c4 and -c6 at any p up to 10^12;
+    y^2 = x^3 + a2 x^2 is split exactly when a2 is a square mod p."""
+
+    @pytest.mark.parametrize(
+        "model,p,kind,alpha",
+        [
+            ("[0,1,0,0,0]", "10007", "split_multiplicative", 1),
+            ("[0,-1,0,0,0]", "10007", "nonsplit_multiplicative", -1),  # 10007 = 3 mod 4
+            ("[0,-1,0,0,0]", "999999999989", "split_multiplicative", 1),  # = 1 mod 4
+        ],
+    )
+    def test_localize_zeta_theorem1(self, capsys, model, p, kind, alpha):
+        code, out, _ = run(capsys, "localize", "--model", model, "--p", p, "--nmax", "2")
+        data = json.loads(out)
+        assert code == 0 and data["reduction"] == kind and data["alpha"] == alpha
+        assert data["curve_counts"] == [int(p) - alpha, int(p) ** 2 - 1]
+        code, out, _ = run(capsys, "zeta", "--model", model, "--primes", p, "--order", "3")
+        (report,) = json.loads(out)
+        assert code == 0 and not report["good"] and report["alpha"] == alpha
+        code, out, _ = run(capsys, "theorem1", "--model", model, "--p", p, "--trials", "3")
+        data = json.loads(out)
+        assert code == 0 and data["all_passed"] and data["baseline"] == f"alpha={alpha}"
+
+    def test_curve_brute_count_past_its_guard(self, capsys):
+        code, out, err = run(capsys, "curve", "--model", "[0,1,0,0,0]", "--p", "1000003")
+        assert code == 2 and out == "" and "guard exceeded: p^n > 10^6" in err
+
 
 GOLDENS = Path(__file__).parent / "goldens"
 

@@ -28,7 +28,7 @@ from nclocal.elliptic import (
     trace_of_frobenius,
     transform,
 )
-from nclocal.elliptic import _affine_count, _affine_points_raw, _singular_points
+from nclocal.elliptic import _affine_count, _affine_points_raw
 from nclocal.ffield import FieldElement, PrimeField, finite_field
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)  # y^2 = x^3 - x
@@ -262,9 +262,15 @@ class TestCounting:
             count_points(reduce_mod_p(E_MINUS_X, 5), 11)
 
     def test_extension_guard(self):
-        # F_{p^n} stops at 10^6 elements for n > 1; F_p goes on to 10^7
+        # brute-force counts stop at 10^6 elements over F_p and F_{p^n} alike
         with pytest.raises(ValueError, match="guard exceeded: p\\^n > 10\\^6"):
             count_points(reduce_mod_p(E_MINUS_X, 1009), 2)
+
+    def test_prime_field_guard(self):
+        p = primes_from(10**6, 1, 2, 1)[0]
+        for count in (count_points, count_nonsingular):
+            with pytest.raises(ValueError, match="guard exceeded: p\\^n > 10\\^6"):
+                count(reduce_mod_p(E_MINUS_X, p), 1)
 
     def test_counts_independent_of_modulus(self):
         # the F_9 point count does not depend on which irreducible modulus
@@ -518,18 +524,21 @@ def small_models():
 
 
 class TestFibreSolver:
-    """The one fibre solver behind counting, point lists and singular points,
-    against full (x, y) scans."""
+    """The one fibre solver behind counting and point lists, against full
+    (x, y) scans."""
 
-    def test_singular_points_match_brute_scan(self):
+    def test_singular_model_has_one_singular_point(self):
+        # what count_nonsingular relies on: a Weierstrass cubic is
+        # irreducible, so a singular model has exactly one singular point
         seen = set()
         for e in small_models():
             for p in SMALL_PRIMES:
                 red = reduce_mod_p(e, p)
                 if invariants(red).disc != 0:
-                    assert _singular_points(red) == []
+                    assert brute_singular_points(red) == set()
                     continue
-                assert set(_singular_points(red)) == brute_singular_points(red), (e, p)
+                assert len(brute_singular_points(red)) == 1, (e, p)
+                assert count_nonsingular(red) == brute_affine_count(red), (e, p)
                 seen.add(p)
         assert seen == set(SMALL_PRIMES)
 
@@ -557,17 +566,71 @@ class TestFibreSolver:
                     assert lhs == rhs
 
     def test_classifier_node_near_the_guard(self):
-        # a node just below CLASSIFY_GUARD
+        # a node whose nonsingular points are counted by brute force
         node = WeierstrassModel.over_field(PrimeField(9973), 0, 1, 0, 0, 0)
-        assert _singular_points(node) == [(0, 0)]
         rt = classify_reduction(node)
         assert rt.kind is ReductionKind.SPLIT_MULTIPLICATIVE
         assert count_nonsingular(node) == 9973 - 1
 
-    def test_classify_shift_check_raises(self, monkeypatch):
+
+def tangent_cone_discriminant(e, point):
+    """Oracle: a1^2 + 4 a2 of the model moved so that ``point`` is the
+    origin; the quadratic part y^2 + a1 xy - a2 x^2 there is a square
+    (a cusp) exactly when it is 0, in every characteristic."""
+    f = e.field
+    x0, y0 = (FieldElement.of(f, v) for v in point)
+    shifted = transform(e, AdmissibleTransform(FieldElement.of(f, 1), x0, FieldElement.of(f, 0), y0))
+    return shifted.a1 * shifted.a1 + 4 * shifted.a2
+
+
+class TestClassifierOracle:
+    """classify_reduction reads c4 and -c6; the oracle finds the singular
+    point by a full (x, y) scan, counts its nonsingular points and looks
+    at the tangent cone there."""
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_every_model_over_small_fields(self, p):
+        import itertools
+
+        field = PrimeField(p)
+        seen = set()
+        for coeffs in itertools.product(range(p), repeat=5):
+            e = WeierstrassModel.over_field(field, *coeffs)
+            rt = classify_reduction(e)
+            if invariants(e).disc != 0:
+                assert rt.is_good
+                continue
+            (point,) = brute_singular_points(e)
+            assert rt.alpha == p - brute_affine_count(e), coeffs
+            cusp = tangent_cone_discriminant(e, point) == 0
+            assert (rt.kind is ReductionKind.ADDITIVE) == cusp, coeffs
+            seen.add(rt.kind)
+        assert seen == {
+            ReductionKind.ADDITIVE,
+            ReductionKind.SPLIT_MULTIPLICATIVE,
+            ReductionKind.NONSPLIT_MULTIPLICATIVE,
+        }
+
+    def test_no_fibre_scan_at_odd_p(self, monkeypatch):
         import nclocal.elliptic as elliptic_mod
 
-        node = WeierstrassModel.over_field(PrimeField(5), 0, 1, 0, 0, 0)
-        monkeypatch.setattr(elliptic_mod, "_singular_points", lambda e: [(1, 0)])
-        with pytest.raises(RuntimeError, match="does not move to the origin"):
+        def no_scan(e):
+            raise AssertionError("classify_reduction scanned the fibres")
+
+        monkeypatch.setattr(elliptic_mod, "_fibres", no_scan)
+        p = primes_from(AP_GUARD - 10**4, 3, 4, 1)[0]
+        for a2, kind in ((1, ReductionKind.SPLIT_MULTIPLICATIVE), (-1, ReductionKind.NONSPLIT_MULTIPLICATIVE)):
+            # y^2 = x^3 + a2 x^2: -c6 = 64 a2^3, so split iff a2 is a
+            # square, and -1 is not one at p = 3 mod 4
+            rt = classify_reduction(reduce_mod_p(WeierstrassModel.over_q(0, a2, 0, 0, 0), p))
+            assert rt.kind is kind and rt.alpha == a2
+        assert classify_reduction(reduce_mod_p(WeierstrassModel.over_q(0, 0, 0, 0, 0), p)).alpha == 0
+
+    def test_char2_count_check_raises(self, monkeypatch):
+        import nclocal.elliptic as elliptic_mod
+
+        node = WeierstrassModel.over_field(PrimeField(2), 1, 0, 0, 0, 0)  # y^2 + xy = x^3
+        assert classify_reduction(node).kind is ReductionKind.SPLIT_MULTIPLICATIVE
+        monkeypatch.setattr(elliptic_mod, "_affine_count", lambda e, n: 0)
+        with pytest.raises(RuntimeError, match="gives alpha=2, not \\+-1"):
             classify_reduction(node)

@@ -1,0 +1,21 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import nclocal
+
+MODULES = sorted(f"nclocal.{m.name}" for m in pkgutil.iter_modules(nclocal.__path__))
+
+
+def test_every_module_is_listed():
+    assert {"nclocal.elliptic", "nclocal.ffield", "nclocal.zeta", "nclocal.ck_k0"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_exist(name):
+    # a name deleted from a module but left in its __all__ breaks
+    # `from module import *`
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []

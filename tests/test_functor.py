@@ -175,9 +175,10 @@ class TestLocalizeErrors:
             localize(E_MINUS_X, 4, 1)
 
     def test_classifier_errors_do_not(self):
-        node = WeierstrassModel.over_q(0, 1, 0, 0, 0)  # y^2 = x^3 + x^2, singular at every p
-        with pytest.raises(ValueError, match="^classification guard exceeded$"):
-            localize(node, 10007, 1)
+        # the a_p guard is raised inside local_data, like a reduction error
+        p = 10**12 + 39
+        with pytest.raises(ValueError, match="^guard exceeded: p > 10\\^12$"):
+            localize(E_MINUS_X, p, 1)
 
     def test_k0_check_raises(self, monkeypatch):
         import nclocal.functor as functor_mod

@@ -210,26 +210,12 @@ class TestDirichlet:
         with pytest.raises(ValueError, match="guard"):
             dirichlet_coefficients(E_MINUS_X, 10**5)
 
-    def test_unclassifiable_prime_skipped_with_warning(self, monkeypatch):
-        import warnings
-
+    def test_torus_check_raises(self, monkeypatch):
         import nclocal.zeta as zeta_mod
-        from nclocal.elliptic import UnclassifiableReductionError
 
-        real = zeta_mod.classify_reduction
-
-        def flaky(red):
-            if red.field.p == 2:
-                raise UnclassifiableReductionError("synthetic degenerate case")
-            return real(red)
-
-        monkeypatch.setattr(zeta_mod, "classify_reduction", flaky)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            coeffs = dict(dirichlet_coefficients(E_MINUS_X, 20))
-        assert any("skipping p=2" in str(w.message) for w in caught)
-        assert coeffs[2] == 0 and coeffs[4] == 0
-        assert coeffs[5] == -2  # good primes unaffected
+        monkeypatch.setattr(zeta_mod, "k0_order", lambda eps: 0)
+        with pytest.raises(RuntimeError, match="^curve and torus local coefficients differ at p=3$"):
+            dirichlet_coefficients(E_MINUS_X, 20)
 
 
 class TestLocalData:
