@@ -19,10 +19,8 @@ from . import catalog as catalog_mod
 from .ck_k0 import CKDescriptor, k0_group, k0_order
 from .elliptic import (
     AP_GUARD,
-    GROUP_GUARD,
     WeierstrassModel,
     count_nonsingular,
-    group_structure,
     invariants,
     j_invariant,
 )
@@ -152,10 +150,7 @@ def _cmd_curve(args) -> tuple:
         if rt.is_good:
             payload["a_p"] = local.a_p
             payload["counts"] = local.point_counts(args.n)
-            payload["groups"] = [
-                list(group_structure(local.reduced, n).invariant_factors) if args.p**n <= GROUP_GUARD else None
-                for n in range(1, args.n + 1)
-            ]
+            payload["groups"] = [None if g is None else list(g.invariant_factors) for g in local.groups(args.n)]
         else:
             payload["alpha"] = rt.alpha
             payload["nonsingular_counts"] = local.point_counts(args.n)

@@ -10,9 +10,10 @@ discriminant, c4 and a square test of -c6, with no point scan at odd p.
 a_p comes from Shanks-Mestre baby-step giant-step above p = 229 and from
 a brute-force count below it; the brute-force counter stays as the
 oracle that tests the fast path.  All derived counts go through the
-trace recurrence, from a LocalData record.  Brute-force counts and point
-lists share one fibre solver over F_p and F_{p^n}: at each x the
-equation reads y^2 + b*y = c.
+trace recurrence, from a LocalData record.  Brute-force counts and the
+points that group_structure draws share one fibre solver over F_p and
+F_{p^n}: at each x the equation reads y^2 + b*y = c, and the group
+structure needs one root of it at a few x, not every point.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from ._factor import factorize
 from .ck_k0 import AbelianGroupInv
@@ -51,16 +53,14 @@ __all__ = [
     "model_over_ext",
     "AP_GUARD",
     "COUNT_GUARD",
-    "GROUP_GUARD",
 ]
 
 # measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11
 AP_GUARD = 10**12  # a_p by baby-step giant-step: 0.04 s per prime just below
-# brute-force count over F_{p^n}: 3.4 s at p = 999983, 7.1 s at 997^2
+# brute-force count over F_{p^n}: 3.4 s at p = 999983, 4.9 s at 997^2
 # (the oracle; the CLI counts for a_p only at p <= MESTRE_BOUND, and once
 # at a bad prime in `curve`)
 COUNT_GUARD = 10**6
-GROUP_GUARD = 10**6  # group of E(F_{317^2}): 25 s; of E(F_{997^2}): 375 s, 193 MB
 # Mestre: for p > 229, E or its quadratic twist has a point whose order
 # has a single multiple in the Hasse interval (Schoof, JTNB 7 (1995),
 # section 3), so baby-step giant-step always ends with one #E; below it
@@ -298,13 +298,13 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
 # point counting
 # ---------------------------------------------------------------------------
 
-def _fibres(e: WeierstrassModel) -> Iterator:
-    """(x, b, c) for each x of the model's field, raw values, where the
-    equation at x reads y^2 + b*y = c."""
+def _fibres(e: WeierstrassModel, xs: Optional[Iterable] = None) -> Iterator:
+    """(x, b, c) for each x of xs (all of the model's field by default),
+    raw values, where the equation at x reads y^2 + b*y = c."""
     f = e.field
     a1, a2, a3, a4, a6 = _raw_consts(e)
     mul, add = f.mul, f.add
-    for x in f.elements():
+    for x in f.elements() if xs is None else xs:
         yield x, add(mul(a1, x), a3), add(mul(add(mul(add(x, a2), x), a4), x), a6)
 
 
@@ -404,6 +404,17 @@ class LocalData:
             return point_counts_via_recurrence(self.a_p, self.p, n_max)
         return [self.p**n - self.reduction.alpha**n for n in range(1, n_max + 1)]
 
+    def groups(self, n_max: int) -> list:
+        """[E(F_p), ..., E(F_{p^n_max})] as AbelianGroupInv at a good prime,
+        None past EXT_FIELD_GUARD (n > 1) and at every level of a bad one."""
+        if not self.reduction.is_good:
+            return [None] * n_max
+        counts = self.point_counts(n_max)
+        return [
+            group_structure(self.reduced, n, counts[n - 1]) if n == 1 or self.p**n <= EXT_FIELD_GUARD else None
+            for n in range(1, n_max + 1)
+        ]
+
 
 # ---------------------------------------------------------------------------
 # the group of points
@@ -427,33 +438,29 @@ def _raw_neg(f, consts, pt):
 
 
 def _raw_add(f, consts, pt1, pt2):
+    """The chord-and-tangent sum (Silverman, GTM 106, III.2.3), with
+    y3 = lam (x1 - x3) - y1 - a1 x3 - a3."""
     if pt1 is None:
         return pt2
     if pt2 is None:
         return pt1
-    a1, a2, a3, a4, a6 = consts
+    a1, a2, a3, a4, _ = consts
+    add, sub, mul = f.add, f.sub, f.mul
     x1, y1 = pt1
     x2, y2 = pt2
-    if x1 == x2 and y2 == f.sub(f.neg(y1), f.add(f.mul(a1, x1), a3)):
-        return None
-    if pt1 == pt2:
-        denom = f.add(f.add(y1, y1), f.add(f.mul(a1, x1), a3))
-        inv = f.inv(denom)
-        x1sq = f.mul(x1, x1)
-        lam_num = f.sub(
-            f.add(f.add(x1sq, f.add(x1sq, x1sq)), f.add(f.add(f.mul(a2, x1), f.mul(a2, x1)), a4)),
-            f.mul(a1, y1),
-        )
-        nu_num = f.sub(f.add(f.mul(a4, x1), f.add(a6, a6)), f.add(f.mul(x1sq, x1), f.mul(a3, y1)))
-        lam = f.mul(lam_num, inv)
-        nu = f.mul(nu_num, inv)
+    if x1 == x2:
+        # y1 + y2 + a1 x1 + a3 is 0 for opposite points, else y2 = y1 and
+        # it is the tangent's denominator
+        denom = add(add(y1, y2), add(mul(a1, x1), a3))
+        if not denom:
+            return None
+        # 3 x1^2 + 2 a2 x1 + a4 - a1 y1
+        num = sub(add(mul(x1, add(add(add(x1, x1), x1), add(a2, a2))), a4), mul(a1, y1))
+        lam = mul(num, f.inv(denom))
     else:
-        inv = f.inv(f.sub(x2, x1))
-        lam = f.mul(f.sub(y2, y1), inv)
-        nu = f.mul(f.sub(f.mul(y1, x2), f.mul(y2, x1)), inv)
-    x3 = f.sub(f.sub(f.add(f.mul(lam, lam), f.mul(a1, lam)), a2), f.add(x1, x2))
-    y3 = f.sub(f.neg(f.mul(f.add(lam, a1), x3)), f.add(nu, a3))
-    return (x3, y3)
+        lam = mul(sub(y2, y1), f.inv(sub(x2, x1)))
+    x3 = sub(sub(mul(lam, add(lam, a1)), a2), add(x1, x2))
+    return (x3, sub(sub(mul(lam, sub(x1, x3)), y1), add(mul(a1, x3), a3)))
 
 
 def _raw_mul(f, consts, pt, k: int):
@@ -464,90 +471,185 @@ def _raw_mul(f, consts, pt, k: int):
     while k:
         if k & 1:
             acc = _raw_add(f, consts, acc, base)
-        base = _raw_add(f, consts, base, base)
         k >>= 1
+        if k:
+            base = _raw_add(f, consts, base, base)
     return acc
 
 
-def _affine_points_raw(e: WeierstrassModel) -> Iterator:
-    """All affine points of a model over its (small) field, raw values."""
+def _fibre_root(f):
+    """A function (b, c) -> one root y of y^2 + b*y = c in f, or None."""
+    mul, add = f.mul, f.add
+    if f.char != 2:
+        inv2, four = f.inv(f.from_int(2)), f.from_int(4)
+
+        def root(b, c):
+            r = f.sqrt(add(mul(b, b), mul(four, c)))
+            return None if r is None else mul(f.sub(r, b), inv2)
+
+        return root
+    # y = b z turns y^2 + b y = c into z^2 + z = c / b^2, and z -> z^2 + z
+    # is F_2-linear; on base-2 digit ints addition is xor.  Images of the
+    # basis 2^i in echelon form, keyed by leading bit: (image, preimage).
+    pivots: dict = {}
+    for i in range(f.degree):
+        img, pre = add(mul(1 << i, 1 << i), 1 << i), 1 << i
+        while img and img.bit_length() in pivots:
+            top_img, top_pre = pivots[img.bit_length()]
+            img, pre = img ^ top_img, pre ^ top_pre
+        if img:
+            pivots[img.bit_length()] = (img, pre)
+
+    def root(b, c):
+        if not b:
+            # y^2 = c: the Frobenius is bijective
+            return f.sqrt(c)
+        t, z = mul(c, f.inv(mul(b, b))), 0
+        while t:
+            if t.bit_length() not in pivots:
+                return None
+            img, pre = pivots[t.bit_length()]
+            t, z = t ^ img, z ^ pre
+        return mul(b, z)
+
+    return root
+
+
+def _points(e: WeierstrassModel) -> Iterator:
+    """One affine point (x, y) per x with a root, raw values, in a fixed
+    order of x: 0, 1, 2, ... over F_p, and from x = p on over F_{p^n},
+    n > 1, where an x in F_p gives a point of E(F_p) or of its twist."""
     f = e.field
-    mul, zero = f.mul, f.zero()
-    if f.char == 2:
-        # y = b z turns y^2 + b y = c into z^2 + z = c / b^2
-        halves: dict = {}
-        for z in f.elements():
-            halves.setdefault(f.add(mul(z, z), z), []).append(z)
-        for x, b, c in _fibres(e):
-            if b == zero:
-                # y^2 = c: the Frobenius is bijective
-                yield (x, f.pow(c, f.order // 2))
-            else:
-                for z in halves.get(mul(c, f.inv(mul(b, b))), ()):
-                    yield (x, mul(b, z))
-        return
-    roots: dict = {}
-    for z in f.elements():
-        roots.setdefault(mul(z, z), z)
-    inv2 = f.inv(f.from_int(2))
-    four = f.from_int(4)
-    for x, b, c in _fibres(e):
-        r = roots.get(f.add(mul(b, b), mul(four, c)))
-        if r is not None:
-            yield (x, mul(f.sub(r, b), inv2))
-            if r != zero:
-                yield (x, mul(f.sub(f.neg(r), b), inv2))
+    start = f.char if f.degree > 1 else 0
+    root = _fibre_root(f)
+    for x, b, c in _fibres(e, chain(range(start, f.order), range(start))):
+        y = root(b, c)
+        if y is not None:
+            yield (x, y)
 
 
-def _divisors(n: int) -> list:
-    out = [1]
-    for prime, exp in factorize(n).items():
-        out = [d * prime**k for d in out for k in range(exp + 1)]
-    return sorted(out)
+def _sylow_small_exponent(f, consts: tuple, ell: int, e: int, elements: Iterator) -> int:
+    """a for the ell-Sylow subgroup S = Z/ell^a x Z/ell^b (a <= b,
+    |S| = ell^e) of a group of rank <= 2, from elements that generate S.
+
+    g is an element of the largest order ell^b seen so far.  For each
+    other element h, ell^k is the order of h modulo <g>, by Pohlig-Hellman
+    discrete logs in <g>; <g, h> has order ell^(b+k) and exponent ell^b,
+    so once b + k = e it is all of S and a = k.  When g is replaced, the
+    elements seen before are tested again, so any generating sequence
+    ends the loop.
+    """
+
+    def mul(pt, k):
+        return _raw_mul(f, consts, pt, k)
+
+    def order_exp(pt) -> int:
+        c = 0
+        while pt is not None:
+            pt, c = mul(pt, ell), c + 1
+            if c > e:
+                raise RuntimeError(f"a point of the {ell}-Sylow subgroup has order past {ell}^{e}")
+        return c
+
+    g, b = None, 0
+    # baby steps j * gamma -> j for j < w, with gamma = ell^(b-1) g of
+    # order ell and w^2 >= ell; giant = -w * gamma
+    w = isqrt(ell - 1) + 1
+    table: dict = {}
+    giant = None
+
+    def log_gamma(h) -> Optional[int]:
+        """d in [0, ell) with d * gamma = h, or None; baby-step giant-step."""
+        pt = h
+        for i in range(w):
+            j = table.get(pt)
+            if j is not None:
+                return i * w + j
+            pt = _raw_add(f, consts, pt, giant)
+        return None
+
+    def in_g(h, r: int) -> bool:
+        """Whether h, of order ell^r <= ell^b, lies in <g>: digit by digit
+        of h = x * G with G = ell^(b-r) g of order ell^r."""
+        big_g = mul(g, ell ** (b - r))
+        x = 0
+        for i in range(r):
+            d = log_gamma(mul(_raw_add(f, consts, h, mul(big_g, -x)), ell ** (r - 1 - i)))
+            if d is None:
+                return False
+            x += d * ell**i
+        return True
+
+    def complement_exp(h, c: int) -> int:
+        """k with ell^k the order of h (of order ell^c) modulo <g>."""
+        top = min(c, e - b)
+        for k in range(top):
+            if in_g(h, c - k):
+                return k
+            h = mul(h, ell)
+        return top
+
+    seen = []
+    for h in elements:
+        c = order_exp(h)
+        if c <= b:
+            seen.append((h, c))
+            if b + complement_exp(h, c) == e:
+                return e - b
+            continue
+        if g is not None:
+            seen.append((g, b))
+        g, b = h, c
+        if b == e:
+            return 0
+        gamma, cur = mul(g, ell ** (b - 1)), None
+        table = {}
+        for j in range(w):
+            table.setdefault(cur, j)
+            cur = _raw_add(f, consts, cur, gamma)
+        giant = _raw_neg(f, consts, cur)
+        for old, c_old in seen:
+            if b + complement_exp(old, c_old) == e:
+                return e - b
+    raise RuntimeError(f"the points drawn do not generate the {ell}-Sylow subgroup")
 
 
-def group_structure(e: WeierstrassModel, n: int = 1) -> AbelianGroupInv:
-    """E(F_{p^n}) as Z/d1 x Z/d2 with d1 | d2, by full enumeration.
+def group_structure(e: WeierstrassModel, n: int = 1, order: Optional[int] = None) -> AbelianGroupInv:
+    """E(F_q), q = p^n, as Z/d1 x Z/d2 with d1 | d2, from a few points.
 
-    d2 is the group exponent (lcm of point orders), d1 = N/d2; the
-    classical constraint d1 | q-1 is checked.  The point scan stops
-    early once the running lcm L is the only divisor of N that is a
-    multiple of L with N/L dividing q-1: the true exponent always has
-    both properties, so no later point can change the answer.
+    N = #E(F_q) is ``order`` when given (LocalData.point_counts), else it
+    comes from the trace recurrence; no point is counted.  The ell-Sylow
+    subgroup is Z/ell^a x Z/ell^b with a <= b, and ell^a | q - 1 by the
+    Weil pairing, so a > 0 only for primes with ell^2 | N and ell | q-1.
+    For each of those, a comes from the ell-parts [N/ell^v]P of points
+    drawn in a fixed order of x (_sylow_small_exponent; Sutherland, Order
+    Computations in Generic Groups, MIT thesis 2007, ch. 7), and d1 is
+    the product of the ell^a.  The first point drawn must be killed by N.
     """
     if is_singular(e):
         raise ValueError("singular model")
     p = e.field.p
     q = p**n
-    if q > GROUP_GUARD:
-        raise ValueError("guard exceeded: p^n > 10^6")
+    if order is None:
+        order = point_counts_via_recurrence(trace_of_frobenius(e), p, n)[-1]
+    if order == 1:
+        return AbelianGroupInv((1, 1))
     curve = _at_level(e, n)
     field = curve.field
     consts = _raw_consts(curve)
-    pts = list(_affine_points_raw(curve))
-    n_points = len(pts) + 1
-    if n_points == 1:
-        return AbelianGroupInv((1, 1))
-    fac = sorted(factorize(n_points))
-    divisors = _divisors(n_points)
-    exponent = 1
-    for pt in pts:
-        # a point killed by the current lcm cannot enlarge it
-        if exponent > 1 and _raw_mul(field, consts, pt, exponent) is None:
-            continue
-        order = n_points
-        for ell in fac:
-            while order % ell == 0 and _raw_mul(field, consts, pt, order // ell) is None:
-                order //= ell
-        exponent = exponent * order // gcd(exponent, order)
-        candidates = [d for d in divisors if d % exponent == 0 and (q - 1) % (n_points // d) == 0]
-        if candidates == [exponent]:
-            break
-    d2 = exponent
-    d1 = n_points // d2
-    if d1 * d2 != n_points or d2 % d1 or (q - 1) % d1:
+    first = next(_points(curve), None)
+    if first is None or _raw_mul(field, consts, first, order) is not None:
+        raise RuntimeError(f"{order} is not #E(F_{p}^{n}) for {e}: it does not kill the point {first}")
+    d1 = 1
+    for ell, v in sorted(factorize(order).items()):
+        if v >= 2 and (q - 1) % ell == 0:
+            cofactor = order // ell**v
+            parts = (_raw_mul(field, consts, pt, cofactor) for pt in _points(curve))
+            d1 *= ell ** _sylow_small_exponent(field, consts, ell, v, parts)
+    d2 = order // d1
+    if d1 * d2 != order or d2 % d1 or (q - 1) % d1:
         raise RuntimeError(
-            f"group of {e} over F_{p}^{n}: Z/{d1} x Z/{d2} breaks d1 d2 = N = {n_points}, d1 | d2 or d1 | q-1"
+            f"group of {e} over F_{p}^{n}: Z/{d1} x Z/{d2} breaks d1 d2 = N = {order}, d1 | d2 or d1 | q-1"
         )
     return AbelianGroupInv((d1, d2))
 

@@ -4,10 +4,10 @@ Field descriptors are immutable and element operations are pure.  The
 extension modulus is the lexicographically smallest monic irreducible,
 so enumeration order and diagnostics are reproducible run to run.  An
 element of F_{p^n} is an int whose base-p digits are its coefficients;
-products, sums and inverses are lookups in log, exp and Zech tables
+products, sums and inverses are lookups in log and exp tables
 (Lidl-Niederreiter, Finite Fields, 2.1) that each field builds once and
 caches.  Extensions stop at p^n <= 10^6 (EXT_FIELD_GUARD), where the
-tables take 12 MB and about 1 s to build; code that enumerates a field
+tables take 8 MB and about 0.6 s to build; code that enumerates a field
 bounds its size itself.
 """
 
@@ -187,6 +187,35 @@ class PrimeField:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
+    def sqrt(self, a):
+        """A square root of a, or None when a is not a square: one pow for
+        p = 3 mod 4, Tonelli-Shanks otherwise (Cohen, GTM 138, Alg. 1.5.1)."""
+        p = self.p
+        a %= p
+        if a == 0 or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        if p % 4 == 3:
+            return pow(a, (p + 1) // 4, p)
+        # p - 1 = 2^s * t with t odd; z is the least non-residue
+        s = ((p - 1) & (1 - p)).bit_length() - 1
+        t = (p - 1) >> s
+        z = 2
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        c, x, b = pow(z, t, p), pow(a, (t + 1) // 2, p), pow(a, t, p)
+        # x^2 = a b, and b lies in the subgroup of order 2^s that c generates
+        while b != 1:
+            i, b2 = 0, b
+            while b2 != 1:
+                b2 = b2 * b2 % p
+                i += 1
+            d = pow(c, 1 << (s - i - 1), p)
+            x, c = x * d % p, d * d % p
+            b, s = b * c % p, i
+        return x
+
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))
 
@@ -213,11 +242,11 @@ class ExtField:
     c_0 + c_1 p + ... + c_{n-1} p^{n-1}, so elements() is range(p^n) and
     the prime subfield is 0..p-1.  With g the primitive element of the
     field's tables, a product, inverse or power is index arithmetic mod
-    q-1 on log/exp, a sum goes through the Zech table Z(k) = log(1 + g^k),
-    and -a is g^((q-1)/2) * a (a itself in characteristic 2).
+    q-1 on log/exp, a sum is a + b = a (1 + b/a), where adding 1 changes
+    digit 0 alone, and -a is g^((q-1)/2) * a (a itself in characteristic 2).
     """
 
-    __slots__ = ("p", "n", "modulus", "_m", "_half", "_exp", "_log", "_zech")
+    __slots__ = ("p", "n", "modulus", "_m", "_half", "_exp", "_log")
 
     def __init__(self, p: int, n: int, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
@@ -232,7 +261,7 @@ class ExtField:
                 raise ValueError("modulus must be monic of degree n")
         self.p = p
         self.n = n
-        self.modulus, self._exp, self._log, self._zech = _field_tables(p, n, modulus)
+        self.modulus, self._exp, self._log = _field_tables(p, n, modulus)
         self._m = p**n - 1
         self._half = 0 if p == 2 else self._m // 2  # log(-1)
 
@@ -262,10 +291,11 @@ class ExtField:
             return b
         if not b:
             return a
-        m, log = self._m, self._log
+        p, m, log, exp = self.p, self._m, self._log, self._exp
         la = log[a]
-        z = self._zech[(log[b] - la) % m]
-        return 0 if z < 0 else self._exp[(la + z) % m]
+        ratio = exp[(log[b] - la) % m]
+        ratio += (ratio + 1) % p - ratio % p
+        return exp[(la + log[ratio]) % m] if ratio else 0
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -290,6 +320,18 @@ class ExtField:
                 raise ZeroDivisionError("inverse of zero")
             return 0 if e else 1
         return self._exp[self._log[a] * e % self._m]
+
+    def sqrt(self, a):
+        """A square root of a, or None when a is not a square: half the
+        log index, which must be even unless q - 1 is odd (characteristic 2)."""
+        if not a:
+            return 0
+        k = self._log[a]
+        if k & 1:
+            if self.p != 2:
+                return None
+            k += self._m
+        return self._exp[k // 2]
 
     def elements(self) -> Iterator[int]:
         return iter(range(self._m + 1))
@@ -321,11 +363,11 @@ class ExtField:
 
 
 # ---------------------------------------------------------------------------
-# log/exp/Zech tables of F_{p^n}
+# log/exp tables of F_{p^n}
 # ---------------------------------------------------------------------------
 
 # tables kept for the most recently used fields, up to this many elements
-# in all (12 bytes per element)
+# in all (8 bytes per element)
 _TABLE_CACHE_ELEMENTS = 2 * 10**6
 _table_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 # powers of g are computed this many at a time
@@ -341,7 +383,7 @@ def _digits(v: int, p: int, n: int) -> tuple:
 
 
 def _field_tables(p: int, n: int, modulus: Optional[tuple]) -> tuple:
-    """(modulus, exp, log, zech) of F_p[x]/(modulus), where None stands for
+    """(modulus, exp, log) of F_p[x]/(modulus), where None stands for
     find_irreducible(p, n); built on first use and cached."""
     key = (p, n, modulus)
     tables = _table_cache.get(key)
@@ -423,8 +465,8 @@ def _widen(lanes: int, width: int, count: int) -> int:
 
 
 def _build_tables(p: int, n: int, modulus: tuple) -> tuple:
-    """exp[k] = g^k and zech[k] = log(1 + g^k) for k < q-1, log[v] for v < q
-    (-1 at v = 0 marks the Zech entry of g^k = -1), as arrays of C ints.
+    """exp[k] = g^k for k < q-1 and log[v] for v < q (log[0] = -1), as
+    arrays of C ints.
 
     The powers are built a block at a time on digit planes: plane i packs
     digit i of each power of the block into its own lane (_Lanes), so the
@@ -449,7 +491,7 @@ def _build_tables(p: int, n: int, modulus: tuple) -> tuple:
         planes = [a | b << (bits * size) for a, b in zip(planes, grown)]
         size *= 2
     lanes, step = _Lanes(p, width, size), matrix(size)
-    exp, succ = array("i"), array("i")
+    exp = array("i")
     for start in range(0, m, size):
         if start:
             planes = lanes.times(planes, step)
@@ -457,20 +499,13 @@ def _build_tables(p: int, n: int, modulus: tuple) -> tuple:
         mask = (1 << (bits * count)) - 1
         low = [plane & mask for plane in planes]
         enc = sum(_widen(plane, width, count) * p**i for i, plane in enumerate(low))
-        # 1 + g^k differs from g^k in digit 0 only
-        succ0 = lanes.add(low[0], lanes.ones) & mask
-        enc_succ = enc - _widen(low[0], width, count) + _widen(succ0, width, count)
         exp.frombytes(enc.to_bytes(4 * count, "little"))
-        succ.frombytes(enc_succ.to_bytes(4 * count, "little"))
     if sys.byteorder != "little":
         exp.byteswap()
-        succ.byteswap()
     log = _log_table(q, exp)
     if m > 1 and exp[1] != g:
         raise RuntimeError(f"exp table of F_{p}^{n} starts {exp[:2].tolist()}, not [1, {g}]")
-    for start in range(0, m, _BLOCK):
-        succ[start : start + _BLOCK] = array("i", map(log.__getitem__, succ[start : start + _BLOCK]))
-    return exp, log, succ
+    return exp, log
 
 
 def _log_table(q: int, exp: array) -> array:

@@ -21,7 +21,6 @@ from .elliptic import (
     ReductionError,
     ReductionType,
     WeierstrassModel,
-    group_structure,
     isomorphic_over_closure,
     transform,
 )
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 MAX_LEVEL = 6
-LOCALIZE_GROUP_GUARD = 10**4  # per-level curve-group enumeration cap
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class LocalizationResult:
     k0_groups: tuple  # AbelianGroupInv per n
     k0_orders: tuple  # int per n
     curve_counts: tuple  # N_n (good) or #E_ns (bad) per n
-    curve_groups: tuple  # AbelianGroupInv or None per n (good p, within guard)
+    curve_groups: tuple  # AbelianGroupInv or None per n (good p, field within its guard)
     a_p: Optional[int] = None
     lp: Optional[IntMatrix] = None
     alpha: Optional[int] = None
@@ -131,10 +129,7 @@ def localize(
         k0_groups=tuple(k0_group(d) for d in descriptors),
         k0_orders=orders,
         curve_counts=counts,
-        curve_groups=tuple(
-            group_structure(local.reduced, n) if rt.is_good and p**n <= LOCALIZE_GROUP_GUARD else None
-            for n in levels
-        ),
+        curve_groups=tuple(local.groups(n_max)),
         a_p=ap,
         lp=build_lp(ap, p) if rt.is_good else None,
         alpha=rt.alpha,

@@ -241,6 +241,11 @@ class TestGuards:
                 code, out, err = run(capsys, command, "--model", model, "--p", "1000000000039")
                 assert code == 2 and out == "" and err == "error: guard exceeded: p > 10^12\n", (command, model)
 
+    def test_cf_state_cap(self, capsys):
+        code, out, err = run(capsys, "cf", "(1+sqrt(1234567890123457))/2")
+        assert code == 2 and out == ""
+        assert err == "error: guard exceeded: continued fraction has more than 10^6 states\n"
+
 
 class TestBadPrimes:
     """Nodes are classified from c4 and -c6 at any p up to 10^12;

@@ -214,7 +214,7 @@ class TestTableArithmetic:
 
     def test_tables_built_once_per_field(self):
         first, second = finite_field(5, 3), finite_field(5, 3)
-        assert first._exp is second._exp and first._zech is second._zech
+        assert first._exp is second._exp and first._log is second._log
         other = ExtField(3, 2, (2, 1, 1))
         assert other._exp is not ExtField(3, 2, (1, 0, 1))._exp
 
@@ -261,3 +261,52 @@ class TestIdentityChecks:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 1 and "RuntimeError" in proc.stderr and "not a bijection" in proc.stderr
+
+
+class TestAgainstSympy:
+    """PrimeField.sqrt and is_square on F_p against sympy, where installed.
+    The primes cover p = 3 mod 4 (one pow), p = 5 mod 8 and long 2-power
+    parts of p - 1 (Tonelli-Shanks)."""
+
+    PRIMES = (3, 5, 7, 13, 17, 29, 97, 103, 193, 257, 7681, 12289, 65537, 998244353, 999999999959, 999999999989)
+
+    @staticmethod
+    def residues(p):
+        if p < 300:
+            return range(p)
+        rng = random.Random(p)
+        return [rng.randrange(p) for _ in range(150)] + [rng.randrange(p) ** 2 % p for _ in range(150)]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_sqrt_against_sqrt_mod(self, p):
+        sqrt_mod = pytest.importorskip("sympy.ntheory").sqrt_mod
+        field = PrimeField(p)
+        for a in self.residues(p):
+            root, expected = field.sqrt(a), sqrt_mod(a, p)
+            if expected is None:
+                assert root is None, (p, a)
+            else:
+                assert root in (expected, -expected % p), (p, a)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_is_square_against_legendre_symbol(self, p):
+        legendre_symbol = pytest.importorskip("sympy.functions.combinatorial.numbers").legendre_symbol
+        field = PrimeField(p)
+        for a in self.residues(p):
+            assert is_square(field, a) == (legendre_symbol(a, p) != -1), (p, a)
+
+
+
+class TestSqrt:
+    def test_characteristic_2(self):
+        assert [PrimeField(2).sqrt(a) for a in (0, 1)] == [0, 1]
+        field = finite_field(2, 5)
+        assert all(field.mul(field.sqrt(a), field.sqrt(a)) == a for a in field.elements())
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
+    def test_odd_extensions(self, p, n):
+        field = finite_field(p, n)
+        for a in field.elements():
+            root = field.sqrt(a)
+            assert (root is None) == (not is_square(field, a))
+            assert root is None or field.mul(root, root) == a
