@@ -21,7 +21,7 @@ from .elliptic import (
 )
 from .ffield import ExtField, FieldElement, PrimeField, find_irreducible, finite_field, is_square
 from .functor import footnote2_experiment, lemma3_bridge, localize, theorem1_check
-from .intmat import ConjugacyVerdict, IntMatrix, conjugacy_test, mat_pow, smith_normal_form
+from .intmat import ConjugacyVerdict, IntMatrix, conjugacy_test, invariant_factors, mat_pow
 from .quadratic_cf import (
     CFExpansion,
     QuadraticIrrational,

@@ -2,9 +2,10 @@
 
 Builds the defining matrices (a 2x2 companion-style matrix at good
 primes, a scalar 1 - alpha^n at bad primes), and computes K0 as the
-cokernel of I minus the transposed matrix: invariant factors via Smith
-normal form, order via |det|.  An infinite K0 is reported as order 0 so
-the corresponding local factor degenerates to 1.
+cokernel of I minus the transposed matrix: invariant factors by
+elimination modulo the determinant, order via |det|.  An infinite K0
+is reported as order 0 so the corresponding local factor degenerates
+to 1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ._factor import is_prime
-from .intmat import IntMatrix, mat_pow, smith_normal_form
+from .intmat import IntMatrix, invariant_factors, mat_pow
 
 __all__ = [
     "CKDescriptor",
@@ -121,10 +122,8 @@ def _presentation_matrix(eps: CKDescriptor) -> IntMatrix:
 
 
 def k0_group(eps: CKDescriptor) -> AbelianGroupInv:
-    """Invariant factors of coker(I - eps^t) via Smith normal form."""
-    m = _presentation_matrix(eps)
-    _, s, _ = smith_normal_form(m)
-    return AbelianGroupInv(tuple(s.at(i, i) for i in range(m.rows)))
+    """Invariant factors of coker(I - eps^t), from ``invariant_factors``."""
+    return AbelianGroupInv(invariant_factors(_presentation_matrix(eps)))
 
 
 def k0_signed_order(eps: CKDescriptor) -> int:

@@ -13,10 +13,11 @@ import csv
 import io
 import json
 import sys
+from math import log10, sqrt
 from typing import Optional, Sequence
 
 from . import catalog as catalog_mod
-from .ck_k0 import CKDescriptor, k0_group, k0_order
+from .ck_k0 import CKDescriptor, k0_group
 from .elliptic import (
     AP_GUARD,
     WeierstrassModel,
@@ -36,6 +37,12 @@ PRIMES_SPAN_GUARD = 10**4
 ORDER_GUARD = 12
 # most theorem1 trials; 100 at p = 999999999989 take 3.3 s
 TRIALS_GUARD = 100
+# largest k0 matrix, and most digits of the Hadamard bound on
+# |det(I - A^t)|; dense 120 x 120 matrices near the digit edge take 5.5-7 s
+K0_SIZE_GUARD = 120
+K0_DIGITS_GUARD = 400
+# most digits of an entry of matrix --pow: Python's int-to-str limit
+POW_DIGITS_GUARD = 4300
 
 
 def _parse_period(text: str) -> list:
@@ -97,10 +104,21 @@ def _cmd_cf(args) -> tuple:
     return payload, False
 
 
+def _check_pow(m: IntMatrix, k: int) -> None:
+    """Bound the digits of m^k before computing it.  m is a product of
+    (a, 1; 1, 0), so is m^k: its largest entry is the top-left one, at most
+    tr(m^k) <= lambda^k + 1, lambda = (t + sqrt(t^2 + 4)) / 2 bounding the
+    dominant eigenvalue of a trace-t matrix with det +-1."""
+    t = m.trace()
+    if k * (log10(t) + log10((1 + sqrt(1 + 4 / t**2)) / 2)) >= POW_DIGITS_GUARD - 1:
+        raise ValueError(f"guard exceeded: entries of the power {k} may pass {POW_DIGITS_GUARD} digits")
+
+
 def _cmd_matrix(args) -> tuple:
     period = _parse_period(args.period)
     m = incidence_matrix(period)
     payload = {"period": period, "matrix": m.to_rows(), "det": m.det(), "trace": m.trace()}
+    _check_pow(m, max(args.pow or 0, 1))  # m itself is printed too
     if args.pow is not None:
         powered = mat_pow(m, args.pow)
         payload["pow"] = args.pow
@@ -109,17 +127,29 @@ def _cmd_matrix(args) -> tuple:
     return payload, False
 
 
+def _check_k0(m: IntMatrix) -> None:
+    """Bound the size of m and the digits of |det(I - m^t)|, whose rows
+    are the columns of I - m, before any elimination."""
+    if m.rows > K0_SIZE_GUARD:
+        raise ValueError(f"guard exceeded: k0 matrix is {m.rows} x {m.rows}, past {K0_SIZE_GUARD} x {K0_SIZE_GUARD}")
+    hadamard_sq = 1
+    for j in range(m.rows):
+        hadamard_sq *= sum(((i == j) - m.at(i, j)) ** 2 for i in range(m.rows))
+    if hadamard_sq >= 10 ** (2 * K0_DIGITS_GUARD):
+        raise ValueError(f"guard exceeded: the Hadamard bound on |det(I - A^t)| passes {K0_DIGITS_GUARD} digits")
+
+
 def _cmd_k0(args) -> tuple:
     m = IntMatrix.parse(args.matrix)
     if not m.is_square:
         raise ValueError("k0 needs a square matrix")
-    desc = CKDescriptor(kind="matrix", matrix=m)
-    group = k0_group(desc)
+    _check_k0(m)
+    group = k0_group(CKDescriptor(kind="matrix", matrix=m))
     payload = {
         "matrix": m.to_rows(),
         "invariant_factors": list(group.invariant_factors),
         "group": str(group),
-        "order": k0_order(desc),
+        "order": group.order,
     }
     return payload, False
 

@@ -366,8 +366,9 @@ class Footnote2Row:
 def footnote2_experiment(e: WeierstrassModel, p: int, n_max: int) -> list:
     """Compare E(F_{p^n}) and K0 invariant factors level by level.
 
-    Orders must agree (that much is the determinant identity and is
-    asserted); whether the groups are isomorphic is only reported.
+    Orders must agree (that much is the determinant identity, checked
+    always: a mismatch raises RuntimeError naming p and n); whether the
+    groups are isomorphic is only reported.
     """
     res = localize(e, p, n_max)
     if not res.reduction.is_good:
@@ -378,9 +379,11 @@ def footnote2_experiment(e: WeierstrassModel, p: int, n_max: int) -> list:
         if cg is None:
             continue
         kg = res.k0_groups[n - 1]
-        assert cg.order == res.curve_counts[n - 1]
-        assert kg.order == res.k0_orders[n - 1]
-        assert cg.order == kg.order, "orders must agree (determinant identity)"
+        if not cg.order == kg.order == res.curve_counts[n - 1] == res.k0_orders[n - 1]:
+            raise RuntimeError(
+                f"group orders must equal the counts (determinant identity) at p={p}, n={n}: "
+                f"curve {cg.order}, K0 {kg.order}, N {res.curve_counts[n - 1]}, |det| {res.k0_orders[n - 1]}"
+            )
         rows.append(
             Footnote2Row(
                 n=n,

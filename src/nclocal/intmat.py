@@ -1,14 +1,16 @@
 """Arbitrary-precision integer matrix algebra.
 
-Exact powers, traces, determinants, Smith normal form with unimodular
-transforms, and GL(2,Z) conjugacy testing for 2x2 matrices.  Matrices are
-immutable; every operation is a pure function, safe for concurrent use.
+Exact powers, traces, determinants, invariant factors (the Smith normal
+form diagonal, by elimination modulo a minor), and GL(2,Z) conjugacy
+testing for 2x2 matrices.  Matrices are immutable; every operation is a
+pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
 __all__ = [
@@ -16,7 +18,7 @@ __all__ = [
     "ConjugacyVerdict",
     "identity",
     "mat_pow",
-    "smith_normal_form",
+    "invariant_factors",
     "conjugacy_test",
     "brute_force_conjugator",
     "unimodular_2x2",
@@ -106,22 +108,8 @@ class IntMatrix:
         if n == 2:
             a, b, c, d = self.entries
             return a * d - b * c
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rank, minor = _echelon(self)
+        return minor if rank == n else 0
 
     def __str__(self) -> str:
         return "[" + ",".join("[" + ",".join(str(x) for x in self.row(i)) + "]" for i in range(self.rows)) + "]"
@@ -157,109 +145,119 @@ def _inverse_unimodular_2x2(b: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Invariant factors
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(m: IntMatrix) -> tuple:
-    """Diagonalize over Z: returns (U, S, V) with U*m*V = S.
+def _echelon(m: IntMatrix) -> tuple:
+    """Fraction-free (Bareiss) row echelon pass: (rank, minor).
 
-    U and V are unimodular, S is diagonal with nonnegative entries
-    d1 | d2 | ... (zeros, if any, come last).  Pivots are chosen by
-    smallest nonzero absolute value in a fixed scan order, so the
-    output is deterministic.
+    Zero columns are skipped.  ``minor`` is the signed determinant of the
+    rank x rank submatrix on the pivot rows and columns (1 at rank 0), so
+    for a square matrix of full rank it is the determinant.
     """
-    nr, nc = m.rows, m.cols
-    s = m.to_rows()
-    u = identity(nr).to_rows()
-    v = identity(nc).to_rows()
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = s[i][j]
-                if e != 0 and (best is None or abs(e) < best[0]):
-                    best = (abs(e), i, j)
-        return best
-
-    for t in range(min(nr, nc)):
-        pivot = find_pivot(t)
+    a = m.to_rows()
+    sign, prev, rank = 1, 1, 0
+    for col in range(m.cols):
+        pivot = next((i for i in range(rank, m.rows) if a[i][col]), None)
         if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        pv = top[col]
+        for i in range(rank + 1, m.rows):
+            row = a[i]
+            f = row[col]
+            row[col:] = [0] + [(x * pv - f * y) // prev for x, y in zip(row[col + 1 :], top[col + 1 :])]
+        prev = pv
+        rank += 1
+        if rank == m.rows:
             break
-        _, pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            if s[t][t] < 0:
-                negate_row(t)
-            # clear the pivot column with Euclidean row steps
-            restart = False
-            for i in range(t + 1, nr):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    add_row(i, t, -q)
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    add_col(j, t, -q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # pivot must divide every remaining entry for the d1|d2|... chain
+    return rank, sign * prev
 
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if s[i][j] % s[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
 
+def _diagonal_mod(a: list, d: int) -> list:
+    """Diagonalize ``a`` (rows of residues mod d, changed in place) by
+    unimodular row and column steps mod d; returns the diagonal."""
+    nr, nc = len(a), len(a[0])
+    diag = []
     for t in range(min(nr, nc)):
-        if s[t][t] < 0:
-            negate_row(t)
+        # in the first nonzero column, an entry of least gcd with d
+        j = next((j for j in range(t, nc) if any(a[i][j] for i in range(t, nr))), None)
+        if j is None:
+            diag.extend([0] * (min(nr, nc) - t))
+            break
+        i = min((i for i in range(t, nr) if a[i][j]), key=lambda i: gcd(a[i][j], d))
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            # g = gcd(pivot, d) divides an entry e iff c * pivot = e mod d
+            # has a solution, c = (e / g) * (pivot / g)^-1 mod d / g; an
+            # entry it does not divide takes a gcd step, lowering the pivot
+            top = a[t]
+            g = gcd(top[t], d)
+            i = next((i for i in range(t + 1, nr) if a[i][t] % g), None)
+            if i is not None:
+                s, r, xg, yg = _gcd_coefficients(top[t], a[i][t])
+                row = a[i]
+                a[t] = [(s * x + r * y) % d for x, y in zip(top, row)]
+                a[i] = [(xg * y - yg * x) % d for x, y in zip(top, row)]
+                continue
+            inv = pow(top[t] // g, -1, d // g)
+            for row in a[t + 1 :]:
+                if row[t]:
+                    c = row[t] // g * inv % d
+                    row[t:] = [(x - c * y) % d for x, y in zip(row[t:], top[t:])]
+            # with the pivot column clear below, a column step changes the
+            # pivot row alone, so entries g divides need no work
+            j = next((j for j in range(t + 1, nc) if top[j] % g), None)
+            if j is None:
+                break
+            s, r, xg, yg = _gcd_coefficients(top[t], top[j])
+            for row in a[t:]:
+                row[t], row[j] = (s * row[t] + r * row[j]) % d, (xg * row[j] - yg * row[t]) % d
+        diag.append(a[t][t])
+    return diag
 
-    return (IntMatrix.from_rows(u), IntMatrix.from_rows(s), IntMatrix.from_rows(v))
+
+def _gcd_coefficients(x: int, y: int) -> tuple:
+    """(s, r, x/g, y/g) with s*x + r*y = g = gcd(x, y), for x, y > 0:
+    the unimodular step (s, r; -y/g, x/g) takes (x, y) to (g, 0)."""
+    g = gcd(x, y)
+    s = pow(x // g, -1, y // g)
+    return s, (g - s * x) // y, x // g, y // g
+
+
+def invariant_factors(m: IntMatrix) -> tuple:
+    """Invariant factors d1 | d2 | ... of m over Z, zeros last, one per
+    min(rows, cols): the diagonal of its Smith normal form.
+
+    A Bareiss pass gives the rank r and a nonzero r x r minor D, which
+    every nonzero factor divides.  Elimination on the entries mod D gives
+    a diagonal s; the d_i = gcd(s_i, D), brought into a divisor chain by
+    gcd/lcm steps, are the first r factors (Domich, Kannan and Trotter,
+    Math. Oper. Res. 12, 1987; Cohen, GTM 138, 2.4.3).  No transforms
+    are kept, so entries never grow past D.
+    """
+    k = min(m.rows, m.cols)
+    rank, minor = _echelon(m)
+    d = abs(minor)
+    factors = [gcd(s, d) for s in _diagonal_mod([[x % d for x in m.row(i)] for i in range(m.rows)], d)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    factors = factors[:rank] + [0] * (k - rank)
+    product = prod(factors[:rank])
+    if d % product or (rank == m.rows == m.cols and product != d):
+        raise RuntimeError(
+            f"invariant factors of a {m.rows}x{m.cols} matrix: product {product} "
+            f"does not {'equal' if rank == m.rows == m.cols else 'divide'} the minor {d}"
+        )
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from nclocal.ck_k0 import (
     k0_signed_order,
 )
 from nclocal.intmat import IntMatrix, mat_pow
+from intmat_oracle import ck_family
 
 
 class TestBuildLp:
@@ -123,6 +124,16 @@ class TestK0:
         assert orders(1) == [1, 1, 1, 1, 1]
         assert orders(-1) == [1, 1, 1, 1, 1]
         assert orders(0) == [0, 0, 0, 0, 0]
+
+    def test_ck_family_n64(self):
+        # a size where elimination over Z without reduction modulo the
+        # determinant takes tens of seconds from entry growth
+        eps = CKDescriptor(kind="matrix", matrix=IntMatrix.from_rows(ck_family(64, 64)))
+        group = k0_group(eps)
+        factors = group.invariant_factors
+        assert len(factors) == 64
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert group.order == k0_order(eps) == 14262428759922130528
 
     def test_transpose_convention_immaterial_for_factors(self):
         # invariant factors of coker(I - e^t) and coker(I - e) agree

@@ -5,6 +5,8 @@ import pytest
 
 from nclocal.cli import main
 
+from intmat_oracle import ck_family
+
 
 def run(capsys, *args):
     code = main(list(args))
@@ -245,6 +247,31 @@ class TestGuards:
         code, out, err = run(capsys, "cf", "(1+sqrt(1234567890123457))/2")
         assert code == 2 and out == ""
         assert err == "error: guard exceeded: continued fraction has more than 10^6 states\n"
+
+    def test_k0_size_guard(self, capsys):
+        code, out, _ = run(capsys, "k0", "--matrix", json.dumps(ck_family(120, 120)))
+        assert code == 0 and len(json.loads(out)["invariant_factors"]) == 120
+        code, out, err = run(capsys, "k0", "--matrix", json.dumps(ck_family(121, 121)))
+        assert code == 2 and out == ""
+        assert err == "error: guard exceeded: k0 matrix is 121 x 121, past 120 x 120\n"
+
+    def test_k0_digit_guard(self, capsys):
+        # for a 1 x 1 matrix (a), |det(I - A^t)| = |1 - a| is its own Hadamard bound
+        code, out, _ = run(capsys, "k0", "--matrix", f"[[{2 - 10**400}]]")
+        assert code == 0 and json.loads(out)["order"] == 10**400 - 1
+        message = "error: guard exceeded: the Hadamard bound on |det(I - A^t)| passes 400 digits\n"
+        for text in (f"[[{1 - 10**400}]]", json.dumps([[(i * j) % 2001 - 1000 for j in range(120)] for i in range(120)])):
+            code, out, err = run(capsys, "k0", "--matrix", text)
+            assert code == 2 and out == "" and err == message
+
+    def test_matrix_pow_digit_guard(self, capsys):
+        # (1,1;1,0)^k holds Fibonacci numbers; F_20571 has 4299 digits
+        code, out, _ = run(capsys, "matrix", "--period", "1", "--pow", "20570")
+        assert code == 0 and len(str(json.loads(out)["matrix_pow"][0][0])) == 4299
+        for period, k in (("1", "20571"), ("3,1,4,1,5", "2100"), ("1," * 21000 + "1", "1")):
+            code, out, err = run(capsys, "matrix", "--period", period, "--pow", k)
+            assert code == 2 and out == ""
+            assert err == f"error: guard exceeded: entries of the power {k} may pass 4300 digits\n"
 
 
 class TestBadPrimes:

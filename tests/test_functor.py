@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nclocal.ck_k0 import build_lp
+from nclocal.ck_k0 import AbelianGroupInv, build_lp
 from nclocal.elliptic import WeierstrassModel
 from nclocal.functor import (
     footnote2_experiment,
@@ -167,6 +167,14 @@ class TestFootnote2:
     def test_bad_prime_rejected(self):
         with pytest.raises(ValueError, match="good prime"):
             footnote2_experiment(E_PLUS_1, 3, 1)
+
+    def test_wrong_factor_list_raises(self, monkeypatch):
+        import nclocal.functor as functor
+
+        # a K0 group whose order disagrees with |det| and the point count
+        monkeypatch.setattr(functor, "k0_group", lambda eps: AbelianGroupInv((1, 1)))
+        with pytest.raises(RuntimeError, match=r"p=5, n=1"):
+            footnote2_experiment(E_MINUS_X, 5, 2)
 
 
 class TestLocalizeErrors:

@@ -11,12 +11,13 @@ from nclocal.intmat import (
     conjugacy_test,
     cyclically_equivalent,
     identity,
+    invariant_factors,
     mat_pow,
-    smith_normal_form,
     unimodular_2x2,
     word_of_matrix,
 )
 from nclocal.quadratic_cf import incidence_matrix
+from intmat_oracle import ck_family, determinantal_divisors, leibniz_det
 
 M = IntMatrix.from_rows
 
@@ -66,20 +67,16 @@ class TestMatPow:
 
 
 def snf_checks(m):
-    u, s, v = smith_normal_form(m)
-    assert u.det() in (1, -1) and v.det() in (1, -1)
-    assert u * m * v == s
-    diag = [s.at(i, i) for i in range(min(s.rows, s.cols))]
-    for i in range(s.rows):
-        for j in range(s.cols):
-            if i != j:
-                assert s.at(i, j) == 0
+    diag = list(invariant_factors(m))
+    assert len(diag) == min(m.rows, m.cols)
     for a, b in zip(diag, diag[1:]):
         assert a >= 0 and b >= 0
         if a == 0:
             assert b == 0
         else:
             assert b % a == 0
+    if max(m.rows, m.cols) <= 4:
+        assert diag == determinantal_divisors(m)
     return diag
 
 
@@ -101,7 +98,7 @@ class TestSmithNormalForm:
         assert snf_checks(M([[2, 4, 6], [4, 8, 12]])) == [2, 0]
 
     def test_divisibility_needs_fixup(self):
-        # diag(2,3) is not in SNF; the chain must come out 1 | 6
+        # diag(2,3) is not a divisor chain; the gcd/lcm pass makes it 1 | 6
         assert snf_checks(M([[2, 0], [0, 3]])) == [1, 6]
 
     def test_product_of_factors_is_abs_det(self):
@@ -126,6 +123,87 @@ class TestSmithNormalForm:
     @given(st.lists(st.integers(-15, 15), min_size=6, max_size=6))
     def test_random_2x3_property(self, entries):
         snf_checks(IntMatrix(2, 3, tuple(entries)))
+
+    def test_no_unit_pivot(self):
+        # every entry shares a factor with the determinant, so the
+        # elimination mod D takes gcd steps instead of unit pivots
+        assert snf_checks(M([[4, 6], [6, 4]])) == [2, 10]
+        assert snf_checks(M([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])) == [2, 2, 156]
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.choice((2, 3, 4))
+            k = rng.choice((2, 3, 4, 6))
+            snf_checks(M([[k * rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]))
+
+    def test_rank_deficient_and_rectangular(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+            if r > 1:
+                rows[-1] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(rows[0], rows[1 % (r - 1)])]
+            snf_checks(M(rows))
+
+    def test_det_agrees_with_leibniz(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.choice((3, 4))
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:
+                rows[0] = [0] * n if rng.random() < 0.5 else list(rows[1])
+            assert M(rows).det() == leibniz_det(rows)
+
+    def test_wrong_diagonal_is_caught(self, monkeypatch):
+        import nclocal.intmat as intmat
+
+        monkeypatch.setattr(intmat, "_diagonal_mod", lambda a, d: [2, 2])
+        with pytest.raises(RuntimeError, match="2x2 matrix"):
+            invariant_factors(M([[3, 0], [0, 1]]))
+
+
+def presentation(rows):
+    n = len(rows)
+    return M([[(i == j) - rows[j][i] for j in range(n)] for i in range(n)])
+
+
+class TestAgainstSympy:
+    @pytest.fixture(autouse=True)
+    def sympy_factors(self):
+        pytest.importorskip("sympy")
+        from sympy import Matrix
+        from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+        from sympy.polys.domains import ZZ
+
+        self.expected = lambda m: [int(d) for d in sympy_invariant_factors(Matrix(m.to_rows()), domain=ZZ)]
+
+    def test_random_square(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            m = M([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
+            assert list(invariant_factors(m)) == self.expected(m)
+
+    def test_random_rectangular(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            r, c = rng.randint(1, 7), rng.randint(1, 7)
+            m = M([[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)])
+            assert list(invariant_factors(m)) == self.expected(m)
+
+    def test_random_rank_deficient(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            r, c, k = rng.randint(2, 7), rng.randint(2, 7), rng.randint(1, 3)
+            left = M([[rng.randint(-5, 5) for _ in range(k)] for _ in range(r)])
+            right = M([[rng.randint(-5, 5) for _ in range(c)] for _ in range(k)])
+            m = left * right
+            assert list(invariant_factors(m)) == self.expected(m)
+
+    def test_ck_family(self):
+        for n in (24, 32, 40, 48):
+            for seed in range(2):
+                m = presentation(ck_family(n, 100 * n + seed))
+                assert list(invariant_factors(m)) == self.expected(m)
 
 
 class TestWordRecovery:

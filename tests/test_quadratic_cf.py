@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -257,3 +258,22 @@ def _moebius_witness(x, y, bound):
         if lhs == rhs:
             return m
     return None
+
+
+class TestAgainstSympy:
+    def test_cf_expand_matches_continued_fraction_periodic(self):
+        # the criterion-7 family (|P| <= 10, Q <= 10, D <= 200) holds about
+        # 38,000 inputs, and sympy takes 10-80 ms on each new one; every
+        # third D is checked at one seeded (P, Q)
+        periodic = pytest.importorskip("sympy.ntheory.continued_fraction").continued_fraction_periodic
+        rng = random.Random(7)
+        checked = 0
+        for d in range(2, 201, 3):
+            if squarefree_split(d)[1] == 1:
+                continue
+            p, q = rng.randint(-10, 10), rng.randint(1, 10)
+            exp = cf_expand(QuadraticIrrational(p, d, q))
+            *preperiod, period = periodic(p, q, d)
+            assert (exp.preperiod, exp.period) == (tuple(preperiod), tuple(period)), (p, d, q)
+            checked += 1
+        assert checked == 67
