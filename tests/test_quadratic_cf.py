@@ -1,8 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from cf_oracle import expand_by_repetition, reduced_by_comparison
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from nclocal import quadratic_cf
 from nclocal._factor import squarefree_split
 from nclocal.intmat import unimodular_2x2
 from nclocal.quadratic_cf import (
@@ -114,6 +122,25 @@ class TestExpand:
         with pytest.raises(ValueError, match="not minimal"):
             CFExpansion((1,), (2, 1, 2, 1))
 
+    def test_minimality_message_names_the_shortest_repeat(self):
+        # a prime-exponent check finds the repeat; the message still names
+        # the shortest one, as the scan over every length did
+        for period, k in [((2, 2), 1), ((1, 2) * 6, 2), ((1, 2) * 3, 2), ((3,) * 12, 1), ((1, 2, 3) * 5, 3)]:
+            with pytest.raises(ValueError, match=rf"repeats with length {k}\)"):
+                CFExpansion((), period)
+        for period in [(1, 2), (1, 1, 2), (1, 2, 1, 2, 1), (2, 1) * 3 + (1,)]:
+            assert CFExpansion((), period).period == period
+
+    def test_state_cap_boundary(self, monkeypatch):
+        # (-7+sqrt(19))/30 = [-1; 1, 10, (2, 1, 3, 1, 2, 8)]: 3 + 6 states
+        x = QuadraticIrrational(-7, 19, 30)
+        monkeypatch.setattr(quadratic_cf, "_MAX_CF_STATES", 9)
+        assert cf_expand(x) == CFExpansion((-1, 1, 10), (2, 1, 3, 1, 2, 8))
+        for cap in (8, 2):
+            monkeypatch.setattr(quadratic_cf, "_MAX_CF_STATES", cap)
+            with pytest.raises(ValueError, match=r"guard exceeded: continued fraction has more than 10\^6 states"):
+                cf_expand(x)
+
 
 class TestReduced:
     def test_spec_examples(self):
@@ -133,6 +160,87 @@ class TestReduced:
                     assert cf_expand(x).is_purely_periodic == is_reduced(x)
                     checked += 1
         assert checked > 500
+
+
+def canonical_family():
+    """Every canonical (P, D, Q) with nonsquare D < 200, |P| <= 30 and
+    1 <= |Q| <= 30: Q | D - P^2 is needed, and canonicalization must
+    return the triple unchanged."""
+    for d in range(2, 200):
+        if isqrt(d) ** 2 == d:
+            continue
+        for p in range(-30, 31):
+            for q in range(-30, 31):
+                if q and (d - p * p) % q == 0:
+                    x = QuadraticIrrational(p, d, q)
+                    if (x.P, x.D, x.Q) == (p, d, q):
+                        yield x
+
+
+@st.composite
+def quadratic_irrationals(draw):
+    d = draw(st.integers(2, 5000))
+    assume(isqrt(d) ** 2 != d)
+    q = draw(st.integers(-60, 60).filter(bool))
+    return QuadraticIrrational(draw(st.integers(-10**5, 10**5)), d, q)
+
+
+class TestAgainstOracle:
+    """cf_expand against the first-repetition expansion of cf_oracle."""
+
+    def test_canonical_family(self):
+        checked = 0
+        for x in canonical_family():
+            exp = cf_expand(x)
+            assert (exp.preperiod, exp.period) == expand_by_repetition(x), x
+            checked += 1
+        assert checked == 74898
+
+    @given(quadratic_irrationals())
+    def test_sample(self, x):
+        exp = cf_expand(x)
+        assert (exp.preperiod, exp.period) == expand_by_repetition(x)
+
+    def test_benchmark_pool_periods(self):
+        # the three D near 10^12 of the ck_k0 continued-fraction pool
+        for d, length in [(1000000000039, 532572), (1000000000787, 547242), (1000000001123, 536218)]:
+            x = QuadraticIrrational(0, d, 1)
+            exp = cf_expand(x)
+            assert len(exp.period) == length
+            assert (exp.preperiod, exp.period) == expand_by_repetition(x)
+
+    def test_pure_periodicity_is_reducedness(self):
+        # Galois's theorem on the oracle's side: a state known only by its
+        # first repetition is purely periodic iff exact comparisons call it
+        # reduced; the integer test of is_reduced agrees with both
+        periodic = 0
+        for x in canonical_family():
+            pure = not expand_by_repetition(x)[0]
+            assert pure == reduced_by_comparison(x) == is_reduced(x), x
+            periodic += pure
+        assert 0 < periodic < 74898
+
+
+class TestIdentityChecks:
+    """The canonical-form and boundary checks raise, so they hold under python -O."""
+
+    @pytest.mark.parametrize(
+        "patch, call, message",
+        [
+            ("q._lcm = lambda *vals: 3", "q.QuadraticIrrational(1, 5, 2)", "canonical form of 1/2 + 1/2*sqrt(5)"),
+            (
+                "q.QuadraticIrrational.from_value_pair = classmethod(lambda cls, a, b, d: q.QuadraticIrrational(3, 2, 1))",
+                "q.boundary_to_theta(q.QuadraticIrrational(1, 5, 2))",
+                r"boundary_to_theta((1+sqrt(5))/2) gave (3+sqrt(2))/1, which is not in (0, 1)",
+            ),
+        ],
+        ids=["canonical_form", "boundary"],
+    )
+    def test_checks_survive_optimize_flag(self, patch, call, message):
+        code = f"import nclocal.quadratic_cf as q\n{patch}\n{call}\n"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1 and f"RuntimeError: {message}" in proc.stderr, proc.stderr
 
 
 class TestConvergents:
