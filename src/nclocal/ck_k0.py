@@ -1,26 +1,28 @@
 """Cuntz-Krieger K-theory data.
 
-Builds the defining matrices (a 2x2 companion-style matrix at good
-primes, a scalar 1 - alpha^n at bad primes), and computes K0 as the
-cokernel of I minus the transposed matrix: invariant factors by
-elimination modulo the determinant, order via |det|.  An infinite K0
-is reported as order 0 so the corresponding local factor degenerates
-to 1.
+Builds the defining data of levels 1..n (L_p^n for the 2x2
+companion-style matrix L_p at good primes, one product per level; the
+scalar 1 - alpha^n at bad primes), and computes K0 as the cokernel of
+I minus the transposed matrix: invariant factors by elimination modulo
+the determinant, order via |det|.  An infinite K0 is reported as order
+0 so the corresponding local factor degenerates to 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import Optional
 
 from ._factor import is_prime
-from .intmat import IntMatrix, invariant_factors, mat_pow
+from .intmat import IntMatrix, invariant_factors
 
 __all__ = [
     "CKDescriptor",
     "AbelianGroupInv",
     "build_lp",
     "epsilon",
+    "epsilons",
     "k0_group",
     "k0_order",
     "k0_signed_order",
@@ -95,22 +97,26 @@ def build_lp(trace_ap: int, p: int) -> IntMatrix:
     return IntMatrix(2, 2, (trace_ap, p, -1, 0))
 
 
-def epsilon(p: int, n: int, good: bool, *, trace_ap: Optional[int] = None, alpha: Optional[int] = None) -> CKDescriptor:
-    """Descriptor for level n: L_p^n at a good prime, 1 - alpha^n at a bad one."""
-    if n < 1:
-        raise ValueError("n must be positive")
+def epsilons(p: int, n_max: int, good: bool, *, trace_ap: Optional[int] = None, alpha: Optional[int] = None) -> list:
+    """Descriptors for levels 1..n_max: L_p^n at a good prime, from one
+    build_lp and one 2x2 product per level; 1 - alpha^n at a bad one."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if good:
         if trace_ap is None:
             raise ValueError("good prime requires trace_ap")
-        lp = build_lp(trace_ap, p)
-        return CKDescriptor(
-            kind="matrix", matrix=mat_pow(lp, n), source={"p": p, "n": n, "trace_ap": trace_ap}
-        )
+        powers = accumulate(repeat(build_lp(trace_ap, p), n_max), IntMatrix.__mul__)
+        return [CKDescriptor("matrix", m, source={"p": p, "n": n, "trace_ap": trace_ap}) for n, m in enumerate(powers, 1)]
     if alpha not in (-1, 0, 1):
         raise ValueError(f"alpha must be one of -1, 0, 1; got {alpha}")
-    return CKDescriptor(
-        kind="scalar", scalar=1 - alpha**n, source={"p": p, "n": n, "alpha": alpha}
-    )
+    return [CKDescriptor("scalar", scalar=1 - alpha**n, source={"p": p, "n": n, "alpha": alpha}) for n in range(1, n_max + 1)]
+
+
+def epsilon(p: int, n: int, good: bool, *, trace_ap: Optional[int] = None, alpha: Optional[int] = None) -> CKDescriptor:
+    """Descriptor for level n alone: the last of ``epsilons``."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return epsilons(p, n, good, trace_ap=trace_ap, alpha=alpha)[-1]
 
 
 def _presentation_matrix(eps: CKDescriptor) -> IntMatrix:

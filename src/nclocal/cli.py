@@ -30,10 +30,10 @@ from .intmat import IntMatrix, mat_pow
 from .quadratic_cf import QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
 from .zeta import DEFAULT_ORDER, lemma1_check, local_data
 
-# integers in a --primes range; 362 primes just below AP_GUARD take 10 s
-# (12 s at --order 12) on one core of a 2-vCPU VM
+# integers in a --primes range; the 362 primes just below AP_GUARD take
+# 7-11 s at either order, almost all of it a_p, on one core of a 2-vCPU VM
 PRIMES_SPAN_GUARD = 10**4
-# largest series order of zeta; --primes 2..10001 at order 12 takes 4.4 s
+# largest series order of zeta; --primes 2..10001 at order 12 takes 1.3-1.6 s
 ORDER_GUARD = 12
 # most theorem1 trials; 100 at p = 999999999989 take 3.3 s
 TRIALS_GUARD = 100
@@ -91,10 +91,14 @@ def _check_p(p: Optional[int]) -> None:
 
 def _cmd_cf(args) -> tuple:
     x = QuadraticIrrational.parse(args.value)
+    try:
+        approx = float(x)
+    except OverflowError:
+        raise ValueError("guard exceeded: value_approx passes the float range") from None
     exp = cf_expand(x)
     payload = {
         "input": str(x),
-        "value_approx": float(x),
+        "value_approx": approx,
         "preperiod": list(exp.preperiod),
         "period": list(exp.period),
         "display": str(exp),

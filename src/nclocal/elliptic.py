@@ -149,7 +149,8 @@ def invariants(e: WeierstrassModel) -> WInvariants:
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
     disc = -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    assert 4 * b8 == b2 * b6 - b4 * b4, "b8 consistency identity failed"
+    if 4 * b8 != b2 * b6 - b4 * b4:
+        raise RuntimeError(f"b8 consistency identity 4*b8 = b2*b6 - b4^2 fails for the model {e}")
     return WInvariants(b2, b4, b6, b8, c4, c6, disc)
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ck_k0 import build_lp, epsilon, k0_group, k0_order
+from .ck_k0 import build_lp, epsilons, k0_group, k0_order
 from .elliptic import (
     AdmissibleTransform,
     ReductionError,
@@ -106,8 +106,7 @@ def localize(
     except ReductionError as err:
         raise ValueError(f"{err}; apply a clearing transform first") from None
     rt, ap = local.reduction, local.a_p
-    levels = range(1, n_max + 1)
-    descriptors = tuple(epsilon(p, n, rt.is_good, trace_ap=ap, alpha=rt.alpha) for n in levels)
+    descriptors = tuple(epsilons(p, n_max, rt.is_good, trace_ap=ap, alpha=rt.alpha))
     orders = tuple(k0_order(d) for d in descriptors)
     counts = tuple(local.point_counts(n_max))
     if rt.is_good and orders != counts:
@@ -131,7 +130,7 @@ def localize(
         curve_counts=counts,
         curve_groups=tuple(local.groups(n_max)),
         a_p=ap,
-        lp=build_lp(ap, p) if rt.is_good else None,
+        lp=descriptors[0].matrix if rt.is_good else None,
         alpha=rt.alpha,
         exploration=exploration,
     )

@@ -2,17 +2,19 @@
 
 The curve side exponentiates point counts, the torus side exponentiates
 K0 orders, and the comparison engine lines the two up coefficient for
-coefficient.  Each prime is read once, by ``local_data``.  Everything is
-Fraction arithmetic; no floating point.
+coefficient.  Each prime is read once, by ``local_data``.  Counts are
+exponentiated in integers, with one Fraction per output coefficient;
+the generic series operations are Fraction arithmetic.  No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Optional, Sequence
 
-from .ck_k0 import epsilon, k0_order, k0_signed_order
+from .ck_k0 import epsilon, epsilons, k0_order, k0_signed_order
 from .elliptic import (
     LocalData,
     WeierstrassModel,
@@ -146,13 +148,19 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _poly_series(coeffs: Sequence[int], order: int) -> TruncatedSeries:
-    return TruncatedSeries.from_list([Fraction(c) for c in coeffs], order)
-
-
 def _exp_counts(counts: Sequence[int], order: int) -> TruncatedSeries:
-    s = TruncatedSeries.from_list([0] + [Fraction(c, n + 1) for n, c in enumerate(counts[:order])], order)
-    return series_exp(s)
+    """exp(sum c_n z^n / n) for integers c_n, in integers: E_n = n! e_n turns
+    series_exp's n e_n = sum_i c_i e_{n-i} into E_n = sum_i c_i E_{n-i}
+    (n-1)!/(n-i)!, and coefficient n is Fraction(E_n, n!)."""
+    cs = list(counts[:order]) + [0] * order
+    scaled = [1]
+    for n in range(1, order + 1):
+        acc, falling = 0, 1  # falling = (n-1)!/(n-i)!
+        for i in range(1, n + 1):
+            acc += cs[i - 1] * scaled[n - i] * falling
+            falling *= n - i
+        scaled.append(acc)
+    return TruncatedSeries(tuple(Fraction(e, factorial(n)) for n, e in enumerate(scaled)))
 
 
 def local_data(e: WeierstrassModel, p: int) -> LocalData:
@@ -185,10 +193,10 @@ def _curve_series(local: LocalData, order: int) -> TruncatedSeries:
     ser = _exp_counts(local.point_counts(order), order)
     if local.reduction.is_good:
         p = local.p
-        closed = _poly_series(euler_factor_polynomial(local.a_p, p), order) * _poly_series(
-            [1, -(p + 1), p], order
-        ).reciprocal()
-        if ser != closed:
+        # times (1 - z)(1 - pz), a unit of Q[[z]], ser must give the numerator
+        numerator = euler_factor_polynomial(local.a_p, p) + [0] * order
+        c = (0, 0) + ser.coefficients
+        if any(c[n + 2] - (p + 1) * c[n + 1] + p * c[n] != numerator[n] for n in range(order + 1)):
             raise RuntimeError(f"exp-sum and rational form disagree at p={p}, a_p={local.a_p}")
     return ser
 
@@ -211,7 +219,7 @@ def torus_local_zeta(
     order_of = {"absolute": k0_order, "signed": k0_signed_order}.get(mode)
     if order_of is None:
         raise ValueError(f"unknown mode {mode!r}")
-    counts = [order_of(epsilon(p, n, good, trace_ap=trace_ap, alpha=alpha)) for n in range(1, order + 1)]
+    counts = [order_of(d) for d in epsilons(p, order, good, trace_ap=trace_ap, alpha=alpha)]
     return _exp_counts(counts, order)
 
 
@@ -275,13 +283,12 @@ def lemma1_check(
         if rt.is_good:
             trace_slot = mat_pow(a_matrix, p).trace() if a_matrix is not None else local.a_p
             torus = torus_local_zeta(p, order, good=True, trace_ap=trace_slot, mode=mode)
-            signed = None
-            alpha = None
+            signed = alpha = None
             compared = torus
         else:
             alpha = rt.alpha
             # one descriptor per level feeds both conventions
-            levels = [epsilon(p, n, False, alpha=alpha) for n in range(1, order + 1)]
+            levels = epsilons(p, order, False, alpha=alpha)
             torus = _exp_counts([k0_order(d) for d in levels], order)
             signed = _exp_counts([k0_signed_order(d) for d in levels], order)
             compared = signed if mode == "signed" else torus
@@ -301,26 +308,16 @@ def lemma1_check(
     return reports
 
 
-def _sieve_primes(limit: int) -> list:
-    flags = bytearray([1]) * (limit + 1)
-    out = []
-    for n in range(2, limit + 1):
-        if flags[n]:
-            out.append(n)
-            for m in range(n * n, limit + 1, n):
-                flags[m] = 0
-    return out
-
-
-def _local_dirichlet(ap: int, p: int, x: int) -> list:
-    """Coefficients c_{p^k} for p^k <= x from the Hasse-Weil numerator,
-    via c_{p^k} = a_p c_{p^{k-1}} - p c_{p^{k-2}}."""
+def _local_dirichlet(ap: int, p: int, x: int, det: int) -> list:
+    """Coefficients c_{p^k} for p^k <= x of 1/(1 - ap z + det z^2), via
+    c_{p^k} = ap c_{p^{k-1}} - det c_{p^{k-2}}: det = p at a good prime,
+    and det = 0, ap = alpha (c_{p^k} = alpha^k) at a bad one."""
     out = [1]
     power = p
     prev2, prev1 = 1, ap
     while power <= x:
         out.append(prev1)
-        prev2, prev1 = prev1, ap * prev1 - p * prev2
+        prev2, prev1 = prev1, ap * prev1 - det * prev2
         power *= p
     return out
 
@@ -337,34 +334,26 @@ def dirichlet_coefficients(e: WeierstrassModel, x: int) -> list:
     coeffs = [0] * (x + 1)
     coeffs[1] = 1
     local: dict = {}
-    for p in _sieve_primes(x):
+    spf = list(range(x + 1))  # smallest prime factor; spf[p] == p marks a prime
+    for p in range(2, x + 1):
+        if spf[p] != p:
+            continue
+        for m in range(p * p, x + 1, p):
+            spf[m] = min(spf[m], p)
         data = local_data(e, p)
         if data.reduction.is_good:
             ap = data.a_p
-            curve_side = _local_dirichlet(ap, p, x)
+            curve_side = _local_dirichlet(ap, p, x, p)
             torus_ap = p + 1 - k0_order(epsilon(p, 1, True, trace_ap=ap))
-            torus_side = _local_dirichlet(torus_ap, p, x)
+            torus_side = _local_dirichlet(torus_ap, p, x, p)
             if curve_side != torus_side:
                 raise RuntimeError(f"curve and torus local coefficients differ at p={p}")
             local[p] = curve_side
         else:
-            out = [1]
-            power = p
-            k = 1
-            while power <= x:
-                out.append(data.reduction.alpha**k)
-                power *= p
-                k += 1
-            local[p] = out
-    spf = list(range(x + 1))
-    for p in _sieve_primes(x):
-        for m in range(p, x + 1, p):
-            if spf[m] == m:
-                spf[m] = p
+            local[p] = _local_dirichlet(data.reduction.alpha, p, x, 0)
     for m in range(2, x + 1):
         p = spf[m]
-        k = 0
-        rest = m
+        k, rest = 0, m
         while rest % p == 0:
             rest //= p
             k += 1

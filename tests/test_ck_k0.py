@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclocal.ck_k0 import (
     AbelianGroupInv,
     CKDescriptor,
     build_lp,
     epsilon,
+    epsilons,
     k0_group,
     k0_order,
     k0_signed_order,
@@ -50,6 +53,39 @@ class TestEpsilon:
     def test_good_requires_trace(self):
         with pytest.raises(ValueError):
             epsilon(5, 1, True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(-2000, 2000),
+        st.sampled_from([2, 3, 5, 7, 11, 101, 997, 10007, 999999999989]),
+        st.integers(1, 12),
+    )
+    def test_epsilons_match_mat_pow(self, t, p, k):
+        # one product per level against binary exponentiation, the oracle
+        levels = epsilons(p, k, True, trace_ap=t)
+        assert len(levels) == k
+        for n, eps in enumerate(levels, 1):
+            assert eps.kind == "matrix" and eps.matrix == mat_pow(build_lp(t, p), n)
+            assert eps.source == {"p": p, "n": n, "trace_ap": t}
+        assert epsilon(p, k, True, trace_ap=t) == levels[-1]
+
+    def test_epsilons_scalar_levels(self):
+        for alpha in (-1, 0, 1):
+            levels = epsilons(11, 6, False, alpha=alpha)
+            assert [eps.scalar for eps in levels] == [1 - alpha**n for n in range(1, 7)]
+            assert [eps.source["n"] for eps in levels] == list(range(1, 7))
+
+    def test_epsilons_validation(self):
+        assert epsilons(5, 0, True, trace_ap=1) == epsilons(5, 0, False, alpha=1) == []
+        with pytest.raises(ValueError, match="nonnegative"):
+            epsilons(5, -1, True, trace_ap=1)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                epsilon(5, n, True, trace_ap=1)
+        with pytest.raises(ValueError, match="not prime"):
+            epsilons(6, 3, True, trace_ap=1)
+        with pytest.raises(ValueError, match="alpha"):
+            epsilons(5, 3, False, alpha=2)
 
 
 class TestAbelianGroupInv:

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,16 @@ class TestGuards:
         assert code == 2 and out == ""
         assert err == "error: guard exceeded: continued fraction has more than 10^6 states\n"
 
+    def test_cf_float_range(self, capsys):
+        # P = the largest finite float prints; 2^1024 and 10^400 cannot
+        edge = int(sys.float_info.max)
+        code, out, _ = run(capsys, "cf", f"({edge}+sqrt(2))/1")
+        assert code == 0 and json.loads(out)["value_approx"] == sys.float_info.max
+        for past in (2**1024, 10**400, -(10**400)):
+            code, out, err = run(capsys, "cf", f"({past}+sqrt(2))/1")
+            assert code == 2 and out == ""
+            assert err == "error: guard exceeded: value_approx passes the float range\n"
+
     def test_k0_size_guard(self, capsys):
         code, out, _ = run(capsys, "k0", "--matrix", json.dumps(ck_family(120, 120)))
         assert code == 0 and len(json.loads(out)["invariant_factors"]) == 120
@@ -310,12 +321,14 @@ class TestGoldens:
     """Exact stdout of reduction types no other test pins byte for byte.
 
     Each file holds the command on its first line and the expected stdout
-    after it.
+    after it.  The exit code is 0 unless the command line ends in
+    "  # exit N".
     """
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDENS.glob("*.txt")))
     def test_stdout_byte_identical(self, capsys, name):
         command, expected = (GOLDENS / f"{name}.txt").read_text().split("\n", 1)
+        command, _, exit_code = command.partition("  # exit ")
         code, out, err = run(capsys, *command.split()[1:])
-        assert code == 0 and err == ""
+        assert code == int(exit_code or 0) and err == ""
         assert out == expected

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -64,6 +67,17 @@ class TestInvariants:
             e = WeierstrassModel.over_q(a1, a2, a3, a4, rng.randint(-9, 9))
             inv = invariants(e)
             assert inv.c4 == (a1 * a1 + 4 * a2) ** 2 - 24 * (a1 * a3 + 2 * a4)
+
+    def test_b8_identity_check_survives_optimize_flag(self):
+        # float coefficients round, so the polynomial identity of b8 breaks
+        code = (
+            "from nclocal.elliptic import WeierstrassModel, invariants\n"
+            "invariants(WeierstrassModel(0.1, 0.2, 0.3, 0.7, 1.1))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "RuntimeError: b8 consistency identity" in proc.stderr and "[0.1,0.2,0.3,0.7,1.1]" in proc.stderr
 
     def test_j_requires_nonsingular(self):
         with pytest.raises(ValueError, match="singular model"):

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nclocal.elliptic import WeierstrassModel, classify_reduction, count_nonsingular, reduce_mod_p
+from nclocal.elliptic import LocalData, WeierstrassModel, classify_reduction, count_nonsingular, reduce_mod_p
 from nclocal.zeta import (
     TruncatedSeries,
     curve_local_zeta,
@@ -15,6 +19,7 @@ from nclocal.zeta import (
     series_log,
     torus_local_zeta,
 )
+from nclocal.zeta import _curve_series, _exp_counts, local_data
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)
 E_PLUS_1 = WeierstrassModel.over_q(0, 0, 0, 0, 1)
@@ -79,6 +84,23 @@ class TestSeriesArithmetic:
         a = TruncatedSeries(tuple([Fraction(0)] + t1))
         b = TruncatedSeries(tuple([Fraction(0)] + t2))
         assert series_exp(a + b) == series_exp(a) * series_exp(b)
+
+
+class TestExpCounts:
+    """The integer recurrence of _exp_counts against series_exp, its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.lists(st.integers(-(10**6), 10**6), max_size=14))
+    @example(12, [1])  # exp(z): coefficients 1/n!
+    @example(12, [-3, 5, -7, 0, 2])  # neither a count sequence nor integral exp
+    @example(5, [])
+    def test_matches_series_exp(self, order, counts):
+        logs = [0] + [Fraction(c, n) for n, c in enumerate(counts[:order], 1)]
+        assert _exp_counts(counts, order) == series_exp(TruncatedSeries.from_list(logs, order))
+
+    def test_non_integral_coefficients_stay_exact(self):
+        assert _exp_counts([1], 4).coefficients == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
+        assert _exp_counts([-1, 1], 3).coefficients == (1, -1, 1, Fraction(-2, 3))
 
 
 class TestCurveZeta:
@@ -242,3 +264,31 @@ class TestLocalData:
         monkeypatch.setattr(zeta_mod, "euler_factor_polynomial", lambda ap, p: [1, -ap + 1, p])
         with pytest.raises(RuntimeError, match="exp-sum and rational form disagree at p=5"):
             curve_local_zeta(E_MINUS_X, 5, 3)
+
+    def test_wrong_a_p_raises_at_every_order(self, monkeypatch):
+        # the counts stay those of the curve while a_p is off by delta
+        for e, primes in GOOD_PRIMES_50.items():
+            for p in primes[:6]:
+                for delta in (-2, -1, 1, 2):
+                    local = local_data(e, p)
+                    wrong, counts = replace(local, a_p=local.a_p + delta), local.point_counts(12)
+                    monkeypatch.setattr(LocalData, "point_counts", lambda self, n: counts[:n])
+                    for order in range(1, 13):
+                        with pytest.raises(RuntimeError, match=f"disagree at p={p}, a_p={wrong.a_p}$"):
+                            _curve_series(wrong, order)
+                    monkeypatch.undo()
+
+    def test_wrong_a_p_check_survives_optimize_flag(self):
+        code = (
+            "from dataclasses import replace\n"
+            "from nclocal.elliptic import LocalData, WeierstrassModel\n"
+            "from nclocal.zeta import _curve_series, local_data\n"
+            "local = local_data(WeierstrassModel.over_q(0, 0, 0, -1, 0), 5)\n"
+            "counts = local.point_counts(6)\n"
+            "LocalData.point_counts = lambda self, n: counts[:n]\n"
+            "_curve_series(replace(local, a_p=local.a_p + 1), 6)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "RuntimeError: exp-sum and rational form disagree at p=5, a_p=-1" in proc.stderr
