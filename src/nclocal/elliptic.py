@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
 from ._factor import factorize
@@ -552,22 +552,12 @@ def _sylow_small_exponent(f, consts: tuple, ell: int, e: int, elements: Iterator
                 raise RuntimeError(f"a point of the {ell}-Sylow subgroup has order past {ell}^{e}")
         return c
 
-    g, b = None, 0
-    # baby steps j * gamma -> j for j < w, with gamma = ell^(b-1) g of
-    # order ell and w^2 >= ell; giant = -w * gamma
-    w = isqrt(ell - 1) + 1
-    table: dict = {}
-    giant = None
+    # gamma = ell^(b-1) g has order ell
+    g, b, gamma = None, 0, None
 
     def log_gamma(h) -> Optional[int]:
-        """d in [0, ell) with d * gamma = h, or None; baby-step giant-step."""
-        pt = h
-        for i in range(w):
-            j = table.get(pt)
-            if j is not None:
-                return i * w + j
-            pt = _raw_add(f, consts, pt, giant)
-        return None
+        """d in [0, ell) with d * gamma = h, or None."""
+        return next(_bsgs(f, consts, gamma, h, ell - 1), None)
 
     def in_g(h, r: int) -> bool:
         """Whether h, of order ell^r <= ell^b, lies in <g>: digit by digit
@@ -603,12 +593,7 @@ def _sylow_small_exponent(f, consts: tuple, ell: int, e: int, elements: Iterator
         g, b = h, c
         if b == e:
             return 0
-        gamma, cur = mul(g, ell ** (b - 1)), None
-        table = {}
-        for j in range(w):
-            table.setdefault(cur, j)
-            cur = _raw_add(f, consts, cur, gamma)
-        giant = _raw_neg(f, consts, cur)
+        gamma = mul(g, ell ** (b - 1))
         for old, c_old in seen:
             if b + complement_exp(old, c_old) == e:
                 return e - b
@@ -660,39 +645,40 @@ def group_structure(e: WeierstrassModel, n: int = 1, order: Optional[int] = None
 # ---------------------------------------------------------------------------
 
 
+def _bsgs(f, consts: tuple, stride, target, span: int) -> Iterator[int]:
+    """Each j in [0, span] with j * stride = target, in increasing order,
+    by Shanks's baby-step giant-step: baby steps i * stride for i < w,
+    w = isqrt(span) + 1, and giant steps of -w * stride from target.
+    When stride has order i < w, the solutions are j0 + i*k."""
+    w = isqrt(span) + 1
+    baby = {None: 0}
+    cur = None
+    for i in range(1, w):
+        cur = _raw_add(f, consts, cur, stride)
+        if cur is None:
+            if target in baby:
+                yield from range(baby[target], span + 1, i)
+            return
+        baby[cur] = i
+    giant = _raw_neg(f, consts, _raw_mul(f, consts, stride, w))
+    probe = target
+    for k in range(span // w + 1):
+        i = baby.get(probe)
+        if i is not None and k * w + i <= span:
+            yield k * w + i
+        probe = _raw_add(f, consts, probe, giant)
+
+
 def _killing_multiples(field: PrimeField, consts: tuple, pt, step: int, lo: int, hi: int) -> list:
-    """The first two multiples m of ``step`` in [lo, hi] with [m]pt = O,
-    by baby-step giant-step over m = m0 + step*j, 0 <= j <= span."""
+    """The first two multiples m of ``step`` in [lo, hi] with [m]pt = O:
+    m = m0 + step*j for the first two solutions j of j * [step]pt = -[m0]pt."""
     m0 = -(-lo // step) * step
     span = (hi - m0) // step
     if span < 0:
         return []
     stride = _raw_mul(field, consts, pt, step)
     target = _raw_neg(field, consts, _raw_mul(field, consts, pt, m0))
-    # j * stride = target; baby steps i * stride for i < w, giant steps of w
-    w = isqrt(span) + 1
-    baby = {None: 0}
-    cur = None
-    for i in range(1, w):
-        cur = _raw_add(field, consts, cur, stride)
-        if cur is None:
-            # stride has order i: the solutions are j0 + i*k
-            if target not in baby:
-                return []
-            j0 = baby[target]
-            return [m0 + step * j for j in (j0, j0 + i) if j <= span]
-        baby[cur] = i
-    giant = _raw_neg(field, consts, _raw_mul(field, consts, stride, w))
-    found = []
-    probe = target
-    for k in range(span // w + 1):
-        i = baby.get(probe)
-        if i is not None and k * w + i <= span:
-            found.append(m0 + step * (k * w + i))
-            if len(found) == 2:
-                break
-        probe = _raw_add(field, consts, probe, giant)
-    return found
+    return [m0 + step * j for j in islice(_bsgs(field, consts, stride, target, span), 2)]
 
 
 def _order_by_bsgs(e: WeierstrassModel) -> int:
@@ -783,7 +769,8 @@ def _short_form(e: WeierstrassModel) -> tuple:
     t2 = AdmissibleTransform(one, -invariants(mid).b2 / 12, zero, zero)
     total = t1.then(t2)
     short = transform(e, total)
-    assert short.a1 == 0 and short.a2 == 0 and short.a3 == 0
+    if short.a1 != 0 or short.a2 != 0 or short.a3 != 0:
+        raise RuntimeError(f"the short form {short} of {e} keeps a nonzero a1, a2 or a3")
     return short, total
 
 
@@ -791,13 +778,14 @@ def _embed_transform(tr: AdmissibleTransform, field) -> AdmissibleTransform:
     return AdmissibleTransform(*(FieldElement(field, v.val) for v in (tr.u, tr.r, tr.s, tr.t)))
 
 
-def isomorphism_witness(e1: WeierstrassModel, e2: WeierstrassModel, max_degree: Optional[int] = None):
+def isomorphism_witness(e1: WeierstrassModel, e2: WeierstrassModel):
     """Explicit (u,r,s,t) over a small extension witnessing isomorphism.
 
     Searches twist scalars u over F_{p^k} with k <= 2 generically and
     k <= 6 for j in {0, 1728}, while p^k <= EXT_FIELD_GUARD; returns
     (transform, field) or None when the j-invariants differ.  Requires
-    p > 3.
+    p > 3.  Each F_{p^k} it tries builds its own tables, about 0.6 s
+    near the guard.
     """
     if not isinstance(e1.field, PrimeField):
         raise ValueError("witness search needs models over F_p")
@@ -809,10 +797,7 @@ def isomorphism_witness(e1: WeierstrassModel, e2: WeierstrassModel, max_degree: 
     s1, t1 = _short_form(e1)
     s2, t2 = _short_form(e2)
     special = s1.a6 == 0 or s1.a4 == 0
-    degrees = (1, 2, 3, 4, 6) if special else (1, 2)
-    if max_degree is not None:
-        degrees = tuple(k for k in degrees if k <= max_degree)
-    for k in degrees:
+    for k in (1, 2, 3, 4, 6) if special else (1, 2):
         if p**k > EXT_FIELD_GUARD:
             break
         # F_p values are valid F_{p^k} values

@@ -5,8 +5,8 @@ extension modulus is the lexicographically smallest monic irreducible,
 so enumeration order and diagnostics are reproducible run to run.  An
 element of F_{p^n} is an int whose base-p digits are its coefficients;
 products, sums and inverses are lookups in log and exp tables
-(Lidl-Niederreiter, Finite Fields, 2.1) that each field builds once and
-caches.  Extensions stop at p^n <= 10^6 (EXT_FIELD_GUARD), where the
+(Lidl-Niederreiter, Finite Fields, 2.1) that each field builds for
+itself.  Extensions stop at p^n <= 10^6 (EXT_FIELD_GUARD), where the
 tables take 8 MB and about 0.6 s to build; code that enumerates a field
 bounds its size itself.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Iterator, Optional, Sequence
 
 from ._factor import factorize, is_prime
@@ -255,13 +255,18 @@ class ExtField:
             raise ValueError("degree must be positive")
         if p**n > EXT_FIELD_GUARD:
             raise ValueError(f"field too large: {p}^{n} > 10^6")
-        if modulus is not None:
+        if modulus is None:
+            modulus = find_irreducible(p, n)
+        else:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree n")
+            if not _is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.n = n
-        self.modulus, self._exp, self._log = _field_tables(p, n, modulus)
+        self.modulus = modulus
+        self._exp, self._log = _build_tables(p, n, modulus)
         self._m = p**n - 1
         self._half = 0 if p == 2 else self._m // 2  # log(-1)
 
@@ -366,10 +371,6 @@ class ExtField:
 # log/exp tables of F_{p^n}
 # ---------------------------------------------------------------------------
 
-# tables kept for the most recently used fields, up to this many elements
-# in all (8 bytes per element)
-_TABLE_CACHE_ELEMENTS = 2 * 10**6
-_table_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 # powers of g are computed this many at a time
 _BLOCK = 1 << 15
 
@@ -380,25 +381,6 @@ def _digits(v: int, p: int, n: int) -> tuple:
         v, c = divmod(v, p)
         out.append(c)
     return tuple(out)
-
-
-def _field_tables(p: int, n: int, modulus: Optional[tuple]) -> tuple:
-    """(modulus, exp, log) of F_p[x]/(modulus), where None stands for
-    find_irreducible(p, n); built on first use and cached."""
-    key = (p, n, modulus)
-    tables = _table_cache.get(key)
-    if tables is not None:
-        _table_cache.move_to_end(key)
-        return tables
-    if modulus is None:
-        modulus = find_irreducible(p, n)
-    elif not _is_irreducible(modulus, p):
-        raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-    tables = (modulus, *_build_tables(p, n, modulus))
-    _table_cache[key] = tables
-    while sum(len(t[2]) for t in _table_cache.values()) > _TABLE_CACHE_ELEMENTS:
-        _table_cache.popitem(last=False)
-    return tables
 
 
 def _primitive_element(p: int, n: int, modulus: tuple) -> int:

@@ -358,23 +358,9 @@ def brute_force_conjugator(a: IntMatrix, a2: IntMatrix, bound: int) -> Optional[
     B*a = a2*B, else None.  Independent of the word-based decision path."""
     if not (a.rows == a.cols == 2 and a2.rows == a2.cols == 2):
         raise ValueError("brute_force_conjugator expects 2x2 matrices")
-    p, q, r, s = a.entries
-    p2, q2, r2, s2 = a2.entries
-    rng = range(-bound, bound + 1)
-    for ba in rng:
-        for bb in rng:
-            for bc in rng:
-                for bd in rng:
-                    if ba * bd - bb * bc not in (1, -1):
-                        continue
-                    # B*a == a2*B, entrywise
-                    if (
-                        ba * p + bb * r == p2 * ba + q2 * bc
-                        and ba * q + bb * s == p2 * bb + q2 * bd
-                        and bc * p + bd * r == r2 * ba + s2 * bc
-                        and bc * q + bd * s == r2 * bb + s2 * bd
-                    ):
-                        return IntMatrix(2, 2, (ba, bb, bc, bd))
+    for b in unimodular_2x2(bound):
+        if b * a == a2 * b:
+            return b
     return None
 
 

@@ -17,7 +17,7 @@ from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 from ._factor import factorize, squarefree_split
-from .intmat import IntMatrix
+from .intmat import IntMatrix, cyclically_equivalent
 
 __all__ = [
     "QuadraticIrrational",
@@ -29,7 +29,12 @@ __all__ = [
     "gl2z_equivalent",
     "convergents",
     "cf_value",
+    "D_DIGITS_GUARD",
 ]
+
+# parse refuses a D of more digits before factoring it; Brent's rho on a
+# balanced semiprime took up to 0.45 s at 22 digits and 1.0 s at 23-25
+D_DIGITS_GUARD = 22
 
 # the state orbit is always finite, but can be long: a whole `cf` run that
 # reaches this cap takes 0.25 s and 24 MB on one core of a 2-vCPU VM
@@ -143,10 +148,13 @@ class QuadraticIrrational:
 
     @classmethod
     def parse(cls, text: str) -> "QuadraticIrrational":
-        """Parse "(P+sqrt(D))/Q"; P, /Q and the parentheses may be omitted."""
+        """Parse "(P+sqrt(D))/Q"; P, /Q and the parentheses may be omitted.
+        D may have at most D_DIGITS_GUARD digits, since it is factored."""
         for pattern in cls._PATTERNS:
             m = pattern.match(text.strip())
             if m:
+                if len(m.group(2).lstrip("0")) > D_DIGITS_GUARD:
+                    raise ValueError(f"guard exceeded: D has more than {D_DIGITS_GUARD} digits")
                 p = int(m.group(1)) if m.group(1) else 0
                 d = int(m.group(2))
                 q = int(m.group(3)) if m.group(3) else 1
@@ -283,10 +291,7 @@ def gl2z_equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
     determinant +-1 iff the minimal periods are cyclic shifts."""
     px = cf_expand(x).period
     py = cf_expand(y).period
-    if len(px) != len(py):
-        return False
-    doubled = px + px
-    return any(doubled[k : k + len(py)] == py for k in range(len(px)))
+    return cyclically_equivalent(px, py) is not None
 
 
 def convergents(exp: CFExpansion, count: int) -> list:

@@ -51,8 +51,9 @@ class TruncatedSeries:
     def __post_init__(self):
         if not self.coefficients:
             raise ValueError("series needs at least the constant term")
+        # a Fraction is immutable, so only other inputs are converted
         object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
+            self, "coefficients", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coefficients)
         )
 
     @classmethod

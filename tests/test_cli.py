@@ -36,6 +36,18 @@ class TestCf:
         code, _, err = run(capsys, "cf", "sqrt(9)")
         assert code == 2 and "perfect square" in err
 
+    def test_d_at_its_digit_guard(self, capsys):
+        # D = (4 10^10)^2 + 1 has 22 digits and period (2 sqrt(D - 1))
+        code, out, _ = run(capsys, "cf", "(1+sqrt(1600000000000000000001))/1")
+        assert code == 0 and json.loads(out)["period"] == [80000000000]
+
+    @pytest.mark.parametrize("d", ["16000000000000000000001", "1" + "0" * 400 + "1"])
+    def test_d_past_its_digit_guard_exit_2(self, capsys, d):
+        # refused before D is factored
+        code, out, err = run(capsys, "cf", f"(1+sqrt({d}))/1")
+        assert code == 2 and out == ""
+        assert err == "error: guard exceeded: D has more than 22 digits\n"
+
 
 class TestMatrix:
     def test_period_and_power(self, capsys):

@@ -31,7 +31,7 @@ from nclocal.elliptic import (
     trace_of_frobenius,
     transform,
 )
-from nclocal.elliptic import _affine_count
+from nclocal.elliptic import _affine_count, _bsgs, _raw_consts, _raw_mul
 from nclocal.ffield import FieldElement, PrimeField, finite_field
 
 from group_oracle import affine_points
@@ -78,6 +78,18 @@ class TestInvariants:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 1
         assert "RuntimeError: b8 consistency identity" in proc.stderr and "[0.1,0.2,0.3,0.7,1.1]" in proc.stderr
+
+    def test_short_form_check_survives_optimize_flag(self):
+        # float coefficients round, so completing the square and the cube
+        # leaves an a2 of about 1e-17
+        code = (
+            "from nclocal.elliptic import WeierstrassModel, _short_form\n"
+            "_short_form(WeierstrassModel(0.7, 0, 2, 0, 0.7))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "RuntimeError: the short form" in proc.stderr and "of [0.7,0,2,0,0.7]" in proc.stderr
 
     def test_j_requires_nonsingular(self):
         with pytest.raises(ValueError, match="singular model"):
@@ -424,6 +436,66 @@ class TestGroupStructure:
             red = reduce_mod_p(E_MINUS_X, p)
             d1, d2 = group_structure(red).invariant_factors
             assert math.gcd(d2, p - 1) % d1 == 0
+
+
+class TestBabyStepGiantStep:
+    """_bsgs against a scan of j * stride for every j in [0, span]."""
+
+    CURVES = [
+        (E_MINUS_X, 23, 1),
+        (E_MINUS_X, 5, 2),
+        (E_PLUS_1, 7, 2),
+        (WeierstrassModel.over_q(1, 0, 0, 0, 1), 2, 3),  # y^2 + xy = x^3 + 1
+    ]
+    SPANS = (0, 1, 2, 5, 17, 40)
+
+    @staticmethod
+    def brute(f, consts, stride, target, span):
+        return [j for j in range(span + 1) if _raw_mul(f, consts, stride, j) == target]
+
+    @pytest.mark.parametrize("e, p, n", CURVES)
+    def test_matches_scan_for_every_stride_and_target(self, e, p, n):
+        red = reduce_mod_p(e, p)
+        curve = red if n == 1 else model_over_ext(red, finite_field(p, n))
+        f, consts = curve.field, _raw_consts(curve)
+        points = [None] + list(affine_points(curve))
+        for stride in points:
+            for target in points:
+                for span in self.SPANS:
+                    got = list(_bsgs(f, consts, stride, target, span))
+                    assert got == self.brute(f, consts, stride, target, span), (stride, target, span)
+
+    @staticmethod
+    def cyclic24():
+        """y^2 = x^3 + 1 over F_23: a cyclic group of order 24, with
+        (22, 0) of order 2 and a generator."""
+        red = reduce_mod_p(E_PLUS_1, 23)
+        f, consts = red.field, _raw_consts(red)
+        gen = next(
+            pt for pt in affine_points(red) if all(_raw_mul(f, consts, pt, 24 // ell) for ell in (2, 3))
+        )
+        return f, consts, (22, 0), gen
+
+    def test_small_order_stride_is_periodic(self):
+        f, consts, two, _ = self.cyclic24()
+        # order 2 < w = isqrt(17) + 1 = 5: the solutions are 1 + 2k
+        assert list(_bsgs(f, consts, two, two, 17)) == list(range(1, 18, 2))
+        assert list(_bsgs(f, consts, None, None, 4)) == [0, 1, 2, 3, 4]
+
+    def test_span_below_the_baby_step_count(self):
+        f, consts, _, gen = self.cyclic24()
+        # span 1 gives w = 2: one baby step past O and one giant step
+        assert list(_bsgs(f, consts, gen, gen, 1)) == [1]
+        assert list(_bsgs(f, consts, gen, gen, 0)) == []
+
+    def test_target_at_infinity(self):
+        f, consts, _, gen = self.cyclic24()
+        assert list(_bsgs(f, consts, gen, None, 60)) == [0, 24, 48]
+
+    def test_no_solution(self):
+        f, consts, two, gen = self.cyclic24()
+        assert list(_bsgs(f, consts, two, gen, 40)) == []
+        assert list(_bsgs(f, consts, None, gen, 3)) == []
 
 
 class TestClosureIsomorphism:

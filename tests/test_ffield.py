@@ -212,12 +212,6 @@ class TestTableArithmetic:
                 assert field.mul(a, b) == a * b % 7
                 assert field.add(a, b) == (a + b) % 7
 
-    def test_tables_built_once_per_field(self):
-        first, second = finite_field(5, 3), finite_field(5, 3)
-        assert first._exp is second._exp and first._log is second._log
-        other = ExtField(3, 2, (2, 1, 1))
-        assert other._exp is not ExtField(3, 2, (1, 0, 1))._exp
-
     def test_extensions_capped_at_a_million_elements(self):
         for p, n in [(1009, 2), (101, 3), (2, 20)]:
             with pytest.raises(ValueError, match="field too large"):

@@ -138,6 +138,15 @@ class TestLemma3Bridge:
         assert rep.verdict_status == "conjugate"
         assert rep.witness.entries == (1, 0, 0, 1)
 
+    def test_unequal_trace_powers_raise(self, monkeypatch):
+        import nclocal.functor as functor
+
+        # a power map that breaks similarity: A^p of the second matrix is off
+        real = functor.mat_pow
+        monkeypatch.setattr(functor, "mat_pow", lambda m, k: real(m, k + (m.entries[1] == 1)))
+        with pytest.raises(RuntimeError, match=r"tr\(A\^5\) = 724 for period \[2, 1\], 2702 for period \[1, 2\]"):
+            lemma3_bridge([2, 1], [1, 2], 5)
+
     def test_json_round_trip(self):
         rep = lemma3_bridge([2, 1], [1, 2], 5)
         d = rep.to_json_dict()

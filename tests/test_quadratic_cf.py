@@ -79,6 +79,17 @@ class TestConstruction:
             assert QuadraticIrrational.parse(text) == expect
         assert QuadraticIrrational.parse(str(PHI)) == PHI
 
+    def test_parse_guards_the_digits_of_d_only(self):
+        edge = "9" * quadratic_cf.D_DIGITS_GUARD
+        assert QuadraticIrrational.parse(f"sqrt(000{edge})").D == int(edge)
+        with pytest.raises(ValueError, match="guard exceeded"):
+            QuadraticIrrational.parse(f"sqrt(1{edge})")
+        # construction from integers is not guarded: cf_value builds D of
+        # continuant size
+        assert QuadraticIrrational(0, 10**22 + 1, 1).D == 10**22 + 1
+        x = cf_value(CFExpansion((), (10**12, 3)))
+        assert len(str(x.D)) == 25 and cf_expand(x).period == (10**12, 3)
+
     def test_parse_rejects_garbage(self):
         for bad in ["", "sqrt(x)", "1+2", "(1+sqrt(5)/2"]:
             with pytest.raises(ValueError):

@@ -35,6 +35,14 @@ def geometric(ratio, order):
 
 
 class TestSeriesArithmetic:
+    def test_coefficients_become_fractions_once(self):
+        half = Fraction(1, 2)
+        s = TruncatedSeries((1, half, "3/4", 0.5))
+        assert s.coefficients == (1, half, Fraction(3, 4), half)
+        assert all(type(c) is Fraction for c in s.coefficients)
+        # a Fraction is kept, not copied
+        assert s.coefficients[1] is half
+
     def test_exp_of_zero(self):
         z = TruncatedSeries.zero(4)
         assert series_exp(z) == TruncatedSeries.one(4)
