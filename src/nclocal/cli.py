@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands mirror the library pipeline: cf, matrix, k0, curve,
-localize, zeta, theorem1, catalog.  Output is JSON (default) or CSV.
-Exit codes: 0 on full pass, 1 when any verdict fails (a good-prime
-series mismatch or a failed transform trial), 2 on input error.
+localize, zeta, theorem1, catalog.  Output is JSON (default) or CSV; the
+JSON is the text of json.dumps(payload, indent=2).  Stdout is written
+only after the whole document is rendered, so a failure never leaves
+part of one.  Exit codes: 0 on full pass, 1 when any verdict fails (a
+good-prime series mismatch or a failed transform trial), 2 on input
+error, 141 (128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 from math import log10, sqrt
 from typing import Optional, Sequence
 
@@ -43,6 +48,8 @@ K0_SIZE_GUARD = 120
 K0_DIGITS_GUARD = 400
 # most digits of an entry of matrix --pow: Python's int-to-str limit
 POW_DIGITS_GUARD = 4300
+# elements of an all-int JSON list rendered per str.join call
+_JOIN_SLICE = 8192
 
 
 def _parse_period(text: str) -> list:
@@ -231,6 +238,53 @@ def _cmd_catalog(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _render_json(o, pieces: list, indent: str = "\n") -> None:
+    """Append the text of json.dumps(o, indent=2) to pieces, a few
+    strings at a time.
+
+    Containers recurse, and strings and ints are encoded directly; any
+    other scalar goes through json.dumps.  A list of plain ints, such as a
+    continued-fraction period, is joined in slices of _JOIN_SLICE.
+    `indent` is the newline and indentation of the enclosing level.
+    """
+    if type(o) is int:
+        pieces.append(int.__repr__(o))
+    elif isinstance(o, str):
+        pieces.append(encode_basestring_ascii(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            pieces.append("[]")
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        pieces.append("[" + inner)
+        if all(type(v) is int for v in o):
+            for i in range(0, len(o), _JOIN_SLICE):
+                if i:
+                    pieces.append(sep)
+                pieces.append(sep.join(map(int.__repr__, o[i : i + _JOIN_SLICE])))
+        else:
+            for i, v in enumerate(o):
+                if i:
+                    pieces.append(sep)
+                _render_json(v, pieces, inner)
+        pieces.append(indent + "]")
+    elif isinstance(o, dict):
+        if not o:
+            pieces.append("{}")
+            return
+        inner = indent + "  "
+        pieces.append("{" + inner)
+        for i, (k, v) in enumerate(o.items()):
+            if i:
+                pieces.append("," + inner)
+            pieces.append(encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": ")
+            _render_json(v, pieces, inner)
+        pieces.append(indent + "}")
+    else:
+        pieces.append(json.dumps(o))
+
+
 def _render_csv(payload) -> str:
     rows = payload if isinstance(payload, list) else [payload]
     buf = io.StringIO()
@@ -324,13 +378,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, failed = args.func(args)
+        if args.format == "json":
+            pieces: list = []
+            _render_json(payload, pieces)
+        else:
+            pieces = [_render_csv(payload)]
+        pieces.append("\n")
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(_render_csv(payload))
+    try:
+        # the stdout of the moment: a caller may have redirected it
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # the closed pipe raises no second time (see the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 1 if failed else 0
 
 

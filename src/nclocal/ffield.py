@@ -126,7 +126,7 @@ def find_irreducible(p: int, n: int) -> tuple:
         f = _digits(val, p, n) + (1,)
         if _is_irreducible(f, p):
             return f
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise RuntimeError(f"no monic irreducible of degree {n} over F_{p}")  # unreachable
 
 
 # ---------------------------------------------------------------------------

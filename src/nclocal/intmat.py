@@ -366,9 +366,11 @@ def brute_force_conjugator(a: IntMatrix, a2: IntMatrix, bound: int) -> Optional[
 
 def _verified_conjugate(b: IntMatrix, a: IntMatrix, a2: IntMatrix) -> ConjugacyVerdict:
     if b.det() not in (1, -1):
-        raise AssertionError("witness is not unimodular")
+        raise RuntimeError(f"conjugacy witness B = {b.to_rows()} has det {b.det()}, not +-1")
     if b * a != a2 * b:
-        raise AssertionError("witness fails B*A = A'*B")
+        raise RuntimeError(
+            f"conjugacy witness B = {b.to_rows()} fails B*A = A'*B for A = {a.to_rows()}, A' = {a2.to_rows()}"
+        )
     return ConjugacyVerdict(status="conjugate", witness=b)
 
 

@@ -37,8 +37,10 @@ __all__ = [
 D_DIGITS_GUARD = 22
 
 # the state orbit is always finite, but can be long: a whole `cf` run that
-# reaches this cap takes 0.25 s and 24 MB on one core of a 2-vCPU VM
+# reaches this cap takes 0.30-0.42 s and 24 MB on one core of a 2-vCPU VM
 _MAX_CF_STATES = 10**6
+# digits per str.join call when an expansion is printed
+_JOIN_SLICE = 8192
 
 
 def _lcm(*vals: int) -> int:
@@ -162,6 +164,12 @@ class QuadraticIrrational:
         raise ValueError(f"cannot parse quadratic irrational {text!r}")
 
 
+def _join_digits(digits: Sequence[int]) -> str:
+    return ", ".join(
+        ", ".join(map(str, digits[i : i + _JOIN_SLICE])) for i in range(0, len(digits), _JOIN_SLICE)
+    )
+
+
 def _floor_quadratic(p: int, s: int, q: int) -> int:
     # exact floor of (p + sqrt(d))/q for s = isqrt(d); sqrt(d) irrational
     if q > 0:
@@ -205,12 +213,14 @@ class CFExpansion:
             yield from self.period
 
     def __str__(self) -> str:
-        per = "(" + ", ".join(str(a) for a in self.period) + ")"
+        """"[a0; a1, ..., (b1, ..., bm)]", or "[(b1, ..., bm)]" when purely
+        periodic.  Digits are joined in slices of _JOIN_SLICE, so that a long
+        period never holds one string object per digit at once."""
+        per = "(" + _join_digits(self.period) + ")"
         if not self.preperiod:
             return f"[{per}]"
-        head = str(self.preperiod[0])
-        rest = [str(a) for a in self.preperiod[1:]] + [per]
-        return f"[{head}; " + ", ".join(rest) + "]"
+        rest = _join_digits(self.preperiod[1:])
+        return f"[{self.preperiod[0]}; " + (f"{rest}, {per}]" if rest else f"{per}]")
 
 
 def _reduced(p: int, q: int, s: int) -> bool:
@@ -225,7 +235,10 @@ def cf_expand(x: QuadraticIrrational) -> CFExpansion:
     By Galois's theorem a complete quotient is purely periodic iff it is
     reduced, so the preperiod ends at the first reduced state and the
     period runs until that state returns.  A state determines the value,
-    so both are minimal.
+    so both are minimal.  In the period, Q_{k+1} = Q_{k-1} + a_k (P_k -
+    P_{k+1}) replaces the division (D - P_{k+1}^2) / Q_k.  An expansion of
+    more than _MAX_CF_STATES states, preperiod and period together, is
+    refused with ValueError.
     """
     d = x.D
     s = isqrt(d)
@@ -240,16 +253,19 @@ def cf_expand(x: QuadraticIrrational) -> CFExpansion:
             raise ValueError("guard exceeded: continued fraction has more than 10^6 states")
     k = len(digits)
     p0, q0 = p, q
-    while True:
+    # Q_{k-1} Q_k = D - P_k^2 holds at every state, the first one included
+    q_prev = (d - p * p) // q
+    append = digits.append
+    for _ in range(_MAX_CF_STATES - k):
         # reduced states stay reduced, so q > 0 from here on
         a = (p + s) // q
-        digits.append(a)
-        p = a * q - p
-        q = (d - p * p) // q
-        if len(digits) > _MAX_CF_STATES:
-            raise ValueError("guard exceeded: continued fraction has more than 10^6 states")
+        append(a)
+        p_next = a * q - p
+        q_prev, q = q, q_prev + a * (p - p_next)
+        p = p_next
         if p == p0 and q == q0:
             return CFExpansion(tuple(digits[:k]), tuple(digits[k:]))
+    raise ValueError("guard exceeded: continued fraction has more than 10^6 states")
 
 
 def is_reduced(x: QuadraticIrrational) -> bool:

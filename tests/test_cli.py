@@ -1,10 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nclocal.cli import main
+from nclocal import cli
+from nclocal.cli import _cmd_cf, _render_json, main
 
 from intmat_oracle import ck_family
 
@@ -344,3 +352,77 @@ class TestGoldens:
         code, out, err = run(capsys, *command.split()[1:])
         assert code == int(exit_code or 0) and err == ""
         assert out == expected
+
+
+def render(value) -> str:
+    pieces: list = []
+    _render_json(value, pieces)
+    return "".join(pieces)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", '"\\/', "\ud800"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.lists(st.integers(), max_size=6)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestRenderJson:
+    """The renderer gives the bytes of json.dumps(payload, indent=2)."""
+
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert render(value) == json.dumps(value, indent=2)
+
+    def test_int_lists_across_the_join_slices(self):
+        for n in (0, 1, 8191, 8192, 8193, 2 * 8192 + 5):
+            value = {"n": n, "ints": [(-1) ** i * i * 10**18 for i in range(n)], "bools": [True, 1, False]}
+            assert render(value) == json.dumps(value, indent=2)
+
+    def test_tuples_and_non_string_keys_render_like_json(self):
+        value = {1: (1, 2), 2.5: ((), [()]), None: {True: (None, "x")}, False: [1.5, -0.0, 10**30]}
+        assert render(value) == json.dumps(value, indent=2)
+
+    def test_rendering_error_leaves_stdout_empty(self, capsys, monkeypatch):
+        # an int past Python's int-to-str limit fails late in the document
+        monkeypatch.setattr(cli, "_cmd_cf", lambda args: ({"period": list(range(9000)), "big": 10**5000}, False))
+        code, out, err = run(capsys, "cf", "sqrt(2)")
+        assert code == 2 and out == "" and err.startswith("error: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize("d", [10000000391, 100000000487, 1000000000039])
+    def test_cf_payloads_of_the_benchmark_pools(self, d):
+        value = f"(1+sqrt({d}))/1"
+        payload, _ = _cmd_cf(argparse.Namespace(value=value))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["cf", value])
+        assert code == 0 and out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_141_without_a_traceback(self):
+        # about 200 kB of output, past any pipe buffer
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nclocal.cli", "cf", "sqrt(1000000123)"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert head.startswith(b'{\n  "input": ') and err == b""

@@ -23,10 +23,20 @@ def test_exported_names_exist(name):
     assert missing == []
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statement_in_the_library():
-    # python -O strips assert statements, so identity checks must raise
+    # python -O strips assert statements, so identity checks must raise,
+    # and they raise RuntimeError, not a bare AssertionError
     found = []
     for path in sorted(Path(nclocal.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and node.exc and _raises_assertion_error(node))
+        ]
     assert found == []

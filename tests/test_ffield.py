@@ -6,6 +6,7 @@ from array import array
 
 import pytest
 
+from nclocal import ffield
 from nclocal.ffield import (
     ExtField,
     FieldElement,
@@ -245,6 +246,11 @@ class TestIdentityChecks:
             except RuntimeError as err:
                 raised.append(str(err))
         assert raised and all("outside the prime field" in msg for msg in raised)
+
+    def test_find_irreducible_without_a_candidate_names_p_and_n(self, monkeypatch):
+        monkeypatch.setattr(ffield, "_is_irreducible", lambda f, p: False)
+        with pytest.raises(RuntimeError, match=r"no monic irreducible of degree 3 over F_5"):
+            find_irreducible(5, 3)
 
     def test_checks_survive_optimize_flag(self):
         code = (

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nclocal.intmat import (
     IntMatrix,
+    _verified_conjugate,
     brute_force_conjugator,
     conjugacy_test,
     cyclically_equivalent,
@@ -320,6 +321,15 @@ class TestConjugacy:
                     assert found is None  # same bound, same exhaustive search
                 checked += 1
         assert checked > 200
+
+    def test_broken_witness_raises_naming_the_matrices(self):
+        a, a2 = M([[2, 1], [1, 1]]), M([[1, 1], [1, 2]])
+        with pytest.raises(RuntimeError, match=r"witness B = \[\[2, 0\], \[0, 1\]\] has det 2, not \+-1"):
+            _verified_conjugate(M([[2, 0], [0, 1]]), a, a2)
+        message = r"witness B = \[\[1, 0\], \[0, 1\]\] fails B\*A = A'\*B for A = \[\[2, 1\], \[1, 1\]\], A' = \[\[1, 1\], \[1, 2\]\]"
+        with pytest.raises(RuntimeError, match=message):
+            _verified_conjugate(identity(2), a, a2)
+        assert _verified_conjugate(M([[0, 1], [1, 0]]), a, a2).is_conjugate
 
 
 class TestUnimodularEnumeration:

@@ -119,6 +119,16 @@ class TestExpand:
         assert str(cf_expand(PHI)) == "[(1)]"
         assert str(cf_expand(SQRT2)) == "[1; (2)]"
 
+    def test_display_of_long_periods_across_the_join_slices(self):
+        # the display joins digits in slices; it must read as one plain join
+        for m in (8191, 8192, 8193, 3 * 8192 + 1):
+            period = (1,) * (m - 1) + (2,)
+            assert str(CFExpansion((), period)) == "[(" + ", ".join(map(str, period)) + ")]"
+            pre = (-3,) + (7,) * m
+            text = "[-3; " + ", ".join(map(str, pre[1:] + ("(" + ", ".join(map(str, period)) + ")",))) + "]"
+            assert str(CFExpansion(pre, period)) == text
+        assert str(CFExpansion((5,), (1, 2))) == "[5; (1, 2)]"
+
     def test_cf_value_round_trip_family(self):
         for x in small_family():
             assert cf_value(cf_expand(x)) == x
@@ -150,6 +160,25 @@ class TestExpand:
         for cap in (8, 2):
             monkeypatch.setattr(quadratic_cf, "_MAX_CF_STATES", cap)
             with pytest.raises(ValueError, match=r"guard exceeded: continued fraction has more than 10\^6 states"):
+                cf_expand(x)
+
+    def test_state_cap_purely_periodic(self, monkeypatch):
+        # (7+sqrt(61))/3 is reduced: no preperiod and 11 period states
+        x = QuadraticIrrational(7, 61, 3)
+        monkeypatch.setattr(quadratic_cf, "_MAX_CF_STATES", 11)
+        assert cf_expand(x) == CFExpansion((), (4, 1, 14, 1, 4, 3, 1, 2, 2, 1, 3))
+        for cap in (10, 1, 0):
+            monkeypatch.setattr(quadratic_cf, "_MAX_CF_STATES", cap)
+            with pytest.raises(ValueError, match="guard exceeded"):
+                cf_expand(x)
+
+    def test_state_cap_inside_the_preperiod(self, monkeypatch):
+        # 3 preperiod states: a cap of 3 stops at the first period state,
+        # and smaller caps stop in the preperiod itself
+        x = QuadraticIrrational(-7, 19, 30)
+        for cap in (3, 1, 0):
+            monkeypatch.setattr(quadratic_cf, "_MAX_CF_STATES", cap)
+            with pytest.raises(ValueError, match="guard exceeded"):
                 cf_expand(x)
 
 
