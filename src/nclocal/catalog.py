@@ -13,26 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .elliptic import WeierstrassModel, j_invariant
+from .elliptic import CM_J_INVARIANTS, WeierstrassModel, j_invariant
 
 __all__ = ["CatalogEntry", "load_catalog", "CM_J_INVARIANTS"]
-
-# j-invariants of the class-number-one CM orders, keyed by discriminant
-CM_J_INVARIANTS = {
-    -3: 0,
-    -4: 1728,
-    -7: -3375,
-    -8: 8000,
-    -11: -32768,
-    -12: 54000,
-    -16: 287496,
-    -19: -884736,
-    -27: -12288000,
-    -28: 16581375,
-    -43: -884736000,
-    -67: -147197952000,
-    -163: -262537412640768000,
-}
 
 _BUILTIN = [
     {"label": "cm-3", "coefficients": [0, 0, 0, 0, 1], "cm_discriminant": -3, "notes": "y^2 = x^3 + 1, j = 0"},

@@ -35,12 +35,15 @@ from .intmat import IntMatrix, mat_pow
 from .quadratic_cf import QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
 from .zeta import DEFAULT_ORDER, lemma1_check, local_data
 
-# integers in a --primes range; the 362 primes just below AP_GUARD take
-# 7-11 s at either order, almost all of it a_p, on one core of a 2-vCPU VM
+# integers in a --primes range, on one core of a 2-vCPU VM: the 337 primes
+# just below AP_GUARD take 8.2-9.8 s at the default order on a curve
+# without CM (y^2 = x^3 + x + 1), almost all of it a_p by baby-step
+# giant-step, and 0.4-0.65 s on the catalog curves
 PRIMES_SPAN_GUARD = 10**4
-# largest series order of zeta; --primes 2..10001 at order 12 takes 1.3-1.6 s
+# largest series order of zeta; --primes 2..10001 at order 12 takes 0.95-1.15 s
 ORDER_GUARD = 12
-# most theorem1 trials; 100 at p = 999999999989 take 3.3 s
+# most theorem1 trials; 100 at p = 999999999989 take 2.8-4.6 s on
+# y^2 = x^3 + x + 1, without CM, and 0.34-0.36 s on y^2 = x^3 - x
 TRIALS_GUARD = 100
 # largest k0 matrix, and most digits of the Hadamard bound on
 # |det(I - A^t)|; dense 120 x 120 matrices near the digit edge take 5.5-7 s

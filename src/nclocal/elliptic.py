@@ -6,14 +6,19 @@ Models live either over Q (exact Fraction coefficients) or over a finite
 field (FieldElement coefficients).  No minimal-model search happens
 anywhere: the classifier sees exactly the model it is given, and callers
 supply p-integral equations.  The reduction type comes from the
-discriminant, c4 and a square test of -c6, with no point scan at odd p.
-a_p comes from Shanks-Mestre baby-step giant-step above p = 229 and from
-a brute-force count below it; the brute-force counter stays as the
-oracle that tests the fast path.  All derived counts go through the
-trace recurrence, from a LocalData record.  Brute-force counts and the
-points that group_structure draws share one fibre solver over F_p and
-F_{p^n}: at each x the equation reads y^2 + b*y = c, and the group
-structure needs one root of it at a few x, not every point.
+discriminant, c4 and a square test of -c6, with no point scan at odd p;
+over F_p these invariants are read as ints from the raw coefficients.
+At p >= 5, a curve whose j is a class-number-one CM j mod p gets a_p
+from the norm equation: Cornacchia's algorithm gives Frobenius up to a
+unit, and a few points pick the unit.  Any other j, and the few tied
+cases, get a_p from Shanks-Mestre baby-step giant-step above p = 229 and
+from a brute-force count below it.  The brute-force counter is the
+oracle for both fast paths, and baby-step giant-step the oracle for the
+CM one.  All derived counts go through the trace recurrence, from a
+LocalData record.  Brute-force counts and the points that
+group_structure draws share one fibre solver over F_p and F_{p^n}: at
+each x the equation reads y^2 + b*y = c, and the group structure needs
+one root of it at a few x, not every point.
 """
 
 from __future__ import annotations
@@ -53,19 +58,44 @@ __all__ = [
     "model_over_ext",
     "AP_GUARD",
     "COUNT_GUARD",
+    "CM_J_INVARIANTS",
 ]
 
 # measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11
-AP_GUARD = 10**12  # a_p by baby-step giant-step: 0.04 s per prime just below
+# a_p just below: 0.4 ms per prime on average and 2 ms at most from the
+# norm equation (the thirteen catalog curves, 25 primes each), up to
+# 0.04 s by baby-step giant-step for any other j
+AP_GUARD = 10**12
 # brute-force count over F_{p^n}: 3.4 s at p = 999983, 4.9 s at 997^2
-# (the oracle; the CLI counts for a_p only at p <= MESTRE_BOUND, and once
-# at a bad prime in `curve`)
+# (the oracle; the CLI counts for a_p only at p <= MESTRE_BOUND when the
+# CM path does not apply, and once at a bad prime in `curve`)
 COUNT_GUARD = 10**6
 # Mestre: for p > 229, E or its quadratic twist has a point whose order
 # has a single multiple in the Hasse interval (Schoof, JTNB 7 (1995),
 # section 3), so baby-step giant-step always ends with one #E; below it
-# a_p comes from count_points, at most 229 steps
+# a_p comes from count_points, at most 229 steps.  Either one runs only
+# for a j that is no CM j mod p, or when the CM candidates stay tied
 MESTRE_BOUND = 229
+
+# the thirteen class-number-one CM orders: discriminant D -> (j, d_K), with
+# d_K the fundamental discriminant of the CM field and D = f^2 d_K
+_CM_ORDERS = {
+    -3: (0, -3),
+    -4: (1728, -4),
+    -7: (-3375, -7),
+    -8: (8000, -8),
+    -11: (-32768, -11),
+    -12: (54000, -3),
+    -16: (287496, -4),
+    -19: (-884736, -19),
+    -27: (-12288000, -3),
+    -28: (16581375, -7),
+    -43: (-884736000, -43),
+    -67: (-147197952000, -67),
+    -163: (-262537412640768000, -163),
+}
+# j-invariants of the class-number-one CM orders, keyed by discriminant
+CM_J_INVARIANTS = {d: j for d, (j, _) in _CM_ORDERS.items()}
 
 
 class ReductionError(ValueError):
@@ -139,9 +169,9 @@ class WInvariants:
     disc: object
 
 
-def invariants(e: WeierstrassModel) -> WInvariants:
-    """Standard quantities b2, b4, b6, b8, c4, c6 and the discriminant."""
-    a1, a2, a3, a4, a6 = e.coefficients
+def _invariant_polys(a1, a2, a3, a4, a6) -> tuple:
+    """(b2, b4, b6, b8, c4, c6, disc) as polynomials in the coefficients,
+    evaluated in whatever ring they live in."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -149,9 +179,23 @@ def invariants(e: WeierstrassModel) -> WInvariants:
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
     disc = -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    if 4 * b8 != b2 * b6 - b4 * b4:
+    return b2, b4, b6, b8, c4, c6, disc
+
+
+def invariants(e: WeierstrassModel) -> WInvariants:
+    """Standard quantities b2, b4, b6, b8, c4, c6 and the discriminant."""
+    inv = WInvariants(*_invariant_polys(*e.coefficients))
+    if 4 * inv.b8 != inv.b2 * inv.b6 - inv.b4 * inv.b4:
         raise RuntimeError(f"b8 consistency identity 4*b8 = b2*b6 - b4^2 fails for the model {e}")
-    return WInvariants(b2, b4, b6, b8, c4, c6, disc)
+    return inv
+
+
+def _invariants_mod_p(e: WeierstrassModel) -> tuple:
+    """(c4, c6, disc) of a model over F_p as ints in [0, p): the invariant
+    polynomials over Z at the raw coefficients, reduced once."""
+    p = e.field.p
+    _, _, _, _, c4, c6, disc = _invariant_polys(*_raw_consts(e))
+    return c4 % p, c6 % p, disc % p
 
 
 def j_invariant(e: WeierstrassModel):
@@ -279,10 +323,10 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
     """
     if not isinstance(e.field, PrimeField):
         raise ValueError("classification needs a model over F_p")
-    inv = invariants(e)
-    if inv.disc != 0:
+    c4, c6, disc = _invariants_mod_p(e)
+    if disc:
         return ReductionType(ReductionKind.GOOD)
-    if inv.c4 == 0:
+    if not c4:
         return ReductionType(ReductionKind.ADDITIVE, 0)
     if e.field.p == 2:
         # the affine points but the singular one, plus infinity
@@ -290,7 +334,7 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
         if alpha not in (1, -1):
             raise RuntimeError(f"a node of {e} over F_2 gives alpha={alpha}, not +-1")
     else:
-        alpha = 1 if is_square(e.field, (-inv.c6).val) else -1
+        alpha = 1 if is_square(e.field, -c6 % e.field.p) else -1
     kind = ReductionKind.SPLIT_MULTIPLICATIVE if alpha == 1 else ReductionKind.NONSPLIT_MULTIPLICATIVE
     return ReductionType(kind, alpha)
 
@@ -342,8 +386,9 @@ def _affine_count(e: WeierstrassModel, n: int) -> int:
 def count_points(e: WeierstrassModel, n: int = 1) -> int:
     """#E(F_{p^n}) including the point at infinity, by brute force.
 
-    The oracle for the baby-step giant-step a_p; trace_of_frobenius
-    counts this way only at p <= MESTRE_BOUND.
+    The oracle for the CM and baby-step giant-step a_p; trace_of_frobenius
+    counts this way only at p <= MESTRE_BOUND, for a j that is no CM j
+    mod p or candidates that stay tied, and always at p = 2, 3.
     """
     if is_singular(e):
         raise ValueError("singular model (use count_nonsingular)")
@@ -360,13 +405,19 @@ def count_nonsingular(e: WeierstrassModel, n: int = 1) -> int:
 
 
 def trace_of_frobenius(e: WeierstrassModel) -> int:
-    """a_p = p + 1 - #E(F_p): baby-step giant-step for p > MESTRE_BOUND,
-    a brute-force count below; the Hasse bound is checked."""
+    """a_p = p + 1 - #E(F_p); the Hasse bound is checked.
+
+    At p >= 5 a j-invariant that is a class-number-one CM j mod p gives
+    a_p from the norm equation (_cm_trace).  Otherwise, or when the
+    points leave its candidates tied, a_p comes from baby-step giant-step
+    for p > MESTRE_BOUND and from a brute-force count below.
+    """
     p = e.field.p
     if p > AP_GUARD:
         raise ValueError("guard exceeded: p > 10^12")
-    n = count_points(e, 1) if p <= MESTRE_BOUND else _order_by_bsgs(e)
-    ap = p + 1 - n
+    ap = _cm_trace(e) if p >= 5 else None
+    if ap is None:
+        ap = p + 1 - (count_points(e, 1) if p <= MESTRE_BOUND else _order_by_bsgs(e))
     if ap * ap > 4 * p:
         raise RuntimeError(f"count bug: |a_p|={abs(ap)} violates the Hasse bound at p={p}")
     return ap
@@ -641,6 +692,82 @@ def group_structure(e: WeierstrassModel, n: int = 1, order: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
+# a_p of CM curves from the norm equation
+# ---------------------------------------------------------------------------
+
+
+def _cornacchia(field: PrimeField, d: int) -> tuple:
+    """(t, w), t, w >= 0, with t^2 + |d| w^2 = 4p for a discriminant d < 0
+    in which the odd prime p splits into principal ideals (Cohen, GTM 138,
+    Alg. 1.5.3): Euclid on (2p, sqrt(d) mod p) stops below 2 sqrt(p)."""
+    p = field.p
+    x = field.sqrt(d)
+    if x is None:
+        raise ValueError(f"{d} is not a square mod {p}")
+    if (x - d) % 2:
+        x = p - x
+    a, b, bound = 2 * p, x, isqrt(4 * p)
+    while b > bound:
+        a, b = b, a % b
+    w2, rest = divmod(4 * p - b * b, -d)
+    w = isqrt(w2)
+    if rest or w * w != w2:
+        raise RuntimeError(f"no solution of t^2 + {-d} w^2 = 4*{p}, though {p} splits")
+    return b, w
+
+
+def _cm_trace(e: WeierstrassModel) -> Optional[int]:
+    """a_p of a nonsingular model over F_p, p >= 5, whose j is a
+    class-number-one CM j mod p, or None when it is not one or the points
+    leave the candidates tied.
+
+    By Deuring's reduction theorem a curve with such a j is supersingular,
+    so a_p = 0, when p does not split in the CM field K; otherwise
+    Frobenius is an element of norm p in O_K, whether or not the curve
+    came from one with CM over Q.  So a_p = t up to a unit, with
+    4p = t^2 + |d_K| w^2 (_cornacchia): the candidates are +-t, and +-2w
+    when d_K = -4 or +-(t +- 3w)/2 when d_K = -3 (the quartic and sextic
+    twists).  The true a_p is the c for which p + 1 - c kills the points
+    drawn, [p+1]P = [c]P; the first few points of _points decide it.
+    """
+    field = e.field
+    p = field.p
+    c4, _, disc = _invariants_mod_p(e)
+    if not disc:
+        raise ValueError("singular model (use count_nonsingular)")
+    j = c4 * c4 * c4 * pow(disc, -1, p) % p
+    # two CM j's that meet mod p with different fields leave p split in
+    # neither (an ordinary curve has one CM field), so any match serves
+    d_k = next((d for j0, d in _CM_ORDERS.values() if j0 % p == j), None)
+    if d_k is None:
+        return None
+    if pow(d_k, (p - 1) // 2, p) != 1:
+        return 0
+    t, w = _cornacchia(field, d_k)
+    base = [t]
+    if d_k == -4:
+        base.append(2 * w)
+    elif d_k == -3:
+        base += [(t + 3 * w) // 2, (t - 3 * w) // 2]
+    live = set(base) | {-c for c in base}
+    consts = _raw_consts(e)
+    for pt in islice(_points(e), 8):
+        target = _raw_mul(field, consts, pt, p + 1)
+        for c in base:
+            if c in live or -c in live:
+                cp = _raw_mul(field, consts, pt, c)
+                if cp != target:
+                    live.discard(c)
+                if _raw_neg(field, consts, cp) != target:
+                    live.discard(-c)
+        if len(live) <= 1:
+            break
+    if not live:
+        raise RuntimeError(f"no CM trace candidate of {e} over F_{p} kills the points drawn")
+    return live.pop() if len(live) == 1 else None
+
+
+# ---------------------------------------------------------------------------
 # a_p by baby-step giant-step
 # ---------------------------------------------------------------------------
 
@@ -696,10 +823,10 @@ def _order_by_bsgs(e: WeierstrassModel) -> int:
     """
     field = e.field
     p = field.p
-    inv = invariants(e)
-    if inv.disc == 0:
+    c4, c6, disc = _invariants_mod_p(e)
+    if not disc:
         raise ValueError("singular model (use count_nonsingular)")
-    a, b = -27 * inv.c4.val % p, -54 * inv.c6.val % p
+    a, b = -27 * c4 % p, -54 * c6 % p
     width = isqrt(4 * p)
     lo, hi = p + 1 - width, p + 1 + width
     lcm_e, lcm_twist = 1, 1

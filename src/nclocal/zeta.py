@@ -149,10 +149,10 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def _exp_counts(counts: Sequence[int], order: int) -> TruncatedSeries:
-    """exp(sum c_n z^n / n) for integers c_n, in integers: E_n = n! e_n turns
-    series_exp's n e_n = sum_i c_i e_{n-i} into E_n = sum_i c_i E_{n-i}
-    (n-1)!/(n-i)!, and coefficient n is Fraction(E_n, n!)."""
+def _exp_scaled(counts: Sequence[int], order: int) -> list:
+    """[E_0, ..., E_order] with E_n = n! e_n for exp(sum c_n z^n / n) =
+    sum e_n z^n, c_n integers: E_n = n! e_n turns series_exp's
+    n e_n = sum_i c_i e_{n-i} into E_n = sum_i c_i E_{n-i} (n-1)!/(n-i)!."""
     cs = list(counts[:order]) + [0] * order
     scaled = [1]
     for n in range(1, order + 1):
@@ -161,7 +161,18 @@ def _exp_counts(counts: Sequence[int], order: int) -> TruncatedSeries:
             acc += cs[i - 1] * scaled[n - i] * falling
             falling *= n - i
         scaled.append(acc)
+    return scaled
+
+
+def _series_of_scaled(scaled: list) -> TruncatedSeries:
+    """The series whose coefficient n is Fraction(E_n, n!)."""
     return TruncatedSeries(tuple(Fraction(e, factorial(n)) for n, e in enumerate(scaled)))
+
+
+def _exp_counts(counts: Sequence[int], order: int) -> TruncatedSeries:
+    """exp(sum c_n z^n / n) for integers c_n, in integers (_exp_scaled),
+    with one Fraction per coefficient."""
+    return _series_of_scaled(_exp_scaled(counts, order))
 
 
 def local_data(e: WeierstrassModel, p: int) -> LocalData:
@@ -191,15 +202,20 @@ def curve_local_zeta(e: WeierstrassModel, p: int, order: int = DEFAULT_ORDER) ->
 
 def _curve_series(local: LocalData, order: int) -> TruncatedSeries:
     """The curve_local_zeta series from already computed local data."""
-    ser = _exp_counts(local.point_counts(order), order)
+    scaled = _exp_scaled(local.point_counts(order), order)
     if local.reduction.is_good:
         p = local.p
-        # times (1 - z)(1 - pz), a unit of Q[[z]], ser must give the numerator
+        # times (1 - z)(1 - pz), a unit of Q[[z]], the series must give the
+        # numerator; on E_n = n! e_n coefficient n of the product reads
+        # E_n - (p+1) n E_{n-1} + p n(n-1) E_{n-2} = numerator_n n!
         numerator = euler_factor_polynomial(local.a_p, p) + [0] * order
-        c = (0, 0) + ser.coefficients
-        if any(c[n + 2] - (p + 1) * c[n + 1] + p * c[n] != numerator[n] for n in range(order + 1)):
+        big = [0, 0] + scaled
+        if any(
+            big[n + 2] - (p + 1) * n * big[n + 1] + p * n * (n - 1) * big[n] != numerator[n] * factorial(n)
+            for n in range(order + 1)
+        ):
             raise RuntimeError(f"exp-sum and rational form disagree at p={p}, a_p={local.a_p}")
-    return ser
+    return _series_of_scaled(scaled)
 
 
 def torus_local_zeta(

@@ -1,0 +1,83 @@
+"""Compare the CLI output of two checkouts on the benchmark's jobs.
+
+    python tests/compare_outputs.py PARENT CHANGE --seeds 301..310
+
+Builds every batch and edge job of the four workloads at each seed with
+bench/workloads.py of the checkout that holds this script (read only),
+runs each job as `python -m nclocal.cli` from PARENT/src and from
+CHANGE/src in the benchmark's environment, and prints every job whose
+exit code, stdout or stderr differ.  Exits 1 when any job differs.
+
+A manual tool, not a test: at ten seeds it runs 280 jobs on each
+side, one at a time, and takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import sys
+
+sys.dont_write_bytecode = True  # leave nothing behind in bench/
+
+import argparse  # noqa: E402
+import os  # noqa: E402
+import subprocess  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+FIELDS = ("exit code", "stdout", "stderr")
+
+
+def parse_seeds(text: str) -> list:
+    """Seeds of "lo..hi" or "a,b,...". """
+    lo, sep, hi = text.partition("..")
+    if sep:
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def run_job(checkout: Path, args: tuple) -> tuple:
+    """(exit code, stdout, stderr) of one job, with the checkout's path
+    masked so that tracebacks of the two sides compare equal.  No timeout:
+    the CLI's own guards bound every benchmark job."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "nclocal.cli", *args], capture_output=True, env=env, cwd=cwd)
+    mask = str(checkout).encode()
+    out, err = (s.replace(mask, b"<checkout>") for s in (proc.stdout, proc.stderr))
+    return proc.returncode, out, err
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout whose output is the reference")
+    parser.add_argument("change", type=Path, help="checkout to compare with it")
+    parser.add_argument("--seeds", default="301..310", help='"lo..hi" or "a,b,..."')
+    args = parser.parse_args(argv)
+    sides = [args.parent.resolve(), args.change.resolve()]
+    for side in sides:
+        if not (side / "src" / "nclocal" / "cli.py").is_file():
+            parser.error(f"{side} is not an nclocal checkout")
+
+    total, differ = 0, 0
+    for name in workloads.WORKLOADS:
+        for seed in parse_seeds(args.seeds):
+            workload = workloads.build(name, seed)
+            for kind, jobs in (("batch", workload.batch), ("edge", workload.edges)):
+                for job in jobs:
+                    parent, change = (run_job(side, job.args) for side in sides)
+                    total += 1
+                    diff = [f for f, a, b in zip(FIELDS, parent, change) if a != b]
+                    if diff:
+                        differ += 1
+                        text = str(job)
+                        print(f"DIFFERS ({', '.join(diff)}): {name} seed {seed} {kind}: {text[:200]}", flush=True)
+    print(f"{total - differ} of {total} jobs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,7 @@ from nclocal.elliptic import (
     AP_GUARD,
     MESTRE_BOUND,
     AdmissibleTransform,
+    ReductionError,
     ReductionKind,
     WeierstrassModel,
     classify_reduction,
@@ -31,7 +32,17 @@ from nclocal.elliptic import (
     trace_of_frobenius,
     transform,
 )
-from nclocal.elliptic import _affine_count, _bsgs, _raw_consts, _raw_mul
+from nclocal.elliptic import (
+    _CM_ORDERS,
+    _affine_count,
+    _bsgs,
+    _cm_trace,
+    _cornacchia,
+    _invariants_mod_p,
+    _order_by_bsgs,
+    _raw_consts,
+    _raw_mul,
+)
 from nclocal.ffield import FieldElement, PrimeField, finite_field
 
 from group_oracle import affine_points
@@ -67,6 +78,18 @@ class TestInvariants:
             e = WeierstrassModel.over_q(a1, a2, a3, a4, rng.randint(-9, 9))
             inv = invariants(e)
             assert inv.c4 == (a1 * a1 + 4 * a2) ** 2 - 24 * (a1 * a3 + 2 * a4)
+
+    def test_invariants_mod_p_match_the_field_elements(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            e = WeierstrassModel.over_q(*(Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 8))) for _ in range(5)))
+            p = rng.choice((2, 3, 5, 7, 11, 101, 10**9 + 7, 999999999989))
+            try:
+                red = reduce_mod_p(e, p)
+            except ReductionError:
+                continue
+            inv = invariants(red)
+            assert _invariants_mod_p(red) == (inv.c4.val, inv.c6.val, inv.disc.val)
 
     def test_b8_identity_check_survives_optimize_flag(self):
         # float coefficients round, so the polynomial identity of b8 breaks
@@ -347,9 +370,38 @@ CATALOG = {entry.label: entry.model for entry in load_catalog()}
 FAST_PRIMES = primes_between(MESTRE_BOUND + 1, 10**5)
 
 
+def short_twist(e, d):
+    """The quadratic twist by d of the short model y^2 = x^3 - 27 c4 x - 54 c6 of e."""
+    inv = invariants(e)
+    return WeierstrassModel.over_q(0, 0, 0, -27 * inv.c4 * d * d, -54 * inv.c6 * d**3)
+
+
+def cm_models(label):
+    """A catalog curve, two isomorphic models with |u| > 1 and its twists by -1, 5 and -11."""
+    e = CATALOG[label]
+    return [
+        e,
+        transform(e, AdmissibleTransform.over_q(2, 1, -1, 3)),
+        transform(e, AdmissibleTransform.over_q(-3, 2, 0, -1)),
+    ] + [short_twist(e, d) for d in (-1, 5, -11)]
+
+
+# curves over Q without CM: 37a1, y^2 = x^3 + x + 1, 11a1 and 11a3
+NON_CM = [WeierstrassModel.over_q(*c) for c in ((0, 0, 1, -1, 0), (0, 0, 0, 1, 1), (0, -1, 1, -10, -20), (0, -1, 1, 0, 0))]
+FUNDAMENTAL_DISCRIMINANTS = sorted({d_k for _, d_k in _CM_ORDERS.values()})
+
+
+def reduces_to_cm_j(red):
+    c4, _, disc = _invariants_mod_p(red)
+    j = c4**3 * pow(disc, -1, red.field.p) % red.field.p
+    return any(j0 % red.field.p == j for j0 in CM_J_INVARIANTS.values())
+
+
 class TestFastTrace:
-    """a_p by baby-step giant-step above MESTRE_BOUND, against the
-    brute-force oracle count_points."""
+    """a_p from the norm equation for a CM j mod p and by baby-step
+    giant-step for any other j above MESTRE_BOUND: each against the
+    brute-force oracle count_points, the CM path against baby-step
+    giant-step, and Cornacchia's solutions of the norm equation."""
 
     def test_matches_count_on_catalog(self):
         for label, model in CATALOG.items():
@@ -406,6 +458,108 @@ class TestFastTrace:
         p = primes_from(AP_GUARD, 1, 2, 1)[0]
         with pytest.raises(ValueError, match="guard"):
             trace_of_frobenius(reduce_mod_p(E_MINUS_X, p))
+
+    @pytest.mark.parametrize("label", sorted(CATALOG))
+    def test_cm_path_matches_bsgs(self, label):
+        rng = random.Random(label)
+        primes = sorted(rng.sample(FAST_PRIMES, 8)) + primes_between(AP_GUARD - 10**4, AP_GUARD - 10**4 + 60)[:2]
+        for e in cm_models(label):
+            for p in primes:
+                red = reduce_mod_p(e, p)
+                ap = _cm_trace(red)
+                assert ap is not None and ap == p + 1 - _order_by_bsgs(red), (label, e, p)
+                assert trace_of_frobenius(red) == ap
+
+    def test_bsgs_matches_count_on_non_cm_models(self):
+        for e in NON_CM:
+            assert j_invariant(e) not in CM_J_INVARIANTS.values()
+            for p in primes_between(MESTRE_BOUND + 1, 1500):
+                red = reduce_mod_p(e, p)
+                if invariants(red).disc != 0:
+                    assert _order_by_bsgs(red) == count_points(red), (e, p)
+
+    def test_non_cm_curve_at_primes_with_a_cm_j(self):
+        # Deuring: the reduction has its j's CM field, or is supersingular
+        seen = 0
+        rng = random.Random(3)
+        models = NON_CM + [rand_model(rng) for _ in range(6)]
+        for e in models:
+            for p in primes_between(5, 20000):
+                try:
+                    red = reduce_mod_p(e, p)
+                except ReductionError:
+                    continue
+                if invariants(red).disc == 0:
+                    continue
+                if not reduces_to_cm_j(red):
+                    assert _cm_trace(red) is None
+                    continue
+                seen += 1
+                assert trace_of_frobenius(red) == p + 1 - count_points(red), (e, p)
+                assert p <= 269 or _cm_trace(red) is not None
+        assert seen >= 40
+
+    @pytest.mark.parametrize("label, p", [("cm-4", 233), ("cm-11", 269)])
+    def test_tied_candidates_fall_back(self, label, p):
+        red = reduce_mod_p(CATALOG[label], p)
+        assert _cm_trace(red) is None
+        assert trace_of_frobenius(red) == p + 1 - count_points(red) == p + 1 - _order_by_bsgs(red)
+
+    def test_catalog_needs_no_bsgs_above_the_ties(self, monkeypatch):
+        import nclocal.elliptic as elliptic_mod
+
+        expected = {}
+        for label, model in CATALOG.items():
+            for p in primes_between(270, 3000):
+                red = reduce_mod_p(model, p)
+                if invariants(red).disc != 0:
+                    expected[label, p] = (red, p + 1 - _order_by_bsgs(red))
+
+        def no_bsgs(e):
+            raise AssertionError("trace_of_frobenius ran baby-step giant-step")
+
+        monkeypatch.setattr(elliptic_mod, "_order_by_bsgs", no_bsgs)
+        for key, (red, ap) in expected.items():
+            assert trace_of_frobenius(red) == ap, key
+
+    @pytest.mark.parametrize("d", FUNDAMENTAL_DISCRIMINANTS)
+    def test_cornacchia_solves_the_norm_equation(self, d):
+        split = [p for p in primes_between(5, 10**4) if pow(d, (p - 1) // 2, p) == 1]
+        split += [p for p in primes_between(AP_GUARD - 10**4, AP_GUARD - 10**4 + 2000) if pow(d, (p - 1) // 2, p) == 1][:4]
+        assert len(split) > 100
+        for p in split:
+            t, w = _cornacchia(PrimeField(p), d)
+            assert t >= 0 and w >= 0 and t * t - d * w * w == 4 * p, (d, p)
+
+    def test_cornacchia_rejects_a_non_residue(self):
+        with pytest.raises(ValueError, match="not a square mod 7"):
+            _cornacchia(PrimeField(7), -4)
+
+    def test_inert_primes_give_zero(self):
+        for entry in load_catalog():
+            label, model, d_k = entry.label, entry.model, _CM_ORDERS[entry.cm_discriminant][1]
+            for p in primes_between(5, 10**4):
+                if pow(d_k, (p - 1) // 2, p) == 1:
+                    continue
+                red = reduce_mod_p(model, p)
+                if invariants(red).disc == 0:
+                    continue
+                assert _cm_trace(red) == trace_of_frobenius(red) == 0, (label, p)
+                if p < 500:
+                    assert count_points(red) == p + 1
+
+    def test_cm_table(self):
+        import nclocal.catalog as catalog_mod
+        import nclocal.elliptic as elliptic_mod
+
+        assert catalog_mod.CM_J_INVARIANTS is elliptic_mod.CM_J_INVARIANTS
+        for d, (j, d_k) in _CM_ORDERS.items():
+            f = isqrt(d // d_k)
+            assert CM_J_INVARIANTS[d] == j and f * f * d_k == d
+            # d_K is fundamental: 1 mod 4 and squarefree, or 4m with m = 2, 3 mod 4
+            core = d_k if d_k % 4 == 1 else d_k // 4
+            assert (d_k % 4 == 1 or core % 4 in (2, 3)) and all(core % (q * q) for q in range(2, 14))
+
 
 
 class TestGroupStructure:
