@@ -9,10 +9,9 @@ cannot slip through.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
+from ._frozen import Frozen
 from .elliptic import CM_J_INVARIANTS, WeierstrassModel, j_invariant
 
 __all__ = ["CatalogEntry", "load_catalog", "CM_J_INVARIANTS"]
@@ -34,13 +33,20 @@ _BUILTIN = [
 ]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Frozen):
+    __slots__ = ("label", "model", "cm_discriminant", "notes", "j")
     label: str
     model: WeierstrassModel
     cm_discriminant: int
     notes: str
     j: Fraction
+
+    def __init__(self, label: str, model: WeierstrassModel, cm_discriminant: int, notes: str, j: Fraction):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "cm_discriminant", cm_discriminant)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "j", j)
 
     def to_json_dict(self) -> dict:
         return {
@@ -70,7 +76,7 @@ def _entry_from_record(rec: dict) -> CatalogEntry:
     return CatalogEntry(label=label, model=model, cm_discriminant=disc, notes=notes, j=j)
 
 
-def load_catalog(path: Optional[str] = None) -> list:
+def load_catalog(path: str | None = None) -> list:
     """The built-in catalog, or one read from a JSON file; every entry's
     j-invariant is recomputed and checked against the CM table."""
     if path is None:

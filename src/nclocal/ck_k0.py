@@ -10,11 +10,10 @@ the determinant, order via |det|.  An infinite K0 is reported as order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from typing import Optional
 
 from ._factor import is_prime
+from ._frozen import Frozen
 from .intmat import IntMatrix, invariant_factors
 
 __all__ = [
@@ -29,15 +28,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AbelianGroupInv:
+class AbelianGroupInv(Frozen):
     """Invariant factors d1 | d2 | ... of a finitely generated abelian
     group; a 0 encodes an infinite cyclic factor (zeros come last)."""
 
+    __slots__ = ("invariant_factors",)
     invariant_factors: tuple
 
-    def __post_init__(self):
-        fs = self.invariant_factors
+    def __init__(self, invariant_factors: tuple):
+        fs = invariant_factors
         if any(d < 0 for d in fs):
             raise ValueError("invariant factors must be nonnegative")
         for a, b in zip(fs, fs[1:]):
@@ -45,6 +44,7 @@ class AbelianGroupInv:
                 raise ValueError("zero factors must come last")
             if a != 0 and b % a != 0:
                 raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
+        object.__setattr__(self, "invariant_factors", invariant_factors)
 
     @property
     def order(self) -> int:
@@ -65,8 +65,7 @@ class AbelianGroupInv:
         return " x ".join(parts) if parts else "Z/1"
 
 
-@dataclass(frozen=True)
-class CKDescriptor:
+class CKDescriptor(Frozen):
     """Defining data of a Cuntz-Krieger algebra in this pipeline.
 
     kind "matrix" holds L_p^n for a good prime; kind "scalar" holds
@@ -74,20 +73,27 @@ class CKDescriptor:
     (p, n, alpha).
     """
 
+    __slots__ = ("kind", "matrix", "scalar", "source")
     kind: str
-    matrix: Optional[IntMatrix] = None
-    scalar: Optional[int] = None
-    source: dict = field(default_factory=dict)
+    matrix: IntMatrix | None
+    scalar: int | None
+    source: dict
 
-    def __post_init__(self):
-        if self.kind == "matrix":
-            if self.matrix is None or not self.matrix.is_square:
+    def __init__(
+        self, kind: str, matrix: IntMatrix | None = None, scalar: int | None = None, source: dict | None = None
+    ):
+        if kind == "matrix":
+            if matrix is None or not matrix.is_square:
                 raise ValueError("matrix descriptor requires a square matrix")
-        elif self.kind == "scalar":
-            if self.scalar is None:
+        elif kind == "scalar":
+            if scalar is None:
                 raise ValueError("scalar descriptor requires a value")
         else:
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
+            raise ValueError(f"unknown descriptor kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "source", {} if source is None else source)
 
 
 def build_lp(trace_ap: int, p: int) -> IntMatrix:
@@ -97,7 +103,7 @@ def build_lp(trace_ap: int, p: int) -> IntMatrix:
     return IntMatrix(2, 2, (trace_ap, p, -1, 0))
 
 
-def epsilons(p: int, n_max: int, good: bool, *, trace_ap: Optional[int] = None, alpha: Optional[int] = None) -> list:
+def epsilons(p: int, n_max: int, good: bool, *, trace_ap: int | None = None, alpha: int | None = None) -> list:
     """Descriptors for levels 1..n_max: L_p^n at a good prime, from one
     build_lp and one 2x2 product per level; 1 - alpha^n at a bad one."""
     if n_max < 0:
@@ -112,7 +118,7 @@ def epsilons(p: int, n_max: int, good: bool, *, trace_ap: Optional[int] = None, 
     return [CKDescriptor("scalar", scalar=1 - alpha**n, source={"p": p, "n": n, "alpha": alpha}) for n in range(1, n_max + 1)]
 
 
-def epsilon(p: int, n: int, good: bool, *, trace_ap: Optional[int] = None, alpha: Optional[int] = None) -> CKDescriptor:
+def epsilon(p: int, n: int, good: bool, *, trace_ap: int | None = None, alpha: int | None = None) -> CKDescriptor:
     """Descriptor for level n alone: the last of ``epsilons``."""
     if n < 1:
         raise ValueError("n must be positive")

@@ -18,8 +18,8 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from collections.abc import Sequence
 from math import log10, sqrt
-from typing import Optional, Sequence
 
 from . import catalog as catalog_mod
 from .ck_k0 import CKDescriptor, k0_group
@@ -87,7 +87,7 @@ def _parse_primes(text: str) -> list:
     return primes
 
 
-def _check_p(p: Optional[int]) -> None:
+def _check_p(p: int | None) -> None:
     """Bound --p before the model is read: a bad prime needs no a_p, so
     nothing later would stop a p past AP_GUARD."""
     if p is not None and p > AP_GUARD:
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -24,14 +24,14 @@ one root of it at a few x, not every point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
 from itertools import chain, islice
-from typing import Iterable, Iterator, Optional
 
 from ._factor import factorize
+from ._frozen import Frozen
 from .ck_k0 import AbelianGroupInv
 from .ffield import EXT_FIELD_GUARD, FieldElement, PrimeField, finite_field, is_square
 
@@ -103,20 +103,28 @@ class ReductionError(ValueError):
     model is not over Q, or a coefficient is not p-integral."""
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(Frozen):
     """y^2 + a1*xy + a3*y = x^3 + a2*x^2 + a4*x + a6.
 
     ``field`` is None for a model over Q (Fraction coefficients) or a
     field descriptor (FieldElement coefficients).
     """
 
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "field")
     a1: object
     a2: object
     a3: object
     a4: object
     a6: object
-    field: object = None
+    field: object
+
+    def __init__(self, a1, a2, a3, a4, a6, field=None):
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
+        object.__setattr__(self, "a4", a4)
+        object.__setattr__(self, "a6", a6)
+        object.__setattr__(self, "field", field)
 
     @classmethod
     def over_q(cls, a1, a2, a3, a4, a6) -> "WeierstrassModel":
@@ -158,8 +166,8 @@ class WeierstrassModel:
         return "[" + ",".join(self.coefficient_strings()) + "]"
 
 
-@dataclass(frozen=True)
-class WInvariants:
+class WInvariants(Frozen):
+    __slots__ = ("b2", "b4", "b6", "b8", "c4", "c6", "disc")
     b2: object
     b4: object
     b6: object
@@ -167,6 +175,15 @@ class WInvariants:
     c4: object
     c6: object
     disc: object
+
+    def __init__(self, b2, b4, b6, b8, c4, c6, disc):
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "b4", b4)
+        object.__setattr__(self, "b6", b6)
+        object.__setattr__(self, "b8", b8)
+        object.__setattr__(self, "c4", c4)
+        object.__setattr__(self, "c6", c6)
+        object.__setattr__(self, "disc", disc)
 
 
 def _invariant_polys(a1, a2, a3, a4, a6) -> tuple:
@@ -210,18 +227,22 @@ def is_singular(e: WeierstrassModel) -> bool:
     return invariants(e).disc == 0
 
 
-@dataclass(frozen=True)
-class AdmissibleTransform:
+class AdmissibleTransform(Frozen):
     """x = u^2 x' + r,  y = u^3 y' + s u^2 x' + t,  with u invertible."""
 
+    __slots__ = ("u", "r", "s", "t")
     u: object
     r: object
     s: object
     t: object
 
-    def __post_init__(self):
-        if self.u == 0:
+    def __init__(self, u, r, s, t):
+        if u == 0:
             raise ValueError("u must be nonzero")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
     @classmethod
     def over_q(cls, u, r=0, s=0, t=0) -> "AdmissibleTransform":
@@ -295,10 +316,14 @@ class ReductionKind(Enum):
     ADDITIVE = "additive"
 
 
-@dataclass(frozen=True)
-class ReductionType:
+class ReductionType(Frozen):
+    __slots__ = ("kind", "alpha")
     kind: ReductionKind
-    alpha: Optional[int] = None
+    alpha: int | None
+
+    def __init__(self, kind: ReductionKind, alpha: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def is_good(self) -> bool:
@@ -343,7 +368,7 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
 # point counting
 # ---------------------------------------------------------------------------
 
-def _fibres(e: WeierstrassModel, xs: Optional[Iterable] = None) -> Iterator:
+def _fibres(e: WeierstrassModel, xs: Iterable | None = None) -> Iterator:
     """(x, b, c) for each x of xs (all of the model's field by default),
     raw values, where the equation at x reads y^2 + b*y = c."""
     f = e.field
@@ -436,14 +461,19 @@ def point_counts_via_recurrence(ap: int, p: int, n_max: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(Frozen):
     """A rational model at one prime: its reduction, the reduction type
     and, at a good prime only, a_p; built by zeta.local_data."""
 
+    __slots__ = ("reduced", "reduction", "a_p")
     reduced: WeierstrassModel
     reduction: ReductionType
-    a_p: Optional[int] = None
+    a_p: int | None
+
+    def __init__(self, reduced: WeierstrassModel, reduction: ReductionType, a_p: int | None = None):
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "reduction", reduction)
+        object.__setattr__(self, "a_p", a_p)
 
     @property
     def p(self) -> int:
@@ -606,7 +636,7 @@ def _sylow_small_exponent(f, consts: tuple, ell: int, e: int, elements: Iterator
     # gamma = ell^(b-1) g has order ell
     g, b, gamma = None, 0, None
 
-    def log_gamma(h) -> Optional[int]:
+    def log_gamma(h) -> int | None:
         """d in [0, ell) with d * gamma = h, or None."""
         return next(_bsgs(f, consts, gamma, h, ell - 1), None)
 
@@ -651,7 +681,7 @@ def _sylow_small_exponent(f, consts: tuple, ell: int, e: int, elements: Iterator
     raise RuntimeError(f"the points drawn do not generate the {ell}-Sylow subgroup")
 
 
-def group_structure(e: WeierstrassModel, n: int = 1, order: Optional[int] = None) -> AbelianGroupInv:
+def group_structure(e: WeierstrassModel, n: int = 1, order: int | None = None) -> AbelianGroupInv:
     """E(F_q), q = p^n, as Z/d1 x Z/d2 with d1 | d2, from a few points.
 
     N = #E(F_q) is ``order`` when given (LocalData.point_counts), else it
@@ -716,7 +746,7 @@ def _cornacchia(field: PrimeField, d: int) -> tuple:
     return b, w
 
 
-def _cm_trace(e: WeierstrassModel) -> Optional[int]:
+def _cm_trace(e: WeierstrassModel) -> int | None:
     """a_p of a nonsingular model over F_p, p >= 5, whose j is a
     class-number-one CM j mod p, or None when it is not one or the points
     leave the candidates tied.
@@ -856,7 +886,7 @@ def _order_by_bsgs(e: WeierstrassModel) -> int:
     raise RuntimeError(f"baby-step giant-step left #E ambiguous at p={p}")
 
 
-def _single_candidate(p: int, lcm_e: int, lcm_twist: int, lo: int, hi: int) -> Optional[int]:
+def _single_candidate(p: int, lcm_e: int, lcm_twist: int, lo: int, hi: int) -> int | None:
     """The N in [lo, hi] with lcm_e | N and lcm_twist | 2p + 2 - N, when
     exactly one exists; counted by the Chinese remainder theorem."""
     g = gcd(lcm_e, lcm_twist)

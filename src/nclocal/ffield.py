@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from ._factor import factorize, is_prime
 
@@ -248,7 +248,7 @@ class ExtField:
 
     __slots__ = ("p", "n", "modulus", "_m", "_half", "_exp", "_log")
 
-    def __init__(self, p: int, n: int, modulus: Optional[Sequence[int]] = None):
+    def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if n < 1:
@@ -503,7 +503,7 @@ def _log_table(q: int, exp: array) -> array:
     return log
 
 
-def finite_field(p: int, n: int = 1, modulus: Optional[Sequence[int]] = None):
+def finite_field(p: int, n: int = 1, modulus: Sequence[int] | None = None):
     """Field descriptor for F_{p^n}; PrimeField when n == 1."""
     if n == 1 and modulus is None:
         return PrimeField(p)

@@ -12,9 +12,9 @@ group structures on the two sides without asserting them equal.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
+from ._frozen import Frozen
 from .ck_k0 import build_lp, epsilons, k0_group, k0_order
 from .elliptic import (
     AdmissibleTransform,
@@ -44,10 +44,13 @@ __all__ = [
 MAX_LEVEL = 6
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
+class LocalizationResult(Frozen):
     """Per-level output of the localization pipeline at one prime."""
 
+    __slots__ = (
+        "p", "n_max", "reduction", "descriptors", "k0_groups", "k0_orders", "curve_counts", "curve_groups", "a_p",
+        "lp", "alpha", "exploration",
+    )
     p: int
     n_max: int
     reduction: ReductionType
@@ -56,10 +59,27 @@ class LocalizationResult:
     k0_orders: tuple  # int per n
     curve_counts: tuple  # N_n (good) or #E_ns (bad) per n
     curve_groups: tuple  # AbelianGroupInv or None per n (good p, field within its guard)
-    a_p: Optional[int] = None
-    lp: Optional[IntMatrix] = None
-    alpha: Optional[int] = None
-    exploration: Optional[dict] = None
+    a_p: int | None
+    lp: IntMatrix | None
+    alpha: int | None
+    exploration: dict | None
+
+    def __init__(
+        self, p, n_max, reduction, descriptors, k0_groups, k0_orders, curve_counts, curve_groups, a_p=None, lp=None,
+        alpha=None, exploration=None,
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "reduction", reduction)
+        object.__setattr__(self, "descriptors", descriptors)
+        object.__setattr__(self, "k0_groups", k0_groups)
+        object.__setattr__(self, "k0_orders", k0_orders)
+        object.__setattr__(self, "curve_counts", curve_counts)
+        object.__setattr__(self, "curve_groups", curve_groups)
+        object.__setattr__(self, "a_p", a_p)
+        object.__setattr__(self, "lp", lp)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "exploration", exploration)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -89,7 +109,7 @@ def localize(
     p: int,
     n_max: int,
     *,
-    period: Optional[Sequence[int]] = None,
+    period: Sequence[int] | None = None,
 ) -> LocalizationResult:
     """Classify the reduction at p and produce descriptors, K0 data and
     curve-side counts for n = 1..n_max.
@@ -141,16 +161,26 @@ def localize(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(Frozen):
+    __slots__ = ("trial", "u", "r", "s", "t", "closure_isomorphic", "invariant_equal", "passed")
     trial: int
     u: str
     r: str
     s: str
     t: str
-    closure_isomorphic: Optional[bool]
+    closure_isomorphic: bool | None
     invariant_equal: bool
     passed: bool
+
+    def __init__(self, trial, u, r, s, t, closure_isomorphic, invariant_equal, passed):
+        object.__setattr__(self, "trial", trial)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "closure_isomorphic", closure_isomorphic)
+        object.__setattr__(self, "invariant_equal", invariant_equal)
+        object.__setattr__(self, "passed", passed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,14 +192,22 @@ class TrialRecord:
         }
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(Frozen):
+    __slots__ = ("p", "good", "seed", "baseline", "trials", "all_passed")
     p: int
     good: bool
     seed: int
     baseline: str  # the shared L_p (good) or alpha (bad)
     trials: tuple
     all_passed: bool
+
+    def __init__(self, p, good, seed, baseline, trials, all_passed):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "good", good)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "baseline", baseline)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "all_passed", all_passed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -246,21 +284,42 @@ def theorem1_check(e: WeierstrassModel, p: int, trials: int, seed: int) -> Theor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lemma3Report:
+class Lemma3Report(Frozen):
+    __slots__ = (
+        "period_a", "period_b", "p", "matrix_a", "matrix_b", "verdict_status", "witness", "reason", "trace_power_a",
+        "trace_power_b", "traces_equal", "lp_equal", "lp",
+    )
     period_a: tuple
     period_b: tuple
     p: int
     matrix_a: IntMatrix
     matrix_b: IntMatrix
     verdict_status: str
-    witness: Optional[IntMatrix]
-    reason: Optional[str]
-    trace_power_a: Optional[int]
-    trace_power_b: Optional[int]
-    traces_equal: Optional[bool]
-    lp_equal: Optional[bool]
-    lp: Optional[IntMatrix]
+    witness: IntMatrix | None
+    reason: str | None
+    trace_power_a: int | None
+    trace_power_b: int | None
+    traces_equal: bool | None
+    lp_equal: bool | None
+    lp: IntMatrix | None
+
+    def __init__(
+        self, period_a, period_b, p, matrix_a, matrix_b, verdict_status, witness, reason, trace_power_a,
+        trace_power_b, traces_equal, lp_equal, lp,
+    ):
+        object.__setattr__(self, "period_a", period_a)
+        object.__setattr__(self, "period_b", period_b)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "matrix_a", matrix_a)
+        object.__setattr__(self, "matrix_b", matrix_b)
+        object.__setattr__(self, "verdict_status", verdict_status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "trace_power_a", trace_power_a)
+        object.__setattr__(self, "trace_power_b", trace_power_b)
+        object.__setattr__(self, "traces_equal", traces_equal)
+        object.__setattr__(self, "lp_equal", lp_equal)
+        object.__setattr__(self, "lp", lp)
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,14 +383,22 @@ def lemma3_bridge(period_a: Sequence[int], period_b: Sequence[int], p: int, boun
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Footnote2Row:
+class Footnote2Row(Frozen):
+    __slots__ = ("n", "order_curve", "order_k0", "curve_factors", "k0_factors", "isomorphic")
     n: int
     order_curve: int
     order_k0: int
     curve_factors: tuple
     k0_factors: tuple
     isomorphic: bool
+
+    def __init__(self, n, order_curve, order_k0, curve_factors, k0_factors, isomorphic):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "order_curve", order_curve)
+        object.__setattr__(self, "order_k0", order_k0)
+        object.__setattr__(self, "curve_factors", curve_factors)
+        object.__setattr__(self, "k0_factors", k0_factors)
+        object.__setattr__(self, "isomorphic", isomorphic)
 
     def to_json_dict(self) -> dict:
         return {

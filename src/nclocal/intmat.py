@@ -9,9 +9,10 @@ pure function, safe for concurrent use.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from math import gcd, prod
-from typing import Iterator, Optional, Sequence
+
+from ._frozen import Frozen
 
 __all__ = [
     "IntMatrix",
@@ -27,21 +28,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix; ``entries`` is row-major."""
 
+    __slots__ = ("rows", "cols", "entries")
     rows: int
     cols: int
     entries: tuple
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entries length must equal rows*cols")
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(isinstance(e, int) for e in entries):
             raise ValueError("entries must be integers")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -265,8 +269,7 @@ def invariant_factors(m: IntMatrix) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugacyVerdict:
+class ConjugacyVerdict(Frozen):
     """Tri-state outcome of a GL(2,Z) conjugacy test.
 
     ``status`` is one of "conjugate", "not_conjugate", "unknown".  A
@@ -275,10 +278,19 @@ class ConjugacyVerdict:
     invariant; unknown carries the exhausted search bound.
     """
 
+    __slots__ = ("status", "witness", "reason", "bound")
     status: str
-    witness: Optional[IntMatrix] = None
-    reason: Optional[str] = None
-    bound: Optional[int] = None
+    witness: IntMatrix | None
+    reason: str | None
+    bound: int | None
+
+    def __init__(
+        self, status: str, witness: IntMatrix | None = None, reason: str | None = None, bound: int | None = None
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "bound", bound)
 
     @property
     def is_conjugate(self) -> bool:
@@ -292,7 +304,7 @@ def _incidence_product(word: Sequence[int]) -> IntMatrix:
     return m
 
 
-def word_of_matrix(m: IntMatrix) -> Optional[tuple]:
+def word_of_matrix(m: IntMatrix) -> tuple | None:
     """Recover the factorization m = prod (a_i,1;1,0) with a_i >= 1, if any.
 
     Returns the word as a tuple, or None when m is not such a product
@@ -330,7 +342,7 @@ def word_of_matrix(m: IntMatrix) -> Optional[tuple]:
     return None
 
 
-def cyclically_equivalent(w1: Sequence[int], w2: Sequence[int]) -> Optional[int]:
+def cyclically_equivalent(w1: Sequence[int], w2: Sequence[int]) -> int | None:
     """Return a shift k with w2 == w1[k:]+w1[:k], or None."""
     w1, w2 = list(w1), list(w2)
     if len(w1) != len(w2):
@@ -353,7 +365,7 @@ def unimodular_2x2(bound: int) -> Iterator[IntMatrix]:
                         yield IntMatrix(2, 2, (a, b, c, d))
 
 
-def brute_force_conjugator(a: IntMatrix, a2: IntMatrix, bound: int) -> Optional[IntMatrix]:
+def brute_force_conjugator(a: IntMatrix, a2: IntMatrix, bound: int) -> IntMatrix | None:
     """Exhaustive oracle: first unimodular B with entries <= bound and
     B*a = a2*B, else None.  Independent of the word-based decision path."""
     if not (a.rows == a.cols == 2 and a2.rows == a2.cols == 2):

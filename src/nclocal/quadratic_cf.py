@@ -11,12 +11,12 @@ there back to that state.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Sequence
 
 from ._factor import factorize, squarefree_split
+from ._frozen import Frozen
 from .intmat import IntMatrix, cyclically_equivalent
 
 __all__ = [
@@ -177,8 +177,7 @@ def _floor_quadratic(p: int, s: int, q: int) -> int:
     return -((p + s) // (-q)) - 1
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(Frozen):
     """Eventually periodic continued fraction: preperiod then repeating period.
 
     The period is minimal as a word; all period entries are >= 1, and so
@@ -186,21 +185,24 @@ class CFExpansion:
     integer (negative values have a negative a0).
     """
 
+    __slots__ = ("preperiod", "period")
     preperiod: tuple
     period: tuple
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: tuple, period: tuple):
+        if not period:
             raise ValueError("period must be nonempty")
-        if min(self.period) < 1:
+        if min(period) < 1:
             raise ValueError("period entries must be >= 1")
-        if any(a < 1 for a in self.preperiod[1:]):
+        if any(a < 1 for a in preperiod[1:]):
             raise ValueError("preperiod entries after a0 must be >= 1")
-        per, m = self.period, len(self.period)
+        per, m = period, len(period)
         # a word that is a proper power is a power of prime exponent
         if any(per[m // ell :] == per[: m - m // ell] for ell in factorize(m)):
             k = next(k for k in range(1, m) if m % k == 0 and per[k:] == per[: m - k])
             raise ValueError(f"period {per} is not minimal (repeats with length {k})")
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
     @property
     def is_purely_periodic(self) -> bool:

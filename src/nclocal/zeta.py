@@ -9,11 +9,11 @@ the generic series operations are Fraction arithmetic.  No floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
 
+from ._frozen import Frozen
 from .ck_k0 import epsilon, epsilons, k0_order, k0_signed_order
 from .elliptic import (
     LocalData,
@@ -42,18 +42,18 @@ __all__ = [
 DEFAULT_ORDER = 6
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Power series truncated at a fixed order; coefficients are exact."""
 
+    __slots__ = ("coefficients",)
     coefficients: tuple
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple):
+        if not coefficients:
             raise ValueError("series needs at least the constant term")
         # a Fraction is immutable, so only other inputs are converted
         object.__setattr__(
-            self, "coefficients", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coefficients)
+            self, "coefficients", tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
         )
 
     @classmethod
@@ -112,7 +112,7 @@ class TruncatedSeries:
             out[n] = -acc / c0
         return TruncatedSeries(tuple(out))
 
-    def first_mismatch(self, other: "TruncatedSeries") -> Optional[int]:
+    def first_mismatch(self, other: "TruncatedSeries") -> int | None:
         self._check(other)
         for i, (a, b) in enumerate(zip(self.coefficients, other.coefficients)):
             if a != b:
@@ -223,8 +223,8 @@ def torus_local_zeta(
     order: int = DEFAULT_ORDER,
     *,
     good: bool,
-    trace_ap: Optional[int] = None,
-    alpha: Optional[int] = None,
+    trace_ap: int | None = None,
+    alpha: int | None = None,
     mode: str = "absolute",
 ) -> TruncatedSeries:
     """exp(sum |K0| z^n / n) with K0 orders from the descriptor pipeline.
@@ -240,8 +240,7 @@ def torus_local_zeta(
     return _exp_counts(counts, order)
 
 
-@dataclass(frozen=True)
-class LocalFactorReport:
+class LocalFactorReport(Frozen):
     """Side-by-side local factors at one prime, with a verdict.
 
     At bad primes ``torus_series`` is always the absolute-value form and
@@ -250,14 +249,27 @@ class LocalFactorReport:
     curve series against the mode-selected torus side.
     """
 
+    __slots__ = (
+        "p", "good", "alpha", "curve_series", "torus_series", "torus_series_signed", "verdict", "first_mismatch"
+    )
     p: int
     good: bool
-    alpha: Optional[int]
+    alpha: int | None
     curve_series: TruncatedSeries
     torus_series: TruncatedSeries
-    torus_series_signed: Optional[TruncatedSeries]
+    torus_series_signed: TruncatedSeries | None
     verdict: str
-    first_mismatch: Optional[int]
+    first_mismatch: int | None
+
+    def __init__(self, p, good, alpha, curve_series, torus_series, torus_series_signed, verdict, first_mismatch):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "good", good)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "curve_series", curve_series)
+        object.__setattr__(self, "torus_series", torus_series)
+        object.__setattr__(self, "torus_series_signed", torus_series_signed)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -281,7 +293,7 @@ def lemma1_check(
     primes: Sequence[int],
     order: int = DEFAULT_ORDER,
     *,
-    period: Optional[Sequence[int]] = None,
+    period: Sequence[int] | None = None,
     mode: str = "absolute",
 ) -> list:
     """Compare curve and torus local factors at each prime.

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,31 @@ def test_no_assert_statement_in_the_library():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and node.exc and _raises_assertion_error(node))
         ]
     assert found == []
+
+
+# the start-up cost of every CLI run: dataclasses alone pulls in inspect,
+# ast, dis and tokenize
+SLOW_IMPORTS = ("dataclasses", "typing", "inspect")
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    found = []
+    for path in sorted(Path(nclocal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] in SLOW_IMPORTS]
+    assert found == []
+
+
+def test_cli_import_loads_no_slow_module():
+    # -S: the site hooks of an installation may import typing themselves
+    code = f"import sys, nclocal.cli; print([m for m in {SLOW_IMPORTS!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
