@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit relating elliptic-curve reductions mod p to
 Cuntz-Krieger K-theory data, with a local-zeta comparison engine."""
 
-from .ck_k0 import AbelianGroupInv, CKDescriptor, build_lp, epsilon, epsilons, k0_group, k0_order
+from .ck_k0 import AbelianGroupInv, build_lp, epsilon, epsilons, k0_group, k0_order
 from .elliptic import (
     AdmissibleTransform,
     ReductionKind,

@@ -1,9 +1,9 @@
 """Cuntz-Krieger K-theory data.
 
-Builds the defining data of levels 1..n (L_p^n for the 2x2
+Builds the Cuntz-Krieger matrix of levels 1..n (L_p^n for the 2x2
 companion-style matrix L_p at good primes, one product per level; the
-scalar 1 - alpha^n at bad primes), and computes K0 as the cokernel of
-I minus the transposed matrix: invariant factors by elimination modulo
+1x1 matrix (1 - alpha^n) at bad primes), and computes K0 as the cokernel
+of I minus the transposed matrix: invariant factors by elimination modulo
 the determinant, order via |det|.  An infinite K0 is reported as order
 0 so the corresponding local factor degenerates to 1.
 """
@@ -17,7 +17,6 @@ from ._frozen import Frozen
 from .intmat import IntMatrix, invariant_factors
 
 __all__ = [
-    "CKDescriptor",
     "AbelianGroupInv",
     "build_lp",
     "epsilon",
@@ -65,37 +64,6 @@ class AbelianGroupInv(Frozen):
         return " x ".join(parts) if parts else "Z/1"
 
 
-class CKDescriptor(Frozen):
-    """Defining data of a Cuntz-Krieger algebra in this pipeline.
-
-    kind "matrix" holds L_p^n for a good prime; kind "scalar" holds
-    1 - alpha^n for a bad prime.  ``source`` records (p, n, trace) or
-    (p, n, alpha).
-    """
-
-    __slots__ = ("kind", "matrix", "scalar", "source")
-    kind: str
-    matrix: IntMatrix | None
-    scalar: int | None
-    source: dict
-
-    def __init__(
-        self, kind: str, matrix: IntMatrix | None = None, scalar: int | None = None, source: dict | None = None
-    ):
-        if kind == "matrix":
-            if matrix is None or not matrix.is_square:
-                raise ValueError("matrix descriptor requires a square matrix")
-        elif kind == "scalar":
-            if scalar is None:
-                raise ValueError("scalar descriptor requires a value")
-        else:
-            raise ValueError(f"unknown descriptor kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "source", {} if source is None else source)
-
-
 def build_lp(trace_ap: int, p: int) -> IntMatrix:
     """The 2x2 matrix (trace_ap, p; -1, 0): trace trace_ap, determinant p."""
     if not is_prime(p):
@@ -104,45 +72,45 @@ def build_lp(trace_ap: int, p: int) -> IntMatrix:
 
 
 def epsilons(p: int, n_max: int, good: bool, *, trace_ap: int | None = None, alpha: int | None = None) -> list:
-    """Descriptors for levels 1..n_max: L_p^n at a good prime, from one
-    build_lp and one 2x2 product per level; 1 - alpha^n at a bad one."""
+    """Cuntz-Krieger matrices of levels 1..n_max: L_p^n at a good prime,
+    from one build_lp and one 2x2 product per level; the 1x1 matrix
+    (1 - alpha^n) at a bad one."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if good:
         if trace_ap is None:
             raise ValueError("good prime requires trace_ap")
-        powers = accumulate(repeat(build_lp(trace_ap, p), n_max), IntMatrix.__mul__)
-        return [CKDescriptor("matrix", m, source={"p": p, "n": n, "trace_ap": trace_ap}) for n, m in enumerate(powers, 1)]
+        return list(accumulate(repeat(build_lp(trace_ap, p), n_max), IntMatrix.__mul__))
     if alpha not in (-1, 0, 1):
         raise ValueError(f"alpha must be one of -1, 0, 1; got {alpha}")
-    return [CKDescriptor("scalar", scalar=1 - alpha**n, source={"p": p, "n": n, "alpha": alpha}) for n in range(1, n_max + 1)]
+    return [IntMatrix(1, 1, (1 - alpha**n,)) for n in range(1, n_max + 1)]
 
 
-def epsilon(p: int, n: int, good: bool, *, trace_ap: int | None = None, alpha: int | None = None) -> CKDescriptor:
-    """Descriptor for level n alone: the last of ``epsilons``."""
+def epsilon(p: int, n: int, good: bool, *, trace_ap: int | None = None, alpha: int | None = None) -> IntMatrix:
+    """Cuntz-Krieger matrix of level n alone: the last of ``epsilons``."""
     if n < 1:
         raise ValueError("n must be positive")
     return epsilons(p, n, good, trace_ap=trace_ap, alpha=alpha)[-1]
 
 
-def _presentation_matrix(eps: CKDescriptor) -> IntMatrix:
-    # K0 = Z^k / (I - eps^t) Z^k; scalars are 1x1
-    if eps.kind == "scalar":
-        return IntMatrix(1, 1, (1 - eps.scalar,))
-    m, k = eps.matrix, eps.matrix.rows
+def _presentation_matrix(m: IntMatrix) -> IntMatrix:
+    # K0 = Z^k / (I - m^t) Z^k
+    if not m.is_square:
+        raise ValueError(f"Cuntz-Krieger matrix must be square, got {m.rows} x {m.cols}")
+    k = m.rows
     return IntMatrix(k, k, tuple((i == j) - m.at(j, i) for i in range(k) for j in range(k)))
 
 
-def k0_group(eps: CKDescriptor) -> AbelianGroupInv:
-    """Invariant factors of coker(I - eps^t), from ``invariant_factors``."""
-    return AbelianGroupInv(invariant_factors(_presentation_matrix(eps)))
+def k0_group(m: IntMatrix) -> AbelianGroupInv:
+    """Invariant factors of coker(I - m^t), from ``invariant_factors``."""
+    return AbelianGroupInv(invariant_factors(_presentation_matrix(m)))
 
 
-def k0_signed_order(eps: CKDescriptor) -> int:
-    """det(I - eps^t) = det(I - eps): |K0| up to sign, 0 when K0 is infinite."""
-    return _presentation_matrix(eps).det()
+def k0_signed_order(m: IntMatrix) -> int:
+    """det(I - m^t) = det(I - m): |K0| up to sign, 0 when K0 is infinite."""
+    return _presentation_matrix(m).det()
 
 
-def k0_order(eps: CKDescriptor) -> int:
-    """|K0| as |det(I - eps)|; 0 when the group is infinite."""
-    return abs(k0_signed_order(eps))
+def k0_order(m: IntMatrix) -> int:
+    """|K0| as |det(I - m)|; 0 when the group is infinite."""
+    return abs(k0_signed_order(m))

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from math import log10, sqrt
 
 from . import catalog as catalog_mod
-from .ck_k0 import CKDescriptor, k0_group
+from .ck_k0 import k0_group
 from .elliptic import (
     AP_GUARD,
     WeierstrassModel,
@@ -158,7 +158,7 @@ def _cmd_k0(args) -> tuple:
     if not m.is_square:
         raise ValueError("k0 needs a square matrix")
     _check_k0(m)
-    group = k0_group(CKDescriptor(kind="matrix", matrix=m))
+    group = k0_group(m)
     payload = {
         "matrix": m.to_rows(),
         "invariant_factors": list(group.invariant_factors),

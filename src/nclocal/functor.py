@@ -1,7 +1,7 @@
 """The mod-p localization pipeline and its correctness checkers.
 
 ``localize`` maps a rational model and a prime to Cuntz-Krieger
-descriptors and K0 data, level by level.  ``theorem1_check`` verifies on
+matrices and K0 data, level by level.  ``theorem1_check`` verifies on
 seeded random admissible transforms that the pipeline only sees the
 isomorphism class: equal trace matrices at good primes, equal alpha at
 bad ones.  ``lemma3_bridge`` runs the matrix-similarity chain for a pair
@@ -54,7 +54,7 @@ class LocalizationResult(Frozen):
     p: int
     n_max: int
     reduction: ReductionType
-    descriptors: tuple  # CKDescriptor per n = 1..n_max
+    descriptors: tuple  # IntMatrix per n = 1..n_max
     k0_groups: tuple  # AbelianGroupInv per n
     k0_orders: tuple  # int per n
     curve_counts: tuple  # N_n (good) or #E_ns (bad) per n
@@ -111,7 +111,7 @@ def localize(
     *,
     period: Sequence[int] | None = None,
 ) -> LocalizationResult:
-    """Classify the reduction at p and produce descriptors, K0 data and
+    """Classify the reduction at p and produce Cuntz-Krieger matrices, K0 data and
     curve-side counts for n = 1..n_max.
 
     The trace slot of the good-prime matrix is a_p from counting, the
@@ -150,7 +150,7 @@ def localize(
         curve_counts=counts,
         curve_groups=tuple(local.groups(n_max)),
         a_p=ap,
-        lp=descriptors[0].matrix if rt.is_good else None,
+        lp=descriptors[0] if rt.is_good else None,
         alpha=rt.alpha,
         exploration=exploration,
     )

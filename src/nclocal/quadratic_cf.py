@@ -13,11 +13,11 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from ._factor import factorize, squarefree_split
 from ._frozen import Frozen
-from .intmat import IntMatrix, cyclically_equivalent
+from .intmat import IntMatrix, _incidence_product, cyclically_equivalent
 
 __all__ = [
     "QuadraticIrrational",
@@ -41,13 +41,6 @@ D_DIGITS_GUARD = 22
 _MAX_CF_STATES = 10**6
 # digits per str.join call when an expansion is printed
 _JOIN_SLICE = 8192
-
-
-def _lcm(*vals: int) -> int:
-    out = 1
-    for v in vals:
-        out = out * v // gcd(out, v)
-    return out
 
 
 class QuadraticIrrational:
@@ -74,7 +67,7 @@ class QuadraticIrrational:
 
     def _init_from_pair(self, a: Fraction, b: Fraction, d: int):
         c = b * b * d - a * a
-        t = _lcm(a.denominator, b.denominator, c.denominator)
+        t = lcm(a.denominator, b.denominator, c.denominator)
         if b < 0:
             t = -t
         self._a, self._b, self._d = a, b, d
@@ -282,10 +275,7 @@ def incidence_matrix(period: Sequence[int]) -> IntMatrix:
         raise ValueError("empty period")
     if any(a < 1 for a in period):
         raise ValueError("period entries must be >= 1")
-    m = IntMatrix(2, 2, (1, 0, 0, 1))
-    for a in period:
-        m = m * IntMatrix(2, 2, (a, 1, 1, 0))
-    return m
+    return _incidence_product(period)
 
 
 def boundary_to_theta(x: QuadraticIrrational) -> QuadraticIrrational:

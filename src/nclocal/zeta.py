@@ -227,7 +227,7 @@ def torus_local_zeta(
     alpha: int | None = None,
     mode: str = "absolute",
 ) -> TruncatedSeries:
-    """exp(sum |K0| z^n / n) with K0 orders from the descriptor pipeline.
+    """exp(sum |K0| z^n / n) with K0 orders from the Cuntz-Krieger matrices.
 
     mode="signed" is a diagnostic that drops the absolute value: it uses
     det(I - eps_n), which is det(I - L_p^n) at good primes and alpha^n at
@@ -316,7 +316,7 @@ def lemma1_check(
             compared = torus
         else:
             alpha = rt.alpha
-            # one descriptor per level feeds both conventions
+            # one matrix per level feeds both conventions
             levels = epsilons(p, order, False, alpha=alpha)
             torus = _exp_counts([k0_order(d) for d in levels], order)
             signed = _exp_counts([k0_signed_order(d) for d in levels], order)

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from nclocal._factor import is_prime
-from nclocal.ck_k0 import CKDescriptor, epsilon, k0_group, k0_order
+from nclocal.ck_k0 import epsilon, k0_group, k0_order
 from nclocal.elliptic import (
     AdmissibleTransform,
     ReductionKind,
@@ -161,7 +161,7 @@ def test_criterion_5_snf_and_k0():
                 for d in diag:
                     prod *= d
                 assert prod == abs(det)
-        worked = k0_group(CKDescriptor(kind="matrix", matrix=IntMatrix(2, 2, (0, 3, -1, 0))))
+        worked = k0_group(IntMatrix(2, 2, (0, 3, -1, 0)))
         assert worked.invariant_factors == (1, 4) and str(worked) == "Z/4"
 
 

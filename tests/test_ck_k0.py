@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from nclocal.ck_k0 import (
     AbelianGroupInv,
-    CKDescriptor,
     build_lp,
     epsilon,
     epsilons,
@@ -36,15 +35,13 @@ class TestBuildLp:
 
 class TestEpsilon:
     def test_matrix_case(self):
-        e = epsilon(3, 2, True, trace_ap=0)
-        assert e.kind == "matrix" and e.matrix.entries == (-3, 0, 0, -3)
-        assert e.source == {"p": 3, "n": 2, "trace_ap": 0}
+        assert epsilon(3, 2, True, trace_ap=0) == IntMatrix(2, 2, (-3, 0, 0, -3))
 
     def test_scalar_cases(self):
-        assert epsilon(11, 1, False, alpha=1).scalar == 0
-        assert epsilon(11, 2, False, alpha=-1).scalar == 0
-        assert epsilon(11, 3, False, alpha=-1).scalar == 2
-        assert epsilon(11, 2, False, alpha=0).scalar == 1
+        assert epsilon(11, 1, False, alpha=1) == IntMatrix(1, 1, (0,))
+        assert epsilon(11, 2, False, alpha=-1) == IntMatrix(1, 1, (0,))
+        assert epsilon(11, 3, False, alpha=-1) == IntMatrix(1, 1, (2,))
+        assert epsilon(11, 2, False, alpha=0) == IntMatrix(1, 1, (1,))
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -65,15 +62,13 @@ class TestEpsilon:
         levels = epsilons(p, k, True, trace_ap=t)
         assert len(levels) == k
         for n, eps in enumerate(levels, 1):
-            assert eps.kind == "matrix" and eps.matrix == mat_pow(build_lp(t, p), n)
-            assert eps.source == {"p": p, "n": n, "trace_ap": t}
+            assert eps == mat_pow(build_lp(t, p), n)
         assert epsilon(p, k, True, trace_ap=t) == levels[-1]
 
     def test_epsilons_scalar_levels(self):
         for alpha in (-1, 0, 1):
             levels = epsilons(11, 6, False, alpha=alpha)
-            assert [eps.scalar for eps in levels] == [1 - alpha**n for n in range(1, 7)]
-            assert [eps.source["n"] for eps in levels] == list(range(1, 7))
+            assert levels == [IntMatrix(1, 1, (1 - alpha**n,)) for n in range(1, 7)]
 
     def test_epsilons_validation(self):
         assert epsilons(5, 0, True, trace_ap=1) == epsilons(5, 0, False, alpha=1) == []
@@ -112,17 +107,17 @@ class TestAbelianGroupInv:
 
 class TestK0:
     def test_worked_example(self):
-        eps = CKDescriptor(kind="matrix", matrix=IntMatrix(2, 2, (0, 3, -1, 0)))
+        eps = IntMatrix(2, 2, (0, 3, -1, 0))
         assert k0_group(eps).invariant_factors == (1, 4)
         assert k0_order(eps) == 4
 
     def test_scalar_zero_gives_trivial_group(self):
-        eps = CKDescriptor(kind="scalar", scalar=0)
+        eps = IntMatrix(1, 1, (0,))
         assert k0_group(eps).invariant_factors == (1,)
         assert k0_order(eps) == 1
 
     def test_scalar_one_gives_infinite_cyclic(self):
-        eps = CKDescriptor(kind="scalar", scalar=1)
+        eps = IntMatrix(1, 1, (1,))
         assert k0_group(eps).invariant_factors == (0,)
         assert k0_order(eps) == 0
 
@@ -130,9 +125,8 @@ class TestK0:
         rng = random.Random(1234)
         for _ in range(400):
             m = IntMatrix(2, 2, tuple(rng.randint(-50, 50) for _ in range(4)))
-            eps = CKDescriptor(kind="matrix", matrix=m)
-            group = k0_group(eps)
-            order = k0_order(eps)
+            group = k0_group(m)
+            order = k0_order(m)
             assert group.order == order
 
     def test_degree_one_identity(self):
@@ -149,8 +143,7 @@ class TestK0:
                 for n in range(1, 9):
                     lpn = mat_pow(build_lp(t, p), n)
                     assert lpn.trace() == s_cur
-                    eps = CKDescriptor(kind="matrix", matrix=lpn)
-                    assert k0_order(eps) == abs(1 - s_cur + p**n)
+                    assert k0_order(lpn) == abs(1 - s_cur + p**n)
                     s_prev, s_cur = s_cur, t * s_cur - p * s_prev
 
     def test_bad_prime_orders(self):
@@ -164,21 +157,26 @@ class TestK0:
     def test_ck_family_n64(self):
         # a size where elimination over Z without reduction modulo the
         # determinant takes tens of seconds from entry growth
-        eps = CKDescriptor(kind="matrix", matrix=IntMatrix.from_rows(ck_family(64, 64)))
+        eps = IntMatrix.from_rows(ck_family(64, 64))
         group = k0_group(eps)
         factors = group.invariant_factors
         assert len(factors) == 64
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         assert group.order == k0_order(eps) == 14262428759922130528
 
+    def test_non_square_matrix_rejected(self):
+        # a Cuntz-Krieger matrix is square; 1 x 1 (a bad prime's level) included
+        for m in (IntMatrix(1, 2, (1, 2)), IntMatrix(3, 2, (1, 0, 0, 1, 2, 2))):
+            for k0 in (k0_group, k0_order, k0_signed_order):
+                with pytest.raises(ValueError, match="must be square"):
+                    k0(m)
+
     def test_transpose_convention_immaterial_for_factors(self):
         # invariant factors of coker(I - e^t) and coker(I - e) agree
         rng = random.Random(99)
         for _ in range(200):
             m = IntMatrix(2, 2, tuple(rng.randint(-30, 30) for _ in range(4)))
-            eps = CKDescriptor(kind="matrix", matrix=m)
-            eps_t = CKDescriptor(kind="matrix", matrix=m.transpose())
-            assert k0_group(eps).invariant_factors == k0_group(eps_t).invariant_factors
+            assert k0_group(m).invariant_factors == k0_group(m.transpose()).invariant_factors
 
 
 class TestSignedOrder:
@@ -201,5 +199,4 @@ class TestSignedOrder:
         rng = random.Random(7)
         for _ in range(100):
             m = IntMatrix(3, 3, tuple(rng.randint(-5, 5) for _ in range(9)))
-            eps = CKDescriptor(kind="matrix", matrix=m)
-            assert k0_order(eps) == k0_group(eps).order
+            assert k0_order(m) == k0_group(m).order

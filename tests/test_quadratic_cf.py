@@ -267,7 +267,7 @@ class TestIdentityChecks:
     @pytest.mark.parametrize(
         "patch, call, message",
         [
-            ("q._lcm = lambda *vals: 3", "q.QuadraticIrrational(1, 5, 2)", "canonical form of 1/2 + 1/2*sqrt(5)"),
+            ("q.lcm = lambda *vals: 3", "q.QuadraticIrrational(1, 5, 2)", "canonical form of 1/2 + 1/2*sqrt(5)"),
             (
                 "q.QuadraticIrrational.from_value_pair = classmethod(lambda cls, a, b, d: q.QuadraticIrrational(3, 2, 1))",
                 "q.boundary_to_theta(q.QuadraticIrrational(1, 5, 2))",

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from nclocal.catalog import CatalogEntry
-from nclocal.ck_k0 import AbelianGroupInv, CKDescriptor
+from nclocal.ck_k0 import AbelianGroupInv
 from nclocal.elliptic import (
     AdmissibleTransform,
     LocalData,
@@ -38,7 +38,6 @@ FIELDS = [
     (IntMatrix, dict(rows=2, cols=2, entries=(1, 2, 3, 4))),
     (ConjugacyVerdict, dict(status="conjugate", witness=M, reason=None, bound=None)),
     (AbelianGroupInv, dict(invariant_factors=(2, 4))),
-    (CKDescriptor, dict(kind="matrix", matrix=M, scalar=None, source={"p": 5, "n": 1, "trace_ap": -2})),
     (
         WeierstrassModel,
         dict(a1=Fraction(0), a2=Fraction(0), a3=Fraction(0), a4=Fraction(-1), a6=Fraction(0), field=None),
@@ -101,11 +100,7 @@ class TestParity:
 
     def test_hash_is_that_of_the_field_tuple(self, cls, kwargs):
         obj = cls(**kwargs)
-        if cls is CKDescriptor:
-            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-                hash(obj)
-        else:
-            assert hash(obj) == hash(cls(**kwargs)) == hash(tuple(kwargs.values()))
+        assert hash(obj) == hash(cls(**kwargs)) == hash(tuple(kwargs.values()))
 
     def test_repr_names_every_field(self, cls, kwargs):
         fields = ", ".join(f"{name}={value!r}" for name, value in kwargs.items())
@@ -132,7 +127,6 @@ class TestParity:
 def test_reprs():
     assert repr(IntMatrix(1, 2, (3, -4))) == "IntMatrix(rows=1, cols=2, entries=(3, -4))"
     assert repr(GOOD) == "ReductionType(kind=<ReductionKind.GOOD: 'good'>, alpha=None)"
-    assert repr(CKDescriptor("scalar", scalar=2)) == "CKDescriptor(kind='scalar', matrix=None, scalar=2, source={})"
     assert repr(TruncatedSeries((1, 2))) == "TruncatedSeries(coefficients=(Fraction(1, 1), Fraction(2, 1)))"
 
 
@@ -145,9 +139,6 @@ def test_former_defaults():
         p=5, n_max=1, reduction=GOOD, descriptors=(), k0_groups=(), k0_orders=(), curve_counts=(), curve_groups=()
     )
     assert (short.a_p, short.lp, short.alpha, short.exploration) == (None, None, None, None)
-    # the source default is a fresh dict per descriptor
-    a, b = CKDescriptor(kind="scalar", scalar=0), CKDescriptor(kind="scalar", scalar=0)
-    assert a.matrix is None and a.source == {} and a.source is not b.source
 
 
 @pytest.mark.parametrize(
@@ -159,10 +150,6 @@ def test_former_defaults():
         (lambda: AbelianGroupInv((-1,)), "invariant factors must be nonnegative"),
         (lambda: AbelianGroupInv((0, 2)), "zero factors must come last"),
         (lambda: AbelianGroupInv((4, 2)), "divisibility chain violated: 4 does not divide 2"),
-        (lambda: CKDescriptor("matrix"), "matrix descriptor requires a square matrix"),
-        (lambda: CKDescriptor("matrix", IntMatrix(1, 2, (1, 2))), "matrix descriptor requires a square matrix"),
-        (lambda: CKDescriptor("scalar"), "scalar descriptor requires a value"),
-        (lambda: CKDescriptor("vector", scalar=1), "unknown descriptor kind 'vector'"),
         (lambda: AdmissibleTransform(0, 1, 1, 1), "u must be nonzero"),
         (lambda: TruncatedSeries(()), "series needs at least the constant term"),
         (lambda: CFExpansion((), ()), "period must be nonempty"),
