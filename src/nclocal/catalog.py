@@ -41,13 +41,6 @@ class CatalogEntry(Frozen):
     notes: str
     j: Fraction
 
-    def __init__(self, label: str, model: WeierstrassModel, cm_discriminant: int, notes: str, j: Fraction):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "cm_discriminant", cm_discriminant)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "j", j)
-
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
@@ -66,6 +59,8 @@ def _entry_from_record(rec: dict) -> CatalogEntry:
         notes = rec.get("notes", "")
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed catalog record {rec!r}: {err}") from None
+    if not isinstance(coeffs, list) or len(coeffs) != 5:
+        raise ValueError(f"malformed catalog record {rec!r}: coefficients must be a list of 5 numbers")
     model = WeierstrassModel.over_q(*(Fraction(str(c)) for c in coeffs))
     j = j_invariant(model)
     expected = CM_J_INVARIANTS.get(disc)

@@ -43,7 +43,7 @@ class AbelianGroupInv(Frozen):
                 raise ValueError("zero factors must come last")
             if a != 0 and b % a != 0:
                 raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
-        object.__setattr__(self, "invariant_factors", invariant_factors)
+        super().__init__(invariant_factors)
 
     @property
     def order(self) -> int:

@@ -32,7 +32,7 @@ from .elliptic import (
 )
 from .functor import MAX_LEVEL, localize, theorem1_check
 from .intmat import IntMatrix, mat_pow
-from .quadratic_cf import QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
+from .quadratic_cf import _JOIN_SLICE, QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
 from .zeta import DEFAULT_ORDER, lemma1_check, local_data
 
 # integers in a --primes range, on one core of a 2-vCPU VM: the 337 primes
@@ -51,8 +51,6 @@ K0_SIZE_GUARD = 120
 K0_DIGITS_GUARD = 400
 # most digits of an entry of matrix --pow: Python's int-to-str limit
 POW_DIGITS_GUARD = 4300
-# elements of an all-int JSON list rendered per str.join call
-_JOIN_SLICE = 8192
 
 
 def _parse_period(text: str) -> list:

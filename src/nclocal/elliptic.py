@@ -110,20 +110,13 @@ class WeierstrassModel(Frozen):
     """
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "field")
+    _optional = ("field",)
     a1: object
     a2: object
     a3: object
     a4: object
     a6: object
     field: object
-
-    def __init__(self, a1, a2, a3, a4, a6, field=None):
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "a3", a3)
-        object.__setattr__(self, "a4", a4)
-        object.__setattr__(self, "a6", a6)
-        object.__setattr__(self, "field", field)
 
     @classmethod
     def over_q(cls, a1, a2, a3, a4, a6) -> "WeierstrassModel":
@@ -174,15 +167,6 @@ class WInvariants(Frozen):
     c4: object
     c6: object
     disc: object
-
-    def __init__(self, b2, b4, b6, b8, c4, c6, disc):
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "b4", b4)
-        object.__setattr__(self, "b6", b6)
-        object.__setattr__(self, "b8", b8)
-        object.__setattr__(self, "c4", c4)
-        object.__setattr__(self, "c6", c6)
-        object.__setattr__(self, "disc", disc)
 
 
 def _invariant_polys(a1, a2, a3, a4, a6) -> tuple:
@@ -238,10 +222,7 @@ class AdmissibleTransform(Frozen):
     def __init__(self, u, r, s, t):
         if u == 0:
             raise ValueError("u must be nonzero")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+        super().__init__(u, r, s, t)
 
     @classmethod
     def over_q(cls, u, r=0, s=0, t=0) -> "AdmissibleTransform":
@@ -317,12 +298,9 @@ class ReductionKind(Enum):
 
 class ReductionType(Frozen):
     __slots__ = ("kind", "alpha")
+    _optional = ("alpha",)
     kind: ReductionKind
     alpha: int | None
-
-    def __init__(self, kind: ReductionKind, alpha: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "alpha", alpha)
 
     @property
     def is_good(self) -> bool:
@@ -465,14 +443,10 @@ class LocalData(Frozen):
     and, at a good prime only, a_p; built by zeta.local_data."""
 
     __slots__ = ("reduced", "reduction", "a_p")
+    _optional = ("a_p",)
     reduced: WeierstrassModel
     reduction: ReductionType
     a_p: int | None
-
-    def __init__(self, reduced: WeierstrassModel, reduction: ReductionType, a_p: int | None = None):
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "reduction", reduction)
-        object.__setattr__(self, "a_p", a_p)
 
     @property
     def p(self) -> int:

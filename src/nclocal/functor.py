@@ -51,6 +51,7 @@ class LocalizationResult(Frozen):
         "p", "n_max", "reduction", "descriptors", "k0_groups", "k0_orders", "curve_counts", "curve_groups", "a_p",
         "lp", "alpha", "exploration",
     )
+    _optional = ("a_p", "lp", "alpha", "exploration")
     p: int
     n_max: int
     reduction: ReductionType
@@ -63,23 +64,6 @@ class LocalizationResult(Frozen):
     lp: IntMatrix | None
     alpha: int | None
     exploration: dict | None
-
-    def __init__(
-        self, p, n_max, reduction, descriptors, k0_groups, k0_orders, curve_counts, curve_groups, a_p=None, lp=None,
-        alpha=None, exploration=None,
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "reduction", reduction)
-        object.__setattr__(self, "descriptors", descriptors)
-        object.__setattr__(self, "k0_groups", k0_groups)
-        object.__setattr__(self, "k0_orders", k0_orders)
-        object.__setattr__(self, "curve_counts", curve_counts)
-        object.__setattr__(self, "curve_groups", curve_groups)
-        object.__setattr__(self, "a_p", a_p)
-        object.__setattr__(self, "lp", lp)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "exploration", exploration)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -172,16 +156,6 @@ class TrialRecord(Frozen):
     invariant_equal: bool
     passed: bool
 
-    def __init__(self, trial, u, r, s, t, closure_isomorphic, invariant_equal, passed):
-        object.__setattr__(self, "trial", trial)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "closure_isomorphic", closure_isomorphic)
-        object.__setattr__(self, "invariant_equal", invariant_equal)
-        object.__setattr__(self, "passed", passed)
-
     def to_json_dict(self) -> dict:
         return {
             "trial": self.trial,
@@ -200,14 +174,6 @@ class Theorem1Report(Frozen):
     baseline: str  # the shared L_p (good) or alpha (bad)
     trials: tuple
     all_passed: bool
-
-    def __init__(self, p, good, seed, baseline, trials, all_passed):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "good", good)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "baseline", baseline)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "all_passed", all_passed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -303,24 +269,6 @@ class Lemma3Report(Frozen):
     lp_equal: bool | None
     lp: IntMatrix | None
 
-    def __init__(
-        self, period_a, period_b, p, matrix_a, matrix_b, verdict_status, witness, reason, trace_power_a,
-        trace_power_b, traces_equal, lp_equal, lp,
-    ):
-        object.__setattr__(self, "period_a", period_a)
-        object.__setattr__(self, "period_b", period_b)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "matrix_a", matrix_a)
-        object.__setattr__(self, "matrix_b", matrix_b)
-        object.__setattr__(self, "verdict_status", verdict_status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "trace_power_a", trace_power_a)
-        object.__setattr__(self, "trace_power_b", trace_power_b)
-        object.__setattr__(self, "traces_equal", traces_equal)
-        object.__setattr__(self, "lp_equal", lp_equal)
-        object.__setattr__(self, "lp", lp)
-
     def to_json_dict(self) -> dict:
         return {
             "period_a": list(self.period_a),
@@ -391,14 +339,6 @@ class Footnote2Row(Frozen):
     curve_factors: tuple
     k0_factors: tuple
     isomorphic: bool
-
-    def __init__(self, n, order_curve, order_k0, curve_factors, k0_factors, isomorphic):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order_curve", order_curve)
-        object.__setattr__(self, "order_k0", order_k0)
-        object.__setattr__(self, "curve_factors", curve_factors)
-        object.__setattr__(self, "k0_factors", k0_factors)
-        object.__setattr__(self, "isomorphic", isomorphic)
 
     def to_json_dict(self) -> dict:
         return {

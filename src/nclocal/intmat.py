@@ -43,9 +43,7 @@ class IntMatrix(Frozen):
             raise ValueError("entries length must equal rows*cols")
         if not all(isinstance(e, int) for e in entries):
             raise ValueError("entries must be integers")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -66,6 +64,9 @@ class IntMatrix(Frozen):
             raise ValueError(f"cannot parse matrix {text!r}: {e}") from None
         if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
             raise ValueError(f"cannot parse matrix {text!r}: expected list of rows")
+        # from_rows would truncate 0.9 to 0 and read true and "0" as integers
+        if not all(type(x) is int for row in data for x in row):
+            raise ValueError(f"cannot parse matrix {text!r}: entries must be integers")
         return cls.from_rows(data)
 
     def at(self, i: int, j: int) -> int:
@@ -279,18 +280,11 @@ class ConjugacyVerdict(Frozen):
     """
 
     __slots__ = ("status", "witness", "reason", "bound")
+    _optional = ("witness", "reason", "bound")
     status: str
     witness: IntMatrix | None
     reason: str | None
     bound: int | None
-
-    def __init__(
-        self, status: str, witness: IntMatrix | None = None, reason: str | None = None, bound: int | None = None
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "bound", bound)
 
     @property
     def is_conjugate(self) -> bool:

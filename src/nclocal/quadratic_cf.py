@@ -39,7 +39,8 @@ D_DIGITS_GUARD = 22
 # the state orbit is always finite, but can be long: a whole `cf` run that
 # reaches this cap takes 0.30-0.42 s and 24 MB on one core of a 2-vCPU VM
 _MAX_CF_STATES = 10**6
-# digits per str.join call when an expansion is printed
+# digits per str.join call when an expansion, or an all-int JSON list of
+# the CLI, is printed
 _JOIN_SLICE = 8192
 
 
@@ -194,8 +195,7 @@ class CFExpansion(Frozen):
         if any(per[m // ell :] == per[: m - m // ell] for ell in factorize(m)):
             k = next(k for k in range(1, m) if m % k == 0 and per[k:] == per[: m - k])
             raise ValueError(f"period {per} is not minimal (repeats with length {k})")
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
+        super().__init__(preperiod, period)
 
     @property
     def is_purely_periodic(self) -> bool:

@@ -52,9 +52,7 @@ class TruncatedSeries(Frozen):
         if not coefficients:
             raise ValueError("series needs at least the constant term")
         # a Fraction is immutable, so only other inputs are converted
-        object.__setattr__(
-            self, "coefficients", tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
-        )
+        super().__init__(tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients))
 
     @classmethod
     def from_list(cls, coeffs: Sequence, order: int) -> "TruncatedSeries":
@@ -260,16 +258,6 @@ class LocalFactorReport(Frozen):
     torus_series_signed: TruncatedSeries | None
     verdict: str
     first_mismatch: int | None
-
-    def __init__(self, p, good, alpha, curve_series, torus_series, torus_series_signed, verdict, first_mismatch):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "good", good)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "curve_series", curve_series)
-        object.__setattr__(self, "torus_series", torus_series)
-        object.__setattr__(self, "torus_series_signed", torus_series_signed)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
 
     def to_json_dict(self) -> dict:
         out = {

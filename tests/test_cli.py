@@ -82,6 +82,11 @@ class TestK0:
         code, _, _ = run(capsys, "k0", "--matrix", "[[1,2],[3]]")
         assert code == 2
 
+    @pytest.mark.parametrize("matrix", ["[[0.9,3],[-1,true]]", '[[0,3],[-1,"0"]]', "[[0,3],[-1,1.0]]"])
+    def test_non_integer_entries_exit_2(self, capsys, matrix):
+        code, out, err = run(capsys, "k0", "--matrix", matrix)
+        assert code == 2 and out == "" and "entries must be integers" in err
+
 
 class TestCurve:
     def test_invariants_and_counts(self, capsys):
@@ -225,6 +230,13 @@ class TestCatalog:
         ]))
         code, _, err = run(capsys, "catalog", "--file", str(path))
         assert code == 2 and "recomputed j" in err
+
+    @pytest.mark.parametrize("coefficients", [[0, 0, 0, -1], 5, "00010", [0, 0, 0, -1, 0, 0]])
+    def test_malformed_coefficients_exit_2(self, capsys, tmp_path, coefficients):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"label": "x", "coefficients": coefficients, "cm_discriminant": -4}]))
+        code, out, err = run(capsys, "catalog", "--file", str(path))
+        assert code == 2 and out == "" and "malformed catalog record" in err
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "catalog", "--format", "csv")

@@ -71,3 +71,18 @@ def test_cli_import_loads_no_slow_module():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_calls_object_setattr():
+    # Frozen.__init__ stores the fields a value class names in __slots__
+    found = []
+    for path in sorted(Path(nclocal.__file__).parent.glob("*.py")):
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ]
+    assert found == []

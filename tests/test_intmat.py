@@ -33,6 +33,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             IntMatrix.parse("nope")
 
+    @pytest.mark.parametrize("text", ["[[0.9,3],[-1,true]]", '[[0,3],[-1,"0"]]', "[[1.0]]", "[[false]]"])
+    def test_parse_rejects_non_integer_entries(self, text):
+        # JSON floats, booleans and strings are not truncated or converted
+        with pytest.raises(ValueError, match="entries must be integers"):
+            IntMatrix.parse(text)
+
     def test_det_trace(self):
         assert M([[1, 1], [-3, 1]]).det() == 4
         assert M([[2, 0, 1], [1, 3, 2], [0, 1, 1]]).det() == 2 * (3 - 2) + 1 * (1 - 0)

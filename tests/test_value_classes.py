@@ -78,6 +78,8 @@ FIELDS = [
     (Footnote2Row, dict(n=1, order_curve=8, order_k0=8, curve_factors=(2, 4), k0_factors=(2, 4), isomorphic=True)),
 ]
 IDS = [cls.__name__ for cls, _ in FIELDS]
+# the classes that check or convert their input before storing it
+CHECKED = {IntMatrix, AbelianGroupInv, AdmissibleTransform, TruncatedSeries, CFExpansion}
 
 
 def _values(obj, names):
@@ -123,6 +125,21 @@ class TestParity:
         assert copy.deepcopy(obj) == obj
         assert pickle.loads(pickle.dumps(obj)) == obj
 
+    def test_bad_arguments_raise_type_error(self, cls, kwargs):
+        first, *rest = kwargs
+        without_first = {name: kwargs[name] for name in rest}
+        for build in (
+            lambda: cls(**without_first),
+            lambda: cls(**kwargs, not_a_field=1),
+            lambda: cls(kwargs[first], **kwargs),
+            lambda: cls(*kwargs.values(), None),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_only_checking_classes_define_init(self, cls, kwargs):
+        assert ("__init__" in cls.__dict__) == (cls in CHECKED)
+
 
 def test_reprs():
     assert repr(IntMatrix(1, 2, (3, -4))) == "IntMatrix(rows=1, cols=2, entries=(3, -4))"
@@ -139,6 +156,9 @@ def test_former_defaults():
         p=5, n_max=1, reduction=GOOD, descriptors=(), k0_groups=(), k0_orders=(), curve_counts=(), curve_groups=()
     )
     assert (short.a_p, short.lp, short.alpha, short.exploration) == (None, None, None, None)
+    for cls, kwargs in FIELDS:
+        required = {name: value for name, value in kwargs.items() if name not in cls._optional}
+        assert all(getattr(cls(**required), name) is None for name in cls._optional), cls
 
 
 @pytest.mark.parametrize(
