@@ -55,10 +55,13 @@ def _entry_from_record(rec: dict) -> CatalogEntry:
     try:
         label = rec["label"]
         coeffs = rec["coefficients"]
-        disc = int(rec["cm_discriminant"])
+        disc = rec["cm_discriminant"]
         notes = rec.get("notes", "")
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed catalog record {rec!r}: {err}") from None
+    # int() would truncate -4.9 to -4 and read true as 1
+    if type(disc) is not int:
+        raise ValueError(f"malformed catalog record {rec!r}: cm_discriminant must be an integer")
     if not isinstance(coeffs, list) or len(coeffs) != 5:
         raise ValueError(f"malformed catalog record {rec!r}: coefficients must be a list of 5 numbers")
     model = WeierstrassModel.over_q(*(Fraction(str(c)) for c in coeffs))

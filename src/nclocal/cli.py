@@ -12,7 +12,6 @@ error, 141 (128 + SIGPIPE) when the reader of stdout closes it early.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -21,19 +20,9 @@ from json.encoder import encode_basestring_ascii
 from collections.abc import Sequence
 from math import log10, sqrt
 
-from . import catalog as catalog_mod
-from .ck_k0 import k0_group
-from .elliptic import (
-    AP_GUARD,
-    WeierstrassModel,
-    count_nonsingular,
-    invariants,
-    j_invariant,
-)
-from .functor import MAX_LEVEL, localize, theorem1_check
-from .intmat import IntMatrix, mat_pow
-from .quadratic_cf import _JOIN_SLICE, QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
-from .zeta import DEFAULT_ORDER, lemma1_check, local_data
+# each handler imports the modules it runs, so that `--help`, `cf`,
+# `matrix` and `k0` load no curve code
+from ._limits import AP_GUARD, DEFAULT_ORDER, MAX_LEVEL
 
 # integers in a --primes range, on one core of a 2-vCPU VM: the 337 primes
 # just below AP_GUARD take 8.2-9.8 s at the default order on a curve
@@ -97,19 +86,35 @@ def _check_p(p: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _IntList(list):
+    """A list of ints that carries its text, the ints joined by ", ", for
+    _render_json to print; json.dumps and the CSV writer see a plain list."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, ints, text: str):
+        super().__init__(ints)
+        self.text = text
+
+
 def _cmd_cf(args) -> tuple:
+    from .quadratic_cf import QuadraticIrrational, _display, _join_digits, cf_expand, is_reduced
+
     x = QuadraticIrrational.parse(args.value)
     try:
         approx = float(x)
     except OverflowError:
         raise ValueError("guard exceeded: value_approx passes the float range") from None
     exp = cf_expand(x)
+    # each digit is converted to text once, for the lists and the display
+    preperiod = _IntList(exp.preperiod, _join_digits(exp.preperiod))
+    period = _IntList(exp.period, _join_digits(exp.period))
     payload = {
         "input": str(x),
         "value_approx": approx,
-        "preperiod": list(exp.preperiod),
-        "period": list(exp.period),
-        "display": str(exp),
+        "preperiod": preperiod,
+        "period": period,
+        "display": _display(preperiod.text, period.text),
         "purely_periodic": exp.is_purely_periodic,
         "reduced": is_reduced(x),
     }
@@ -127,6 +132,9 @@ def _check_pow(m: IntMatrix, k: int) -> None:
 
 
 def _cmd_matrix(args) -> tuple:
+    from .intmat import mat_pow
+    from .quadratic_cf import incidence_matrix
+
     period = _parse_period(args.period)
     m = incidence_matrix(period)
     payload = {"period": period, "matrix": m.to_rows(), "det": m.det(), "trace": m.trace()}
@@ -152,6 +160,9 @@ def _check_k0(m: IntMatrix) -> None:
 
 
 def _cmd_k0(args) -> tuple:
+    from .ck_k0 import k0_group
+    from .intmat import IntMatrix
+
     m = IntMatrix.parse(args.matrix)
     if not m.is_square:
         raise ValueError("k0 needs a square matrix")
@@ -167,6 +178,9 @@ def _cmd_k0(args) -> tuple:
 
 
 def _cmd_curve(args) -> tuple:
+    from .elliptic import WeierstrassModel, count_nonsingular, invariants, j_invariant
+    from .zeta import local_data
+
     if not 1 <= args.n <= MAX_LEVEL:
         raise ValueError(f"--n must be between 1 and {MAX_LEVEL}")
     _check_p(args.p)
@@ -201,6 +215,9 @@ def _cmd_curve(args) -> tuple:
 
 
 def _cmd_localize(args) -> tuple:
+    from .elliptic import WeierstrassModel
+    from .functor import localize
+
     _check_p(args.p)
     e = WeierstrassModel.parse(args.model)
     period = _parse_period(args.period) if args.period else None
@@ -209,6 +226,9 @@ def _cmd_localize(args) -> tuple:
 
 
 def _cmd_zeta(args) -> tuple:
+    from .elliptic import WeierstrassModel
+    from .zeta import lemma1_check
+
     if not 1 <= args.order <= ORDER_GUARD:
         raise ValueError(f"--order must be between 1 and {ORDER_GUARD}")
     e = WeierstrassModel.parse(args.model)
@@ -221,6 +241,9 @@ def _cmd_zeta(args) -> tuple:
 
 
 def _cmd_theorem1(args) -> tuple:
+    from .elliptic import WeierstrassModel
+    from .functor import theorem1_check
+
     if not 1 <= args.trials <= TRIALS_GUARD:
         raise ValueError(f"--trials must be between 1 and {TRIALS_GUARD}")
     _check_p(args.p)
@@ -230,7 +253,9 @@ def _cmd_theorem1(args) -> tuple:
 
 
 def _cmd_catalog(args) -> tuple:
-    entries = catalog_mod.load_catalog(args.file)
+    from .catalog import load_catalog
+
+    entries = load_catalog(args.file)
     return [entry.to_json_dict() for entry in entries], False
 
 
@@ -244,9 +269,9 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
     strings at a time.
 
     Containers recurse, and strings and ints are encoded directly; any
-    other scalar goes through json.dumps.  A list of plain ints, such as a
-    continued-fraction period, is joined in slices of _JOIN_SLICE.
-    `indent` is the newline and indentation of the enclosing level.
+    other scalar goes through json.dumps.  A list of plain ints is joined
+    in one call, and an _IntList is printed from its text.  `indent` is
+    the newline and indentation of the enclosing level.
     """
     if type(o) is int:
         pieces.append(int.__repr__(o))
@@ -259,11 +284,11 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
         inner = indent + "  "
         sep = "," + inner
         pieces.append("[" + inner)
-        if all(type(v) is int for v in o):
-            for i in range(0, len(o), _JOIN_SLICE):
-                if i:
-                    pieces.append(sep)
-                pieces.append(sep.join(map(int.__repr__, o[i : i + _JOIN_SLICE])))
+        if type(o) is _IntList:
+            # exact: ", " cannot occur inside the text of an int
+            pieces.append(o.text.replace(", ", sep))
+        elif all(type(v) is int for v in o):
+            pieces.append(sep.join(map(int.__repr__, o)))
         else:
             for i, v in enumerate(o):
                 if i:
@@ -287,6 +312,8 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
 
 
 def _render_csv(payload) -> str:
+    import csv
+
     rows = payload if isinstance(payload, list) else [payload]
     buf = io.StringIO()
     if rows and all(isinstance(r, dict) for r in rows):

@@ -32,6 +32,7 @@ from itertools import chain, islice
 
 from ._factor import factorize
 from ._frozen import Frozen
+from ._limits import AP_GUARD
 from .ck_k0 import AbelianGroupInv
 from .ffield import EXT_FIELD_GUARD, FieldElement, PrimeField, finite_field, is_square
 
@@ -60,11 +61,8 @@ __all__ = [
     "CM_J_INVARIANTS",
 ]
 
-# measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11
-# a_p just below: 0.4 ms per prime on average and 2 ms at most from the
-# norm equation (the thirteen catalog curves, 25 primes each), up to
-# 0.04 s by baby-step giant-step for any other j
-AP_GUARD = 10**12
+# measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11;
+# AP_GUARD, the largest p of a_p, is in _limits
 # brute-force count over F_{p^n}: 3.4 s at p = 999983, 4.9 s at 997^2
 # (the oracle; the CLI counts for a_p only at p <= MESTRE_BOUND when the
 # CM path does not apply, and once at a bad prime in `curve`)

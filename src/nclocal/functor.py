@@ -15,6 +15,7 @@ import random
 from collections.abc import Sequence
 
 from ._frozen import Frozen
+from ._limits import MAX_LEVEL
 from .ck_k0 import build_lp, epsilons, k0_group, k0_order
 from .elliptic import (
     AdmissibleTransform,
@@ -40,8 +41,6 @@ __all__ = [
     "footnote2_experiment",
     "MAX_LEVEL",
 ]
-
-MAX_LEVEL = 6
 
 
 class LocalizationResult(Frozen):

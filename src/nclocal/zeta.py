@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from ._frozen import Frozen
+from ._limits import DEFAULT_ORDER
 from .ck_k0 import epsilon, epsilons, k0_order, k0_signed_order
 from .elliptic import (
     LocalData,
@@ -38,8 +39,6 @@ __all__ = [
     "euler_factor_polynomial",
     "DEFAULT_ORDER",
 ]
-
-DEFAULT_ORDER = 6
 
 
 class TruncatedSeries(Frozen):

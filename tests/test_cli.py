@@ -238,6 +238,20 @@ class TestCatalog:
         code, out, err = run(capsys, "catalog", "--file", str(path))
         assert code == 2 and out == "" and "malformed catalog record" in err
 
+    @pytest.mark.parametrize("disc", [-4.9, True, "-4", -4.0, None])
+    def test_non_integer_discriminant_exit_2(self, capsys, tmp_path, disc):
+        # int() would read -4.9 as -4 and true as 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"label": "x", "coefficients": [0, 0, 0, -1, 0], "cm_discriminant": disc}]))
+        code, out, err = run(capsys, "catalog", "--file", str(path))
+        assert code == 2 and out == "" and "cm_discriminant must be an integer" in err
+
+    def test_integer_discriminant_from_a_file(self, capsys, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps([{"label": "x", "coefficients": [0, 0, 0, -1, 0], "cm_discriminant": -4}]))
+        code, out, _ = run(capsys, "catalog", "--file", str(path))
+        assert code == 0 and json.loads(out)[0]["cm_discriminant"] == -4
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "catalog", "--format", "csv")
         assert code == 0
@@ -354,12 +368,13 @@ class TestGoldens:
 
     Each file holds the command on its first line and the expected stdout
     after it.  The exit code is 0 unless the command line ends in
-    "  # exit N".
+    "  # exit N".  The file is read as bytes, so that the "\r\n" row ends
+    of a --format csv golden are compared too.
     """
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDENS.glob("*.txt")))
     def test_stdout_byte_identical(self, capsys, name):
-        command, expected = (GOLDENS / f"{name}.txt").read_text().split("\n", 1)
+        command, expected = (GOLDENS / f"{name}.txt").read_bytes().decode().split("\n", 1)
         command, _, exit_code = command.partition("  # exit ")
         code, out, err = run(capsys, *command.split()[1:])
         assert code == int(exit_code or 0) and err == ""

@@ -64,13 +64,45 @@ def test_no_module_imports_dataclasses_or_typing():
     assert found == []
 
 
-def test_cli_import_loads_no_slow_module():
-    # -S: the site hooks of an installation may import typing themselves
-    code = f"import sys, nclocal.cli; print([m for m in {SLOW_IMPORTS!r} if m in sys.modules])"
+def _loaded_after(code: str) -> set:
+    """The modules loaded after `code` runs in a fresh interpreter.  -S:
+    the site hooks of an installation may import typing themselves."""
+    code += "\nimport sys; print(' '.join(sys.modules), file=sys.stderr)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stderr.split())
+
+
+CURVE_MODULES = {"nclocal.elliptic", "nclocal.ffield", "nclocal.functor", "nclocal.zeta"}
+
+
+def test_cli_import_loads_no_slow_module():
+    # each subcommand imports its own modules when it runs
+    unwanted = CURVE_MODULES | {"nclocal.ck_k0", "nclocal.quadratic_cf", "nclocal.catalog", "csv", "fractions"}
+    loaded = _loaded_after("import nclocal.cli; nclocal.cli.build_parser()")
+    assert loaded & (unwanted | set(SLOW_IMPORTS)) == set()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["cf", "sqrt(7)"], ["matrix", "--period", "2,1", "--pow", "5"], ["k0", "--matrix", "[[0,3],[-1,0]]"]],
+)
+def test_ck_subcommands_load_no_curve_code(args):
+    loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) == 0")
+    assert loaded & CURVE_MODULES == set()
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    # nclocal loads its names on first use; each must be the object its
+    # module defines, not a copy
+    for name in nclocal.__all__:
+        value = getattr(nclocal, name)
+        home = importlib.import_module(value.__module__)
+        assert home is not nclocal and getattr(home, name) is value, name
+    assert set(nclocal.__all__) <= set(dir(nclocal))
+    with pytest.raises(AttributeError):
+        nclocal.no_such_name
 
 
 def test_no_module_calls_object_setattr():
