@@ -15,10 +15,10 @@ cases, get a_p from Shanks-Mestre baby-step giant-step above p = 229 and
 from a brute-force count below it.  The brute-force counter is the
 oracle for both fast paths, and baby-step giant-step the oracle for the
 CM one.  All derived counts go through the trace recurrence, from a
-LocalData record.  Brute-force counts and the points that
-group_structure draws share one fibre solver over F_p and F_{p^n}: at
-each x the equation reads y^2 + b*y = c, and the group structure needs
-one root of it at a few x, not every point.
+LocalData record.  Brute-force counts and the drawn points share only
+the fibre equation y^2 + b*y = c at each x over F_p and F_{p^n}: the
+count tests it by Euler's criterion (the absolute trace in char 2), the
+points take a root, so the count is an independent oracle of the points.
 """
 
 from __future__ import annotations

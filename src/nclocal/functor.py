@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from ._frozen import Frozen
 from ._limits import MAX_LEVEL
-from .ck_k0 import build_lp, epsilons, k0_group, k0_order
+from .ck_k0 import build_lp, epsilons, k0_group
 from .elliptic import (
     AdmissibleTransform,
     ReductionError,
@@ -110,7 +110,8 @@ def localize(
         raise ValueError(f"{err}; apply a clearing transform first") from None
     rt, ap = local.reduction, local.a_p
     descriptors = tuple(epsilons(p, n_max, rt.is_good, trace_ap=ap, alpha=rt.alpha))
-    orders = tuple(k0_order(d) for d in descriptors)
+    groups = tuple(k0_group(d) for d in descriptors)
+    orders = tuple(g.order for g in groups)
     counts = tuple(local.point_counts(n_max))
     if rt.is_good and orders != counts:
         raise RuntimeError(f"K0 order must equal the point count: {orders} != {counts} for {e} at p={p}")
@@ -128,7 +129,7 @@ def localize(
         n_max=n_max,
         reduction=rt,
         descriptors=descriptors,
-        k0_groups=tuple(k0_group(d) for d in descriptors),
+        k0_groups=groups,
         k0_orders=orders,
         curve_counts=counts,
         curve_groups=tuple(local.groups(n_max)),

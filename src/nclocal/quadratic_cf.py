@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from ._factor import factorize, squarefree_split
 from ._frozen import Frozen
@@ -41,17 +40,38 @@ D_DIGITS_GUARD = 22
 _MAX_CF_STATES = 10**6
 
 
-class QuadraticIrrational:
+def _canonical(P: int, g: int, Q: int, d: int) -> tuple:
+    """The canonical (P, D, Q) of (P + g*sqrt(d))/Q, for g > 0 and d
+    squarefree: Q becomes the least multiplier, with the sign of the old
+    Q, that clears the denominators of P/Q, g/Q and (g^2*d - P^2)/Q^2."""
+    q = abs(Q)
+    t = lcm(q // gcd(P, q), q // gcd(g, q), q * q // gcd(g * g * d - P * P, q * q))
+    if Q < 0:
+        t = -t
+    P_t, g_t = P * t // Q, g * t // Q
+    D = g_t * g_t * d
+    if (D - P_t * P_t) % t:
+        from fractions import Fraction
+
+        raise RuntimeError(
+            f"canonical form of {Fraction(P, Q)} + {Fraction(g, Q)}*sqrt({d}) is ({P_t}, {D}, {t}),"
+            " and Q does not divide D - P^2"
+        )
+    return P_t, D, t
+
+
+class QuadraticIrrational(Frozen):
     """The exact value (P+sqrt(D))/Q, canonicalized.
 
     Canonical form: with value a + b*sqrt(d) (a, b rational, d
     squarefree), Q is the minimal-magnitude integer carrying the sign of
     b such that P = a*Q, D = (b*Q)^2*d are integers and Q | D - P^2.
     The sqrt coefficient in the numerator is always +1; a negative
-    irrational part is encoded by Q < 0.
+    irrational part is encoded by Q < 0.  The triple and d, the squarefree
+    kernel of D, are the whole state; copy and pickle rebuild from (P, D, Q).
     """
 
-    __slots__ = ("P", "D", "Q", "_a", "_b", "_d")
+    __slots__ = ("P", "D", "Q", "d")
 
     def __init__(self, P: int, D: int, Q: int):
         if Q == 0:
@@ -61,73 +81,63 @@ class QuadraticIrrational:
         g, d = squarefree_split(D)
         if d == 1:
             raise ValueError(f"D={D} is a perfect square; the value is rational")
-        self._init_from_pair(Fraction(P, Q), Fraction(g, Q), d)
-
-    def _init_from_pair(self, a: Fraction, b: Fraction, d: int):
-        c = b * b * d - a * a
-        t = lcm(a.denominator, b.denominator, c.denominator)
-        if b < 0:
-            t = -t
-        self._a, self._b, self._d = a, b, d
-        self.P = int(a * t)
-        self.Q = t
-        bt = int(b * t)
-        self.D = bt * bt * d
-        if (self.D - self.P * self.P) % self.Q:
-            raise RuntimeError(
-                f"canonical form of {a} + {b}*sqrt({d}) is ({self.P}, {self.D}, {self.Q}),"
-                " and Q does not divide D - P^2"
-            )
+        super().__init__(*_canonical(P, g, Q, d), d)
 
     @classmethod
-    def from_value_pair(cls, a: Fraction, b: Fraction, d: int) -> "QuadraticIrrational":
-        """Build from the exact value a + b*sqrt(d), d squarefree."""
+    def _of(cls, P: int, D: int, Q: int, d: int) -> "QuadraticIrrational":
+        # a triple already canonical, with the squarefree kernel d of D
+        x = cls.__new__(cls)
+        Frozen.__init__(x, P, D, Q, d)
+        return x
+
+    def __reduce__(self):
+        return type(self), (self.P, self.D, self.Q)
+
+    @classmethod
+    def from_value_pair(cls, a, b, d: int) -> "QuadraticIrrational":
+        """Build from the exact value a + b*sqrt(d), for rational a and b
+        (int or Fraction) and squarefree d."""
         if b == 0:
             raise ValueError("value is rational")
         if squarefree_split(d) != (1, d) or d == 1:
             raise ValueError("d must be squarefree and > 1")
-        self = cls.__new__(cls)
-        self._init_from_pair(Fraction(a), Fraction(b), d)
-        return self
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        # a + b*sqrt(d) = (an*bd + |bn|*ad*sqrt(d)) / (ad*bd), b's sign in Q
+        s = 1 if bn > 0 else -1
+        return cls._of(*_canonical(s * an * bd, abs(bn) * ad, s * ad * bd, d), d)
 
     # -- value access -------------------------------------------------
 
     def value_pair(self) -> tuple:
         """(a, b, d) with value = a + b*sqrt(d), d squarefree."""
-        return self._a, self._b, self._d
+        from fractions import Fraction
+
+        return Fraction(self.P, self.Q), Fraction(isqrt(self.D // self.d), self.Q), self.d
 
     def conjugate(self) -> "QuadraticIrrational":
         """The algebraic conjugate (P-sqrt(D))/Q."""
-        return QuadraticIrrational.from_value_pair(self._a, -self._b, self._d)
+        return self._of(-self.P, self.D, -self.Q, self.d)
 
     def compare_to(self, q) -> int:
         """Exact sign of (self - q) for rational q: -1, or +1 (never 0)."""
-        s = self._a - Fraction(q)
-        b, d = self._b, self._d
-        if s == 0:
-            return 1 if b > 0 else -1
-        if s > 0 and b > 0:
-            return 1
-        if s < 0 and b < 0:
-            return -1
-        # opposite signs: the larger square magnitude wins
-        if s > 0:
-            return 1 if s * s > b * b * d else -1
-        return 1 if b * b * d > s * s else -1
+        n, m = q.as_integer_ratio()
+        # self - q = (s + m*sqrt(D)) / (m*Q) with m > 0, and s + m*sqrt(D)
+        # is negative iff s < 0 and s^2 > m^2*D (never equal: D is no square)
+        s = m * self.P - n * self.Q
+        sign = -1 if s < 0 and s * s > m * m * self.D else 1
+        return sign if self.Q > 0 else -sign
 
-    def floor(self) -> int:
-        return _floor_quadratic(self.P, isqrt(self.D), self.Q)
+    def _plus_reciprocal(self, a: int) -> "QuadraticIrrational":
+        """a + 1/self, where 1/self = (-P+sqrt(D))/((D-P^2)/Q) is the step of
+        cf_expand run backwards: canonical triples stay canonical, D fixed."""
+        q = (self.D - self.P * self.P) // self.Q
+        return self._of(a * q - self.P, self.D, q, self.d)
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * self._d ** 0.5
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadraticIrrational):
-            return NotImplemented
-        return (self.P, self.D, self.Q) == (other.P, other.D, other.Q)
-
-    def __hash__(self) -> int:
-        return hash((self.P, self.D, self.Q))
+        # int true division is correctly rounded, as float(Fraction) is;
+        # a zero P gives Fraction's +0.0, where 0 / -Q would give -0.0
+        P, Q, d = self.P, self.Q, self.d
+        return (P / Q if P else 0.0) + isqrt(self.D // d) / Q * d**0.5
 
     def __str__(self) -> str:
         return f"({self.P}+sqrt({self.D}))/{self.Q}"
@@ -283,15 +293,9 @@ def incidence_matrix(period: Sequence[int]) -> IntMatrix:
 
 def boundary_to_theta(x: QuadraticIrrational) -> QuadraticIrrational:
     """The boundary parameterization |x|/(1+|x|), exactly; lands in (0, 1)."""
-    a, b, d = x.value_pair()
-    if x.compare_to(0) < 0:
-        a, b = -a, -b
-    # (a+b*sqrt(d)) / (1+a+b*sqrt(d)), rationalized by the conjugate
-    c, e = 1 + a, b
-    norm = c * c - e * e * d
-    theta = QuadraticIrrational.from_value_pair(
-        (a * c - b * e * d) / norm, (b * c - a * e) / norm, d
-    )
+    # -x = (P+sqrt(D))/(-Q), and |x|/(1+|x|) = 0 + 1/(1 + 1/|x|)
+    y = x if x.compare_to(0) > 0 else QuadraticIrrational._of(x.P, x.D, -x.Q, x.d)
+    theta = y._plus_reciprocal(1)._plus_reciprocal(0)
     if not (theta.compare_to(0) > 0 and theta.compare_to(1) < 0):
         raise RuntimeError(f"boundary_to_theta({x}) gave {theta}, which is not in (0, 1)")
     return theta
@@ -307,6 +311,8 @@ def gl2z_equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
 
 def convergents(exp: CFExpansion, count: int) -> list:
     """First ``count`` convergents p_n/q_n as exact fractions."""
+    from fractions import Fraction
+
     out = []
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
@@ -317,25 +323,17 @@ def convergents(exp: CFExpansion, count: int) -> list:
     return out
 
 
-def _recip(pair: tuple) -> tuple:
-    a, b, d = pair
-    norm = a * a - b * b * d
-    return (a / norm, -b / norm, d)
-
-
 def cf_value(exp: CFExpansion) -> QuadraticIrrational:
     """Exact value of an eventually periodic continued fraction.
 
     The purely periodic tail is the attracting fixed point of the
     incidence matrix acting as a Moebius map; the preperiod folds back
-    as x = a + 1/y in exact quadratic arithmetic.
+    as x = a + 1/y on canonical triples.
     """
     m = incidence_matrix(exp.period)
     p, q, r, s = m.entries
     # tail solves r*t^2 + (s-p)*t - q = 0; take the positive root
-    tail = QuadraticIrrational(p - s, (p - s) ** 2 + 4 * r * q, 2 * r)
-    a, b, d = tail.value_pair()
+    x = QuadraticIrrational(p - s, (p - s) ** 2 + 4 * r * q, 2 * r)
     for digit in reversed(exp.preperiod):
-        a, b, d = _recip((a, b, d))
-        a += digit
-    return QuadraticIrrational.from_value_pair(a, b, d)
+        x = x._plus_reciprocal(digit)
+    return x

@@ -303,10 +303,10 @@ def lemma1_check(
             compared = torus
         else:
             alpha = rt.alpha
-            # one matrix per level feeds both conventions
-            levels = epsilons(p, order, False, alpha=alpha)
-            torus = _exp_counts([k0_order(d) for d in levels], order)
-            signed = _exp_counts([k0_signed_order(d) for d in levels], order)
+            # one signed order per level feeds both conventions
+            orders = [k0_signed_order(d) for d in epsilons(p, order, False, alpha=alpha)]
+            torus = _exp_counts([abs(n) for n in orders], order)
+            signed = _exp_counts(orders, order)
             compared = signed if mode == "signed" else torus
         mismatch = curve.first_mismatch(compared)
         reports.append(

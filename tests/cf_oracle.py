@@ -7,9 +7,20 @@ nothing of reducedness, so it checks the preperiod and period that
 cf_expand finds from the first reduced state.  ``reduced_by_comparison``
 is the Galois criterion read off exact comparisons of the value and its
 conjugate with rationals, sharing no code with the integer test.
+
+``FractionQuadratic`` is QuadraticIrrational as it was before its state
+became the integer triple alone: it canonicalizes the value pair
+a + b*sqrt(d) with Fraction arithmetic and keeps that pair for its
+views.  With ``fraction_cf_value`` and ``fraction_boundary_to_theta`` it
+is the oracle of the integer canonical form and of every operation on
+triples.
 """
 
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, lcm
+
+from nclocal._factor import squarefree_split
+from nclocal.quadratic_cf import incidence_matrix
 
 
 def expand_by_repetition(x):
@@ -42,3 +53,98 @@ def reduced_by_comparison(x):
         return False
     conj = x.conjugate()
     return conj.compare_to(-1) > 0 and conj.compare_to(0) < 0
+
+
+class FractionQuadratic:
+    """(P+sqrt(D))/Q canonicalized through its Fraction pair (a, b, d)."""
+
+    def __init__(self, P, D, Q):
+        if Q == 0:
+            raise ValueError("Q must be nonzero")
+        if D <= 0:
+            raise ValueError("D must be positive")
+        g, d = squarefree_split(D)
+        if d == 1:
+            raise ValueError(f"D={D} is a perfect square; the value is rational")
+        self._init_from_pair(Fraction(P, Q), Fraction(g, Q), d)
+
+    def _init_from_pair(self, a, b, d):
+        c = b * b * d - a * a
+        t = lcm(a.denominator, b.denominator, c.denominator)
+        if b < 0:
+            t = -t
+        self._a, self._b, self._d = a, b, d
+        self.P = int(a * t)
+        self.Q = t
+        bt = int(b * t)
+        self.D = bt * bt * d
+        if (self.D - self.P * self.P) % self.Q:
+            raise RuntimeError(
+                f"canonical form of {a} + {b}*sqrt({d}) is ({self.P}, {self.D}, {self.Q}),"
+                " and Q does not divide D - P^2"
+            )
+
+    @classmethod
+    def from_value_pair(cls, a, b, d):
+        if b == 0:
+            raise ValueError("value is rational")
+        if squarefree_split(d) != (1, d) or d == 1:
+            raise ValueError("d must be squarefree and > 1")
+        self = cls.__new__(cls)
+        self._init_from_pair(Fraction(a), Fraction(b), d)
+        return self
+
+    @property
+    def triple(self):
+        return self.P, self.D, self.Q
+
+    def value_pair(self):
+        return self._a, self._b, self._d
+
+    def conjugate(self):
+        return FractionQuadratic.from_value_pair(self._a, -self._b, self._d)
+
+    def compare_to(self, q):
+        s = self._a - Fraction(q)
+        b, d = self._b, self._d
+        if s == 0:
+            return 1 if b > 0 else -1
+        if s > 0 and b > 0:
+            return 1
+        if s < 0 and b < 0:
+            return -1
+        # opposite signs: the larger square magnitude wins
+        if s > 0:
+            return 1 if s * s > b * b * d else -1
+        return 1 if b * b * d > s * s else -1
+
+    def __float__(self):
+        return float(self._a) + float(self._b) * self._d ** 0.5
+
+
+def fraction_boundary_to_theta(x):
+    """|x|/(1+|x|) of a FractionQuadratic, rationalized by the conjugate."""
+    a, b, d = x.value_pair()
+    if x.compare_to(0) < 0:
+        a, b = -a, -b
+    c, e = 1 + a, b
+    norm = c * c - e * e * d
+    return FractionQuadratic.from_value_pair((a * c - b * e * d) / norm, (b * c - a * e) / norm, d)
+
+
+def _recip(pair):
+    a, b, d = pair
+    norm = a * a - b * b * d
+    return (a / norm, -b / norm, d)
+
+
+def fraction_cf_value(exp):
+    """The value of a CFExpansion, its preperiod folded back as x = a + 1/y
+    on Fraction pairs."""
+    p, q, r, s = incidence_matrix(exp.period).entries
+    tail = FractionQuadratic(p - s, (p - s) ** 2 + 4 * r * q, 2 * r)
+    a, b, d = tail.value_pair()
+    for digit in reversed(exp.preperiod):
+        a, b, d = _recip((a, b, d))
+        a += digit
+    return FractionQuadratic.from_value_pair(a, b, d)

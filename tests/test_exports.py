@@ -89,8 +89,10 @@ def test_cli_import_loads_no_slow_module():
     [["cf", "sqrt(7)"], ["matrix", "--period", "2,1", "--pow", "5"], ["k0", "--matrix", "[[0,3],[-1,0]]"]],
 )
 def test_ck_subcommands_load_no_curve_code(args):
+    # a quadratic irrational is an integer triple, and K0 is integer
+    # elimination: no Fraction, and no decimal behind it
     loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) == 0")
-    assert loaded & CURVE_MODULES == set()
+    assert loaded & (CURVE_MODULES | {"fractions", "decimal"}) == set()
 
 
 def test_every_public_name_resolves_to_its_module_object():

@@ -180,8 +180,17 @@ class TestFootnote2:
     def test_wrong_factor_list_raises(self, monkeypatch):
         import nclocal.functor as functor
 
-        # a K0 group whose order disagrees with |det| and the point count
-        monkeypatch.setattr(functor, "k0_group", lambda eps: AbelianGroupInv((1, 1)))
+        # a K0 group whose order disagrees with |det| and the point count;
+        # localize takes its orders from its groups, so the groups are
+        # replaced in its result
+        localize_groups = functor.localize
+
+        def wrong_groups(*args):
+            res = localize_groups(*args)
+            fields = dict(zip(res._fields, res._values()), k0_groups=(AbelianGroupInv((1, 1)),) * res.n_max)
+            return type(res)(**fields)
+
+        monkeypatch.setattr(functor, "localize", wrong_groups)
         with pytest.raises(RuntimeError, match=r"p=5, n=1"):
             footnote2_experiment(E_MINUS_X, 5, 2)
 
@@ -200,7 +209,7 @@ class TestLocalizeErrors:
     def test_k0_check_raises(self, monkeypatch):
         import nclocal.functor as functor_mod
 
-        monkeypatch.setattr(functor_mod, "k0_order", lambda eps: 0)
+        monkeypatch.setattr(functor_mod, "k0_group", lambda eps: AbelianGroupInv((1, 1)))
         with pytest.raises(RuntimeError, match="K0 order must equal the point count"):
             localize(E_MINUS_X, 5, 2)
 
@@ -212,7 +221,8 @@ class TestLocalizeErrors:
         code = (
             "import nclocal.functor as f\n"
             "from nclocal.elliptic import WeierstrassModel\n"
-            "f.k0_order = lambda eps: 0\n"
+            "from nclocal.ck_k0 import AbelianGroupInv\n"
+            "f.k0_group = lambda eps: AbelianGroupInv((1, 1))\n"
             "f.localize(WeierstrassModel.over_q(0, 0, 0, -1, 0), 5, 2)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -6,7 +8,13 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from cf_oracle import expand_by_repetition, reduced_by_comparison
+from cf_oracle import (
+    FractionQuadratic,
+    expand_by_repetition,
+    fraction_boundary_to_theta,
+    fraction_cf_value,
+    reduced_by_comparison,
+)
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -94,6 +102,115 @@ class TestConstruction:
         for bad in ["", "sqrt(x)", "1+2", "(1+sqrt(5)/2"]:
             with pytest.raises(ValueError):
                 QuadraticIrrational.parse(bad)
+
+
+class TestValueClass:
+    """The triple and d are the whole state, and cannot change."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        x = QuadraticIrrational(2, 20, 4)
+        for name in ("P", "D", "Q", "d"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.not_a_field = 1
+        assert (x.P, x.D, x.Q, x.d) == (1, 5, 2, 5)
+
+    def test_copy_and_pickle_rebuild_from_the_triple(self):
+        for x in [PHI, QuadraticIrrational(3, 13, -4), QuadraticIrrational(0, 72, 6), QuadraticIrrational(-7, 19, 30)]:
+            assert x.__reduce__() == (QuadraticIrrational, (x.P, x.D, x.Q))
+            for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert y == x and hash(y) == hash(x)
+                assert (y.P, y.D, y.Q, y.d) == (x.P, x.D, x.Q, x.d)
+
+    def test_equality_and_hash_are_those_of_the_triple(self):
+        xs = list(small_family(3, 4, 24))
+        for x in xs:
+            for y in xs:
+                assert (x == y) == ((x.P, x.D, x.Q) == (y.P, y.D, y.Q)) == (not x != y)
+                if x == y:
+                    assert hash(x) == hash(y)
+        assert len({(x.P, x.D, x.Q) for x in xs}) == len(set(xs)) < len(xs)
+        assert PHI != (1, 5, 2) and PHI != float(PHI)
+
+
+# D with square factors, P = 0 and negative Q among them
+ORACLE_TRIPLES = [
+    (p, d, q)
+    for d in (2, 3, 5, 8, 12, 18, 20, 45, 50, 72, 98, 243, 1000)
+    for p in (-9, -4, -1, 0, 1, 3, 7, 12)
+    for q in (-12, -6, -4, -3, -2, -1, 1, 2, 3, 5, 8, 18)
+]
+RATIONALS = [0, 1, -1, 3, -5, 10**6, Fraction(1, 2), Fraction(-7, 3), Fraction(22, 7), 0.5, -2.25, 1e-3, True]
+
+
+def _float_or_error(x):
+    try:
+        return float(x).hex()
+    except OverflowError as err:
+        return repr(err)
+
+
+def _assert_matches_fraction_pairs(x, o):
+    assert (x.P, x.D, x.Q) == (o.P, o.D, o.Q)
+    assert x.value_pair() == o.value_pair()
+    c, oc = x.conjugate(), o.conjugate()
+    assert (c.P, c.D, c.Q) == (oc.P, oc.D, oc.Q)
+    assert [x.compare_to(q) for q in RATIONALS] == [o.compare_to(q) for q in RATIONALS]
+    assert _float_or_error(x) == _float_or_error(o)
+
+
+class TestAgainstFractionPairs:
+    """The integer canonical form and the operations on triples against
+    the Fraction-pair construction of cf_oracle."""
+
+    def test_oracle_triples(self):
+        for raw in ORACLE_TRIPLES:
+            _assert_matches_fraction_pairs(QuadraticIrrational(*raw), FractionQuadratic(*raw))
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**12), st.integers(-10**20, 10**20).filter(bool))
+    def test_sample(self, p, d, q):
+        assume(isqrt(d) ** 2 != d)
+        _assert_matches_fraction_pairs(QuadraticIrrational(p, d, q), FractionQuadratic(p, d, q))
+
+    def test_float_range_edges(self):
+        # bit-identical values, +0.0 included, and the same OverflowError
+        # past the float range
+        big = int(sys.float_info.max)
+        for raw in [
+            (big, 2, 1),
+            (-big, 8, -1),
+            (big, 2 * big * big, 1),
+            (2 * big, 2, 1),
+            (2 * big, 2, 3),
+            (-3 * big, 50, -2),
+            (0, 2, 10**400),
+            (0, 2, -10**400),
+            (0, 8, -3),
+            (1, 2, -10**400),
+        ]:
+            x, o = QuadraticIrrational(*raw), FractionQuadratic(*raw)
+            _assert_matches_fraction_pairs(x, o)
+        assert _float_or_error(QuadraticIrrational(2 * big, 2, 1)).startswith("OverflowError")
+        assert float(QuadraticIrrational(big, 2 * big * big, 1)) == float("inf")
+        assert float(QuadraticIrrational(0, 2, -10**400)).hex() == "0x0.0p+0"
+
+    def test_from_value_pair(self):
+        for a in (0, 3, Fraction(-5, 4), Fraction(7, 6)):
+            for b in (1, -2, Fraction(1, 3), Fraction(-9, 10)):
+                for d in (2, 3, 5, 6, 30):
+                    x, o = QuadraticIrrational.from_value_pair(a, b, d), FractionQuadratic.from_value_pair(a, b, d)
+                    _assert_matches_fraction_pairs(x, o)
+
+    def test_cf_value_and_boundary(self):
+        for raw in ORACLE_TRIPLES[::5]:
+            x, o = QuadraticIrrational(*raw), FractionQuadratic(*raw)
+            exp = cf_expand(x)
+            value, theta = cf_value(exp), boundary_to_theta(x)
+            assert (value.P, value.D, value.Q) == fraction_cf_value(exp).triple == o.triple
+            assert (theta.P, theta.D, theta.Q) == fraction_boundary_to_theta(o).triple
 
 
 class TestExpand:
@@ -269,7 +386,7 @@ class TestIdentityChecks:
         [
             ("q.lcm = lambda *vals: 3", "q.QuadraticIrrational(1, 5, 2)", "canonical form of 1/2 + 1/2*sqrt(5)"),
             (
-                "q.QuadraticIrrational.from_value_pair = classmethod(lambda cls, a, b, d: q.QuadraticIrrational(3, 2, 1))",
+                "q.QuadraticIrrational._plus_reciprocal = lambda self, a: q.QuadraticIrrational(3, 2, 1)",
                 "q.boundary_to_theta(q.QuadraticIrrational(1, 5, 2))",
                 r"boundary_to_theta((1+sqrt(5))/2) gave (3+sqrt(2))/1, which is not in (0, 1)",
             ),
