@@ -31,7 +31,6 @@ _EXPORTS = {
         "QuadraticIrrational",
         "boundary_to_theta",
         "cf_expand",
-        "cf_value",
         "gl2z_equivalent",
         "incidence_matrix",
         "is_reduced",

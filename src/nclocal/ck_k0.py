@@ -97,8 +97,9 @@ def _presentation_matrix(m: IntMatrix) -> IntMatrix:
     # K0 = Z^k / (I - m^t) Z^k
     if not m.is_square:
         raise ValueError(f"Cuntz-Krieger matrix must be square, got {m.rows} x {m.cols}")
-    k = m.rows
-    return IntMatrix(k, k, tuple((i == j) - m.at(j, i) for i in range(k) for j in range(k)))
+    k, e = m.rows, m.entries
+    # row i of I - m^t is e[i::k], column i of m, negated, plus 1 at i
+    return IntMatrix._of(k, k, tuple([(i == j) - x for i in range(k) for j, x in enumerate(e[i::k])]))
 
 
 def k0_group(m: IntMatrix) -> AbelianGroupInv:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator, Sequence
 from math import gcd, prod
+from operator import mul
 
 from ._frozen import Frozen
 
@@ -44,6 +45,13 @@ class IntMatrix(Frozen):
         if not all(isinstance(e, int) for e in entries):
             raise ValueError("entries must be integers")
         super().__init__(rows, cols, entries)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        # rows * cols ints that intmat's own arithmetic produced
+        m = cls.__new__(cls)
+        Frozen.__init__(m, rows, cols, entries)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -86,17 +94,14 @@ class IntMatrix(Frozen):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         n, m, k = self.rows, other.cols, self.cols
-        out = []
-        for i in range(n):
-            ri = self.row(i)
-            for j in range(m):
-                out.append(sum(ri[t] * other.at(t, j) for t in range(k)))
-        return IntMatrix(n, m, tuple(out))
+        a, b = self.entries, other.entries
+        rows = [a[i * k : (i + 1) * k] for i in range(n)]
+        cols = [b[j::m] for j in range(m)]
+        return IntMatrix._of(n, m, tuple([sum(map(mul, r, c)) for r in rows for c in cols]))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        )
+        e, c = self.entries, self.cols
+        return IntMatrix._of(c, self.rows, tuple([x for j in range(c) for x in e[j::c]]))
 
     def trace(self) -> int:
         if not self.is_square:
@@ -121,7 +126,9 @@ class IntMatrix(Frozen):
 
 
 def identity(n: int) -> IntMatrix:
-    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+    if n < 1:
+        raise ValueError("matrix dimensions must be positive")
+    return IntMatrix._of(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
 
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:

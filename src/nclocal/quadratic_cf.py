@@ -5,7 +5,11 @@ triple, so equality is triple equality.  Expansions are computed with the
 classical integer recurrence.  By Galois's theorem a complete quotient is
 purely periodic exactly when it is reduced, an integer test on (P, Q), so
 the preperiod ends at the first reduced state and the period runs from
-there back to that state.  Everything here is immutable and pure.
+there back to that state.  By his theorem on reversed periods, the
+reduced state (P_{i+1}, Q_{i+1}) reversed is (P_{i+1}, Q_i), whose digits
+run a_i, a_{i-1}, ...; so P_{i+1} = P_i or Q_{i+1} = Q_i marks a centre
+of symmetry of the period, and the expansion mirrors the digits past it
+instead of stepping through them.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ __all__ = [
     "incidence_matrix",
     "boundary_to_theta",
     "gl2z_equivalent",
-    "convergents",
-    "cf_value",
     "D_DIGITS_GUARD",
 ]
 
@@ -36,8 +38,10 @@ __all__ = [
 D_DIGITS_GUARD = 22
 
 # the state orbit is always finite, but can be long: a whole `cf` run that
-# reaches this cap takes 0.20-0.27 s and 22 MB on one core of a 2-vCPU VM
+# reaches this cap took 0.20-0.24 s and 23 MB on one core of a 2-vCPU VM,
+# 0.14-0.16 s of it in cf_expand, which meets no centre of symmetry first
 _MAX_CF_STATES = 10**6
+_CAP_EXCEEDED = "guard exceeded: continued fraction has more than 10^6 states"
 
 
 def _canonical(P: int, g: int, Q: int, d: int) -> tuple:
@@ -209,8 +213,12 @@ class CFExpansion(Frozen):
         if any(a < 1 for a in preperiod[1:]):
             raise ValueError("preperiod entries after a0 must be >= 1")
         per, m = period, len(period)
-        # a word that is a proper power is a power of prime exponent
-        if any(per[m // ell :] == per[: m - m // ell] for ell in factorize(m)):
+        # a word that is a proper power is a power of prime exponent; its
+        # first 8 digits tell most shifts s apart before a whole slice is made
+        if any(
+            per[s : s + 8] == per[: min(8, m - s)] and per[s:] == per[: m - s]
+            for s in (m // ell for ell in factorize(m))
+        ):
             k = next(k for k in range(1, m) if m % k == 0 and per[k:] == per[: m - k])
             raise ValueError(f"period {per} is not minimal (repeats with length {k})")
         super().__init__(preperiod, period)
@@ -242,38 +250,79 @@ def cf_expand(x: QuadraticIrrational) -> CFExpansion:
 
     By Galois's theorem a complete quotient is purely periodic iff it is
     reduced, so the preperiod ends at the first reduced state and the
-    period runs until that state returns.  A state determines the value,
-    so both are minimal.  In the period, Q_{k+1} = Q_{k-1} + a_k (P_k -
-    P_{k+1}) replaces the division (D - P_{k+1}^2) / Q_k.  An expansion of
-    more than _MAX_CF_STATES states, preperiod and period together, is
-    refused with ValueError.
+    period starts there, at index 0.  A state determines the value, so
+    both are minimal.  In the period, Q_{i+1} = Q_{i-1} + a_i (P_i -
+    P_{i+1}) replaces the division (D - P_{i+1}^2) / Q_i.
+
+    By Galois's theorem on reversed periods (Perron, Die Lehre von den
+    Kettenbruechen), the reduced state (P_{i+1}, Q_{i+1}) reversed is
+    (P_{i+1}, Q_i), whose digits run a_i, a_{i-1}, ...  So P_{i+1} = P_i
+    makes the period digits symmetric about a_i, a_t = a_{c-t} with
+    centre c = 2i, and Q_{i+1} = Q_i makes them symmetric between a_i and
+    a_{i+1}, c = 2i + 1.  The loop tests for these two, in this order,
+    before the return of the first reduced state.  At the first centre c,
+    a_{i+1}..a_c mirror the digits before them.  The first state
+    reversed, (P_0, Q_{-1}), is then state c + 1, with Q_c = Q_0; from
+    there the loop steps to the second centre c + m, m the period length,
+    and mirrors the rest.  A symmetric period thus takes about m/2 steps,
+    and one without a centre runs until its first state returns.  An
+    expansion of more than _MAX_CF_STATES states, preperiod and period
+    together, is refused with ValueError.
     """
+    cap = _MAX_CF_STATES
     d = x.D
     s = isqrt(d)
     p, q = x.P, x.Q
-    digits = []
+    preperiod = []
     while not _reduced(p, q, s):
         a = _floor_quadratic(p, s, q)
-        digits.append(a)
+        preperiod.append(a)
         p = a * q - p
         q = (d - p * p) // q
-        if len(digits) > _MAX_CF_STATES:
-            raise ValueError("guard exceeded: continued fraction has more than 10^6 states")
-    k = len(digits)
+        if len(preperiod) > cap:
+            raise ValueError(_CAP_EXCEEDED)
+    k = len(preperiod)
     p0, q0 = p, q
-    # Q_{k-1} Q_k = D - P_k^2 holds at every state, the first one included
-    q_prev = (d - p * p) // q
-    append = digits.append
-    for _ in range(_MAX_CF_STATES - k):
+    # Q_{i-1} Q_i = D - P_i^2 holds at every state, the first one included
+    q_back = q_prev = (d - p * p) // q
+    period = []
+    append = period.append
+    for i in range(cap - k):
         # reduced states stay reduced, so q > 0 from here on
         a = (p + s) // q
         append(a)
         p_next = a * q - p
         q_prev, q = q, q_prev + a * (p - p_next)
+        if p_next == p or q == q_prev:
+            break
         p = p_next
         if p == p0 and q == q0:
-            return CFExpansion(tuple(digits[:k]), tuple(digits[k:]))
-    raise ValueError("guard exceeded: continued fraction has more than 10^6 states")
+            return CFExpansion(tuple(preperiod), tuple(period))
+    else:
+        raise ValueError(_CAP_EXCEEDED)
+    # the first centre c is 2i, or 2i + 1 when only Q repeats
+    period += period[: i + (p_next != p)][::-1]
+    c = len(period) - 1
+    # Q_{-1} = Q_0 makes c = m - 1: the period is its own mirror image
+    if q_back != q0:
+        # state c + 1 is (P_0, Q_{-1}); the second centre c + m is found at
+        # step (c + m) // 2, which a period within the cap reaches
+        p, q_prev, q = p0, q0, q_back
+        for j in range(c + 1, (c + cap - k) // 2 + 1):
+            a = (p + s) // q
+            append(a)
+            p_next = a * q - p
+            q_prev, q = q, q_prev + a * (p - p_next)
+            if p_next == p or q == q_prev:
+                break
+            p = p_next
+        else:
+            raise ValueError(_CAP_EXCEEDED)
+        # the second centre c + m is 2j, or 2j + 1 when only Q repeats
+        period += period[c + 1 : j + (p_next != p)][::-1]
+    if k + len(period) > cap:
+        raise ValueError(_CAP_EXCEEDED)
+    return CFExpansion(tuple(preperiod), tuple(period))
 
 
 def is_reduced(x: QuadraticIrrational) -> bool:
@@ -307,33 +356,3 @@ def gl2z_equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
     px = cf_expand(x).period
     py = cf_expand(y).period
     return cyclically_equivalent(px, py) is not None
-
-
-def convergents(exp: CFExpansion, count: int) -> list:
-    """First ``count`` convergents p_n/q_n as exact fractions."""
-    from fractions import Fraction
-
-    out = []
-    p_prev, p_cur = 0, 1
-    q_prev, q_cur = 1, 0
-    for a, _ in zip(exp.digits(), range(count)):
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        out.append(Fraction(p_cur, q_cur))
-    return out
-
-
-def cf_value(exp: CFExpansion) -> QuadraticIrrational:
-    """Exact value of an eventually periodic continued fraction.
-
-    The purely periodic tail is the attracting fixed point of the
-    incidence matrix acting as a Moebius map; the preperiod folds back
-    as x = a + 1/y on canonical triples.
-    """
-    m = incidence_matrix(exp.period)
-    p, q, r, s = m.entries
-    # tail solves r*t^2 + (s-p)*t - q = 0; take the positive root
-    x = QuadraticIrrational(p - s, (p - s) ** 2 + 4 * r * q, 2 * r)
-    for digit in reversed(exp.preperiod):
-        x = x._plus_reciprocal(digit)
-    return x

@@ -8,6 +8,11 @@ cf_expand finds from the first reduced state.  ``reduced_by_comparison``
 is the Galois criterion read off exact comparisons of the value and its
 conjugate with rationals, sharing no code with the integer test.
 
+``cf_value`` folds an expansion back into its exact value, and
+``convergents`` lists its first convergents; no CLI command needs
+either, so they live here.  ``cf_value(cf_expand(x)) == x`` is a round
+trip that shares no step with the expansion.
+
 ``FractionQuadratic`` is QuadraticIrrational as it was before its state
 became the integer triple alone: it canonicalizes the value pair
 a + b*sqrt(d) with Fraction arithmetic and keeps that pair for its
@@ -20,7 +25,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from nclocal._factor import squarefree_split
-from nclocal.quadratic_cf import incidence_matrix
+from nclocal.quadratic_cf import QuadraticIrrational, incidence_matrix
 
 
 def expand_by_repetition(x):
@@ -45,6 +50,33 @@ def expand_by_repetition(x):
             per = per[:w]
             break
     return tuple(pre), tuple(per)
+
+
+def cf_value(exp):
+    """Exact value of an eventually periodic continued fraction.
+
+    The purely periodic tail is the attracting fixed point of the
+    incidence matrix acting as a Moebius map; the preperiod folds back
+    as x = a + 1/y on canonical triples.
+    """
+    p, q, r, s = incidence_matrix(exp.period).entries
+    # tail solves r*t^2 + (s-p)*t - q = 0; take the positive root
+    x = QuadraticIrrational(p - s, (p - s) ** 2 + 4 * r * q, 2 * r)
+    for digit in reversed(exp.preperiod):
+        x = x._plus_reciprocal(digit)
+    return x
+
+
+def convergents(exp, count):
+    """First ``count`` convergents p_n/q_n as exact fractions."""
+    out = []
+    p_prev, p_cur = 0, 1
+    q_prev, q_cur = 1, 0
+    for a, _ in zip(exp.digits(), range(count)):
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        out.append(Fraction(p_cur, q_cur))
+    return out
 
 
 def reduced_by_comparison(x):

@@ -33,9 +33,10 @@ from nclocal.intmat import (
     invariant_factors,
     mat_pow,
 )
-from nclocal.quadratic_cf import QuadraticIrrational, cf_expand, convergents, incidence_matrix, is_reduced
+from nclocal.quadratic_cf import QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
 from nclocal.zeta import TruncatedSeries, curve_local_zeta, lemma1_check, torus_local_zeta
 
+from cf_oracle import convergents
 from intmat_oracle import determinantal_divisors
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)

@@ -10,6 +10,8 @@ from math import isqrt
 import pytest
 from cf_oracle import (
     FractionQuadratic,
+    cf_value,
+    convergents,
     expand_by_repetition,
     fraction_boundary_to_theta,
     fraction_cf_value,
@@ -26,8 +28,6 @@ from nclocal.quadratic_cf import (
     QuadraticIrrational,
     boundary_to_theta,
     cf_expand,
-    cf_value,
-    convergents,
     gl2z_equivalent,
     incidence_matrix,
     is_reduced,
@@ -236,8 +236,7 @@ class TestExpand:
         assert str(cf_expand(PHI)) == "[(1)]"
         assert str(cf_expand(SQRT2)) == "[1; (2)]"
 
-    def test_display_of_long_periods_across_the_join_slices(self):
-        # the display joins digits in slices; it must read as one plain join
+    def test_display_of_long_periods_is_one_plain_join(self):
         for m in (8191, 8192, 8193, 3 * 8192 + 1):
             period = (1,) * (m - 1) + (2,)
             assert str(CFExpansion((), period)) == "[(" + ", ".join(map(str, period)) + ")]"
@@ -376,6 +375,81 @@ class TestAgainstOracle:
             assert pure == reduced_by_comparison(x) == is_reduced(x), x
             periodic += pure
         assert 0 < periodic < 74898
+
+
+def _is_mirror_symmetric(period):
+    """The period is a cyclic shift of its own reversal."""
+    text = "".join(f",{a}" for a in period) + ","
+    mirror = "".join(f",{a}" for a in reversed(period)) + ","
+    return mirror in text + text[1:]
+
+
+def _assert_expands_as_the_oracle(x):
+    exp = cf_expand(x)
+    assert (exp.preperiod, exp.period) == expand_by_repetition(x), x
+    return exp
+
+
+class TestMirroredPeriods:
+    """cf_expand steps a mirror-symmetric period only up to its second
+    centre of symmetry; its expansions against the first-repetition
+    oracle of cf_oracle, and against the cf_value round trip where the
+    values are small."""
+
+    def test_symmetric_and_asymmetric_family(self):
+        kinds = [0, 0]
+        for d in range(2, 3000, 7):
+            if isqrt(d) ** 2 == d:
+                continue
+            for p in range(-3, 4):
+                for q in (1, 2, 3, 5, -4):
+                    exp = _assert_expands_as_the_oracle(QuadraticIrrational(p, d, q))
+                    kinds[_is_mirror_symmetric(exp.period)] += 1
+        # neither kind may drop out of the family unnoticed
+        assert min(kinds) >= 1000, kinds
+
+    def test_periods_of_length_one_and_two(self):
+        for n in range(1, 40):
+            # (n+sqrt(n^2+4))/2 = [(n)], sqrt(n^2+1) = [n; (2n)] and
+            # sqrt(n^2+2) = [n; (n, 2n)]; 5 + 1/x shares the period of x
+            for x, period in [
+                (QuadraticIrrational(n, n * n + 4, 2), (n,)),
+                (QuadraticIrrational(0, n * n + 1, 1), (2 * n,)),
+                (QuadraticIrrational(0, n * n + 2, 1), (n, 2 * n)),
+                (QuadraticIrrational(n, n * n + 2, 1), (2 * n, n)),
+            ]:
+                y = x._plus_reciprocal(5)
+                assert _assert_expands_as_the_oracle(x).period == period
+                assert len(_assert_expands_as_the_oracle(y).period) == len(period)
+                assert cf_value(cf_expand(x)) == x and cf_value(cf_expand(y)) == y
+
+    @pytest.mark.parametrize(
+        "triple, centre", [((4, 19, 1), 0), ((8, 71, 1), 0), ((1, 13, 3), 1), ((2, 10, 3), 1), ((4, 34, 3), 1)]
+    )
+    def test_centre_at_the_first_step(self, triple, centre):
+        # P_1 = P_0 is the centre c = 0, Q_1 = Q_0 alone the centre c = 1
+        x = QuadraticIrrational(*triple)
+        p, d, q = triple
+        assert is_reduced(x) and (x.P, x.D, x.Q) == triple
+        a = (p + isqrt(d)) // q
+        p1 = a * q - p
+        q1 = (d - p1 * p1) // q
+        assert (0 if p1 == p else 1 if q1 == q else None) == centre
+        for y in (x, x._plus_reciprocal(5), x._plus_reciprocal(2)._plus_reciprocal(-3)):
+            assert cf_value(_assert_expands_as_the_oracle(y)) == y
+
+    def test_state_cap_at_the_length_of_symmetric_expansions(self, monkeypatch):
+        # preperiod plus period states is the cap that passes, one less is refused
+        cases = [(x, cf_expand(x)) for x in small_family(4, 4, 60)]
+        cases = [(x, exp) for x, exp in cases if _is_mirror_symmetric(exp.period)]
+        assert len(cases) > 1000
+        for x, exp in cases:
+            states = len(exp.preperiod) + len(exp.period)
+            monkeypatch.setattr(quadratic_cf, "_MAX_CF_STATES", states)
+            assert cf_expand(x) == exp
+            monkeypatch.setattr(quadratic_cf, "_MAX_CF_STATES", states - 1)
+            with pytest.raises(ValueError, match=r"^guard exceeded: continued fraction has more than 10\^6 states$"):
+                cf_expand(x)
 
 
 class TestIdentityChecks:

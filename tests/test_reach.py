@@ -109,8 +109,6 @@ UNREACHED = {
     "nclocal.quadratic_cf.CFExpansion.__str__",
     "nclocal.quadratic_cf.boundary_to_theta",
     "nclocal.quadratic_cf.gl2z_equivalent",
-    "nclocal.quadratic_cf.convergents",
-    "nclocal.quadratic_cf.cf_value",
     # series arithmetic, replaced on every CLI path by the integer
     # recurrence of _exp_scaled
     "nclocal.zeta.TruncatedSeries.from_list",
