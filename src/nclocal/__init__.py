@@ -35,7 +35,7 @@ _EXPORTS = {
         "incidence_matrix",
         "is_reduced",
     ),
-    "zeta": ("TruncatedSeries", "curve_local_zeta", "lemma1_check", "series_exp", "series_log", "torus_local_zeta"),
+    "zeta": ("TruncatedSeries", "curve_local_zeta", "lemma1_check", "series_exp", "series_log"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,16 +1,15 @@
 """Cuntz-Krieger K-theory data.
 
 Builds the Cuntz-Krieger matrix of levels 1..n (L_p^n for the 2x2
-companion-style matrix L_p at good primes, one product per level; the
-1x1 matrix (1 - alpha^n) at bad primes), and computes K0 as the cokernel
-of I minus the transposed matrix: invariant factors by elimination modulo
-the determinant, order via |det|.  An infinite K0 is reported as order
-0 so the corresponding local factor degenerates to 1.
+companion-style matrix L_p at good primes, one step on four ints per
+level; the 1x1 matrix (1 - alpha^n) at bad primes), and computes K0 as
+the cokernel of I minus the transposed matrix: invariant factors by
+elimination modulo the determinant, order via |det|, in closed form at
+2x2.  An infinite K0 is reported as order 0 so the corresponding local
+factor degenerates to 1.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate, repeat
 
 from ._factor import is_prime
 from ._frozen import Frozen
@@ -71,16 +70,28 @@ def build_lp(trace_ap: int, p: int) -> IntMatrix:
     return IntMatrix(2, 2, (trace_ap, p, -1, 0))
 
 
+def _lp_powers(trace_ap: int, p: int, n_max: int) -> list:
+    """L_p^1, ..., L_p^n_max for a p its caller has already tested: each
+    level times L_p = (t, p; -1, 0) is (a, b; c, d) -> (at - b, ap; ct - d, cp)."""
+    out = []
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(n_max):
+        a, b, c, d = a * trace_ap - b, a * p, c * trace_ap - d, c * p
+        out.append(IntMatrix._of(2, 2, (a, b, c, d)))
+    return out
+
+
 def epsilons(p: int, n_max: int, good: bool, *, trace_ap: int | None = None, alpha: int | None = None) -> list:
     """Cuntz-Krieger matrices of levels 1..n_max: L_p^n at a good prime,
-    from one build_lp and one 2x2 product per level; the 1x1 matrix
+    checked by build_lp and stepped by ``_lp_powers``; the 1x1 matrix
     (1 - alpha^n) at a bad one."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if good:
         if trace_ap is None:
             raise ValueError("good prime requires trace_ap")
-        return list(accumulate(repeat(build_lp(trace_ap, p), n_max), IntMatrix.__mul__))
+        build_lp(trace_ap, p)
+        return _lp_powers(trace_ap, p, n_max)
     if alpha not in (-1, 0, 1):
         raise ValueError(f"alpha must be one of -1, 0, 1; got {alpha}")
     return [IntMatrix(1, 1, (1 - alpha**n,)) for n in range(1, n_max + 1)]
@@ -108,7 +119,11 @@ def k0_group(m: IntMatrix) -> AbelianGroupInv:
 
 
 def k0_signed_order(m: IntMatrix) -> int:
-    """det(I - m^t) = det(I - m): |K0| up to sign, 0 when K0 is infinite."""
+    """det(I - m^t) = det(I - m): |K0| up to sign, 0 when K0 is infinite;
+    (1 - a)(1 - d) - bc for a 2x2 m = (a, b; c, d)."""
+    if m.rows == m.cols == 2:
+        a, b, c, d = m.entries
+        return (1 - a) * (1 - d) - b * c
     return _presentation_matrix(m).det()
 
 

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from ._frozen import Frozen
 from ._limits import MAX_LEVEL
-from .ck_k0 import build_lp, epsilons, k0_group
+from .ck_k0 import _lp_powers, build_lp, epsilons, k0_group
 from .elliptic import (
     AdmissibleTransform,
     ReductionError,
@@ -109,7 +109,8 @@ def localize(
     except ReductionError as err:
         raise ValueError(f"{err}; apply a clearing transform first") from None
     rt, ap = local.reduction, local.a_p
-    descriptors = tuple(epsilons(p, n_max, rt.is_good, trace_ap=ap, alpha=rt.alpha))
+    # local_data's PrimeField(p) has tested p
+    descriptors = tuple(_lp_powers(ap, p, n_max) if rt.is_good else epsilons(p, n_max, False, alpha=rt.alpha))
     groups = tuple(k0_group(d) for d in descriptors)
     orders = tuple(g.order for g in groups)
     counts = tuple(local.point_counts(n_max))

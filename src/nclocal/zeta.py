@@ -1,8 +1,9 @@
 """Local zeta factors as truncated power series over exact rationals.
 
-The curve side exponentiates point counts, the torus side exponentiates
-K0 orders, and the comparison engine lines the two up coefficient for
-coefficient.  Each prime is read once, by ``local_data``.  Counts are
+The curve side exponentiates point counts, the torus side K0 orders;
+the comparison engine compares the counts first, and lines up a torus
+series with the curve's coefficient for coefficient only where they
+differ.  Each prime is read once, by ``local_data``.  Counts are
 exponentiated in integers, with one Fraction per output coefficient;
 the generic series operations are Fraction arithmetic.  No floating point.
 """
@@ -15,7 +16,7 @@ from math import factorial
 
 from ._frozen import Frozen
 from ._limits import DEFAULT_ORDER
-from .ck_k0 import epsilon, epsilons, k0_order, k0_signed_order
+from .ck_k0 import _lp_powers, epsilon, epsilons, k0_order, k0_signed_order
 from .elliptic import (
     LocalData,
     WeierstrassModel,
@@ -33,7 +34,6 @@ __all__ = [
     "series_exp",
     "series_log",
     "curve_local_zeta",
-    "torus_local_zeta",
     "lemma1_check",
     "dirichlet_coefficients",
     "euler_factor_polynomial",
@@ -194,12 +194,14 @@ def curve_local_zeta(e: WeierstrassModel, p: int, order: int = DEFAULT_ORDER) ->
     (1 - a_p z + p z^2)/((1-z)(1-pz)).  Bad reduction counts the
     nonsingular points p^n - alpha^n.
     """
-    return _curve_series(local_data(e, p), order)
+    local = local_data(e, p)
+    return _curve_series(local, local.point_counts(order), order)
 
 
-def _curve_series(local: LocalData, order: int) -> TruncatedSeries:
-    """The curve_local_zeta series from already computed local data."""
-    scaled = _exp_scaled(local.point_counts(order), order)
+def _curve_series(local: LocalData, counts: list, order: int) -> TruncatedSeries:
+    """The curve_local_zeta series from already computed local data and
+    its point counts [N_1, ..., N_order]."""
+    scaled = _exp_scaled(counts, order)
     if local.reduction.is_good:
         p = local.p
         # times (1 - z)(1 - pz), a unit of Q[[z]], the series must give the
@@ -213,28 +215,6 @@ def _curve_series(local: LocalData, order: int) -> TruncatedSeries:
         ):
             raise RuntimeError(f"exp-sum and rational form disagree at p={p}, a_p={local.a_p}")
     return _series_of_scaled(scaled)
-
-
-def torus_local_zeta(
-    p: int,
-    order: int = DEFAULT_ORDER,
-    *,
-    good: bool,
-    trace_ap: int | None = None,
-    alpha: int | None = None,
-    mode: str = "absolute",
-) -> TruncatedSeries:
-    """exp(sum |K0| z^n / n) with K0 orders from the Cuntz-Krieger matrices.
-
-    mode="signed" is a diagnostic that drops the absolute value: it uses
-    det(I - eps_n), which is det(I - L_p^n) at good primes and alpha^n at
-    bad primes.
-    """
-    order_of = {"absolute": k0_order, "signed": k0_signed_order}.get(mode)
-    if order_of is None:
-        raise ValueError(f"unknown mode {mode!r}")
-    counts = [order_of(d) for d in epsilons(p, order, good, trace_ap=trace_ap, alpha=alpha)]
-    return _exp_counts(counts, order)
 
 
 class LocalFactorReport(Frozen):
@@ -288,17 +268,25 @@ def lemma1_check(
     Without ``period`` the torus trace slot is a_p from counting
     (identity-verification mode; good primes must match).  With a
     continued-fraction ``period`` the trace slot is tr(A^p) of its
-    incidence matrix (exploration mode, no pass guarantee).
+    incidence matrix (exploration mode, no pass guarantee).  At a good
+    prime whose K0 orders equal the point counts, ``torus_series`` is
+    ``curve_series`` itself.
     """
     a_matrix = incidence_matrix(period) if period is not None else None
+    order_of = {"absolute": k0_order, "signed": k0_signed_order}.get(mode)
     reports = []
     for p in primes:
         local = local_data(e, p)
         rt = local.reduction
-        curve = _curve_series(local, order)
+        counts = local.point_counts(order)
+        curve = _curve_series(local, counts, order)
         if rt.is_good:
+            if order_of is None:
+                raise ValueError(f"unknown mode {mode!r}")
             trace_slot = mat_pow(a_matrix, p).trace() if a_matrix is not None else local.a_p
-            torus = torus_local_zeta(p, order, good=True, trace_ap=trace_slot, mode=mode)
+            # local_data's PrimeField(p) has tested p; equal counts have equal exp series
+            orders = [order_of(m) for m in _lp_powers(trace_slot, p, order)]
+            torus = curve if orders == counts else _exp_counts(orders, order)
             signed = alpha = None
             compared = torus
         else:
@@ -308,7 +296,7 @@ def lemma1_check(
             torus = _exp_counts([abs(n) for n in orders], order)
             signed = _exp_counts(orders, order)
             compared = signed if mode == "signed" else torus
-        mismatch = curve.first_mismatch(compared)
+        mismatch = None if compared is curve else curve.first_mismatch(compared)
         reports.append(
             LocalFactorReport(
                 p=p,

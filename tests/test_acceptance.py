@@ -34,10 +34,11 @@ from nclocal.intmat import (
     mat_pow,
 )
 from nclocal.quadratic_cf import QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
-from nclocal.zeta import TruncatedSeries, curve_local_zeta, lemma1_check, torus_local_zeta
+from nclocal.zeta import TruncatedSeries, curve_local_zeta, lemma1_check
 
 from cf_oracle import convergents
 from intmat_oracle import determinantal_divisors
+from zeta_oracle import torus_local_zeta
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)
 E_PLUS_1 = WeierstrassModel.over_q(0, 0, 0, 0, 1)
@@ -87,12 +88,16 @@ def test_criterion_1_lemma1_desk_form():
 def test_criterion_2_zeta_series_equality():
     with criterion(2, "curve and torus zeta series agree to order 6 at every good p <= 50"):
         for e in CATALOG_CURVES.values():
-            for p, red in good_primes(e, PRIMES_50):
+            goods = good_primes(e, PRIMES_50)
+            reports = lemma1_check(e, [p for p, _ in goods], 6)
+            for (p, red), report in zip(goods, reports):
                 ap = trace_of_frobenius(red)
                 curve_series = curve_local_zeta(e, p, 6)
                 torus_series = torus_local_zeta(p, 6, good=True, trace_ap=ap)
                 assert curve_series == torus_series, f"mismatch at p={p}"
                 assert curve_series.coefficients[0] == 1
+                assert report.curve_series == curve_series and report.torus_series == torus_series
+                assert report.verdict == "match" and report.first_mismatch is None
 
 
 def test_criterion_3_theorem1_desk_form():
@@ -268,6 +273,9 @@ def test_criterion_8_bad_prime_zeta_conventions():
         (rep_nonsplit,) = lemma1_check(nonsplit_model, [5], order)
         assert rep_nonsplit.alpha == -1
         assert rep_nonsplit.torus_series.first_mismatch(rep_nonsplit.torus_series_signed) == 1
+        for rep in (rep_split, rep_nonsplit):
+            assert rep.torus_series == torus_local_zeta(5, order, good=False, alpha=rep.alpha)
+            assert rep.torus_series_signed == torus_local_zeta(5, order, good=False, alpha=rep.alpha, mode="signed")
         (rep_additive,) = lemma1_check(E_PLUS_1, [3], order)
         assert rep_additive.alpha == 0
         assert rep_additive.torus_series == TruncatedSeries.one(order)

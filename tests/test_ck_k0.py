@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nclocal.ck_k0 import (
     AbelianGroupInv,
+    _presentation_matrix,
     build_lp,
     epsilon,
     epsilons,
@@ -194,6 +195,33 @@ class TestSignedOrder:
         for alpha in (-1, 0, 1):
             for n in range(1, 6):
                 assert k0_signed_order(epsilon(11, n, False, alpha=alpha)) == alpha**n
+
+    @staticmethod
+    def _check_2x2(entries):
+        m = IntMatrix(2, 2, entries)
+        signed = k0_signed_order(m)
+        assert signed == _presentation_matrix(m).det()
+        assert k0_order(m) == abs(signed) == k0_group(m).order
+        return signed
+
+    def test_2x2_closed_form_on_a_grid(self):
+        # every 2x2 matrix with entries in -3..3: negative entries, and 181
+        # with det(I - m) = 0, whose K0 is infinite
+        grid = range(-3, 4)
+        signed = [self._check_2x2((a, b, c, d)) for a in grid for b in grid for c in grid for d in grid]
+        assert signed.count(0) == 259 and min(signed) < 0 < max(signed)
+
+    # m = I - N with N = (xu, xv; yu, yv) of rank <= 1 has det(I - m) = det N = 0
+    _infinite_k0 = st.tuples(*[st.integers(-10**6, 10**6)] * 4).map(
+        lambda s: (1 - s[0] * s[2], -s[0] * s[3], -s[1] * s[2], 1 - s[1] * s[3])
+    )
+
+    @settings(max_examples=300)
+    @given(st.tuples(*[st.integers(-10**12, 10**12)] * 4) | _infinite_k0)
+    @example((1, 0, 0, 1))
+    @example((7, -3, 2, 0))
+    def test_2x2_closed_form_against_the_presentation_matrix(self, entries):
+        self._check_2x2(entries)
 
     def test_order_is_group_order(self):
         rng = random.Random(7)

@@ -412,7 +412,7 @@ class TestRenderJson:
     def test_matches_json_dumps(self, value):
         assert render(value) == json.dumps(value, indent=2)
 
-    def test_int_lists_across_the_join_slices(self):
+    def test_long_int_lists_render_as_json_dumps(self):
         for n in (0, 1, 8191, 8192, 8193, 2 * 8192 + 5):
             value = {"n": n, "ints": [(-1) ** i * i * 10**18 for i in range(n)], "bools": [True, 1, False]}
             assert render(value) == json.dumps(value, indent=2)

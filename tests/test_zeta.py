@@ -7,7 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nclocal.ck_k0 import epsilons
 from nclocal.elliptic import LocalData, WeierstrassModel, classify_reduction, count_nonsingular, reduce_mod_p
+from nclocal.functor import localize
+from nclocal.intmat import mat_pow
+from nclocal.quadratic_cf import incidence_matrix
 from nclocal.zeta import (
     TruncatedSeries,
     curve_local_zeta,
@@ -16,9 +20,10 @@ from nclocal.zeta import (
     lemma1_check,
     series_exp,
     series_log,
-    torus_local_zeta,
 )
 from nclocal.zeta import _curve_series, _exp_counts, local_data
+
+from zeta_oracle import torus_local_zeta
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)
 E_PLUS_1 = WeierstrassModel.over_q(0, 0, 0, 0, 1)
@@ -209,6 +214,61 @@ class TestLemma1Check:
         assert {"alpha", "torus_signed_coeffs", "first_mismatch"} <= set(d2)
 
 
+class TestLemma1AgainstOracle:
+    """lemma1_check's torus side against the IntMatrix-product oracle."""
+
+    PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 10007]
+
+    @pytest.mark.parametrize("mode", ["absolute", "signed"])
+    @pytest.mark.parametrize("period", [None, [2, 1], [1], [3, 1, 2]])
+    def test_torus_series_and_verdict(self, mode, period):
+        shared = built = 0
+        for e in (E_MINUS_X, E_PLUS_1):
+            for r in lemma1_check(e, self.PRIMES, 7, period=period, mode=mode):
+                if r.good:
+                    trace = local_data(e, r.p).a_p if period is None else mat_pow(incidence_matrix(period), r.p).trace()
+                    compared = torus_local_zeta(r.p, 7, good=True, trace_ap=trace, mode=mode)
+                    assert r.torus_series == compared and r.torus_series_signed is None
+                else:
+                    absolute = torus_local_zeta(r.p, 7, good=False, alpha=r.alpha)
+                    signed = torus_local_zeta(r.p, 7, good=False, alpha=r.alpha, mode="signed")
+                    assert r.torus_series == absolute and r.torus_series_signed == signed
+                    compared = signed if mode == "signed" else absolute
+                # equal exp series are equal counts: the curve series is shared exactly then
+                assert (r.torus_series is r.curve_series) == (r.good and compared == r.curve_series)
+                assert r.first_mismatch == r.curve_series.first_mismatch(compared)
+                assert r.verdict == ("match" if r.first_mismatch is None else "mismatch")
+                shared += r.torus_series is r.curve_series
+                built += r.good and r.torus_series is not r.curve_series
+        # identity mode shares at every good prime; exploration mode builds at every one
+        assert (shared, built) == ((29, 0) if period is None else (0, 29))
+
+    def test_exploration_mode_reaches_negative_signed_orders(self):
+        # tr(A^p) of the [1] incidence matrix is the Lucas number L_p, past the
+        # Hasse bound, so det(I - L^n) changes sign with n
+        (r,) = lemma1_check(E_MINUS_X, [5], 4, period=[1], mode="signed")
+        assert r.torus_series == torus_local_zeta(5, 4, good=True, trace_ap=11, mode="signed")
+        assert r.torus_series.coefficients[1] == 1 - 11 + 5
+
+    def test_invalid_mode_raises_at_a_good_prime(self):
+        with pytest.raises(ValueError, match="unknown mode 'weird'"):
+            lemma1_check(E_MINUS_X, [2, 5], 3, mode="weird")
+
+    def test_lp_chain_tests_no_prime_again(self, monkeypatch):
+        # local_data's PrimeField(p) has tested p before the L_p chain is built
+        import nclocal.ck_k0 as ck_k0
+
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) on the L_p chain")
+
+        monkeypatch.setattr(ck_k0, "is_prime", refuse)
+        lemma1_check(E_MINUS_X, [3, 5, 7], 4)
+        lemma1_check(E_MINUS_X, [3, 5, 7], 4, period=[2, 1], mode="signed")
+        localize(E_MINUS_X, 5, 3)
+        with pytest.raises(AssertionError, match="is_prime"):
+            epsilons(5, 3, True, trace_ap=1)
+
+
 class TestDirichlet:
     def test_normalization(self):
         coeffs = dict(dirichlet_coefficients(E_MINUS_X, 30))
@@ -272,18 +332,16 @@ class TestLocalData:
         with pytest.raises(RuntimeError, match="exp-sum and rational form disagree at p=5"):
             curve_local_zeta(E_MINUS_X, 5, 3)
 
-    def test_wrong_a_p_raises_at_every_order(self, monkeypatch):
+    def test_wrong_a_p_raises_at_every_order(self):
         # the counts stay those of the curve while a_p is off by delta
         for e, primes in GOOD_PRIMES_50.items():
             for p in primes[:6]:
                 for delta in (-2, -1, 1, 2):
                     local = local_data(e, p)
                     wrong, counts = LocalData(local.reduced, local.reduction, local.a_p + delta), local.point_counts(12)
-                    monkeypatch.setattr(LocalData, "point_counts", lambda self, n: counts[:n])
                     for order in range(1, 13):
                         with pytest.raises(RuntimeError, match=f"disagree at p={p}, a_p={wrong.a_p}$"):
-                            _curve_series(wrong, order)
-                    monkeypatch.undo()
+                            _curve_series(wrong, counts[:order], order)
 
     def test_wrong_a_p_check_survives_optimize_flag(self):
         code = (
@@ -291,8 +349,7 @@ class TestLocalData:
             "from nclocal.zeta import _curve_series, local_data\n"
             "local = local_data(WeierstrassModel.over_q(0, 0, 0, -1, 0), 5)\n"
             "counts = local.point_counts(6)\n"
-            "LocalData.point_counts = lambda self, n: counts[:n]\n"
-            "_curve_series(LocalData(local.reduced, local.reduction, local.a_p + 1), 6)\n"
+            "_curve_series(LocalData(local.reduced, local.reduction, local.a_p + 1), counts, 6)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
