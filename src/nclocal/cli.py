@@ -210,7 +210,7 @@ def _cmd_curve(args) -> tuple:
         else:
             payload["alpha"] = rt.alpha
             payload["nonsingular_counts"] = local.point_counts(args.n)
-            payload["nonsingular_count_brute"] = count_nonsingular(local.reduced, 1)
+            payload["nonsingular_count_brute"] = count_nonsingular(local.reduced)
     return payload, False
 
 

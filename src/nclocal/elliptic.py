@@ -1,6 +1,7 @@
 """Weierstrass models: invariants, admissible changes of variable,
-reduction mod p, reduction-type classification, point counting over
-F_{p^n}, and the group structure of the rational points.
+reduction mod p, reduction-type classification, brute-force point
+counting over a model's own field, and the group structure of the
+rational points over F_{p^n}.
 
 Models live either over Q (exact Fraction coefficients) or over a finite
 field (FieldElement coefficients).  No minimal-model search happens
@@ -16,9 +17,11 @@ from a brute-force count below it.  The brute-force counter is the
 oracle for both fast paths, and baby-step giant-step the oracle for the
 CM one.  All derived counts go through the trace recurrence, from a
 LocalData record.  Brute-force counts and the drawn points share only
-the fibre equation y^2 + b*y = c at each x over F_p and F_{p^n}: the
-count tests it by Euler's criterion (the absolute trace in char 2), the
-points take a root, so the count is an independent oracle of the points.
+the fibre equation y^2 + b*y = c at each x: the count tests it by
+Euler's criterion (the absolute trace in char 2), the points take a
+root, so the count is an independent oracle of the points.  The CLI
+counts over F_p only; counts over F_{p^n} are test work, on a field that
+enumerates its elements.
 """
 
 from __future__ import annotations
@@ -63,9 +66,12 @@ __all__ = [
 
 # measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11;
 # AP_GUARD, the largest p of a_p, is in _limits
-# brute-force count over F_{p^n}: 3.4 s at p = 999983, 4.9 s at 997^2
-# (the oracle; the CLI counts for a_p only at p <= MESTRE_BOUND when the
-# CM path does not apply, and once at a bad prime in `curve`)
+# brute-force count over the model's own field, whose order it bounds:
+# 3.4 s at p = 999983 (the oracle; the CLI counts over F_p only, for a_p
+# at p <= MESTRE_BOUND when the CM path does not apply, and once at a
+# bad prime in `curve`).  The tests count over F_{p^n} on the table
+# fields of tests/field_oracle.py: at 997^2, 0.85 s to build the field
+# and 1.7 s to count (Python 3.11, 2-vCPU Xeon)
 COUNT_GUARD = 10**6
 # Mestre: for p > 229, E or its quadratic twist has a point whose order
 # has a single multiple in the Hasse interval (Schoof, JTNB 7 (1995),
@@ -330,7 +336,7 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
         return ReductionType(ReductionKind.ADDITIVE, 0)
     if e.field.p == 2:
         # the affine points but the singular one, plus infinity
-        alpha = 2 - _affine_count(e, 1)
+        alpha = 2 - _affine_count(e)
         if alpha not in (1, -1):
             raise RuntimeError(f"a node of {e} over F_2 gives alpha={alpha}, not +-1")
     else:
@@ -358,23 +364,23 @@ def _at_level(e: WeierstrassModel, n: int) -> WeierstrassModel:
     return e if n == 1 else model_over_ext(e, finite_field(e.field.p, n))
 
 
-def _affine_count(e: WeierstrassModel, n: int) -> int:
-    """Number of affine F_{p^n}-solutions of the Weierstrass equation."""
-    if e.field.p**n > COUNT_GUARD:
+def _affine_count(e: WeierstrassModel) -> int:
+    """Number of affine solutions of the Weierstrass equation over the
+    model's field, which must enumerate its elements."""
+    f = e.field
+    if f.order > COUNT_GUARD:
         raise ValueError("guard exceeded: p^n > 10^6")
-    curve = _at_level(e, n)
-    f = curve.field
     mul, zero = f.mul, f.zero()
     if f.char == 2:
         # y^2 + b y = c has one root when b = 0, else two iff
         # Tr(c / b^2) = 0 after the substitution y = b z
         return sum(
             1 if b == zero else 2 * (f.absolute_trace(mul(c, f.inv(mul(b, b)))) == 0)
-            for _, b, c in _fibres(curve)
+            for _, b, c in _fibres(e)
         )
     four = f.from_int(4)
     total = 0
-    for _, b, c in _fibres(curve):
+    for _, b, c in _fibres(e):
         disc = f.add(mul(b, b), mul(four, c))
         if disc == zero:
             total += 1
@@ -383,8 +389,9 @@ def _affine_count(e: WeierstrassModel, n: int) -> int:
     return total
 
 
-def count_points(e: WeierstrassModel, n: int = 1) -> int:
-    """#E(F_{p^n}) including the point at infinity, by brute force.
+def count_points(e: WeierstrassModel) -> int:
+    """#E over the model's field, including the point at infinity, by
+    brute force.
 
     The oracle for the CM and baby-step giant-step a_p; trace_of_frobenius
     counts this way only at p <= MESTRE_BOUND, for a j that is no CM j
@@ -392,16 +399,17 @@ def count_points(e: WeierstrassModel, n: int = 1) -> int:
     """
     if is_singular(e):
         raise ValueError("singular model (use count_nonsingular)")
-    return _affine_count(e, n) + 1
+    return _affine_count(e) + 1
 
 
-def count_nonsingular(e: WeierstrassModel, n: int = 1) -> int:
-    """Number of nonsingular F_{p^n}-points including infinity.
+def count_nonsingular(e: WeierstrassModel) -> int:
+    """Number of nonsingular points over the model's field, including
+    infinity.
 
     A Weierstrass cubic is irreducible, so a singular model has exactly
     one singular point, and it is rational over the prime field.
     """
-    return _affine_count(e, n) - int(is_singular(e)) + 1
+    return _affine_count(e) - int(is_singular(e)) + 1
 
 
 def trace_of_frobenius(e: WeierstrassModel) -> int:
@@ -417,7 +425,7 @@ def trace_of_frobenius(e: WeierstrassModel) -> int:
         raise ValueError("guard exceeded: p > 10^12")
     ap = _cm_trace(e) if p >= 5 else None
     if ap is None:
-        ap = p + 1 - (count_points(e, 1) if p <= MESTRE_BOUND else _order_by_bsgs(e))
+        ap = p + 1 - (count_points(e) if p <= MESTRE_BOUND else _order_by_bsgs(e))
     if ap * ap > 4 * p:
         raise RuntimeError(f"count bug: |a_p|={abs(ap)} violates the Hasse bound at p={p}")
     return ap

@@ -3,19 +3,18 @@
 Field descriptors are immutable and element operations are pure.  The
 extension modulus is the lexicographically smallest monic irreducible,
 so enumeration order and diagnostics are reproducible run to run.  An
-element of F_{p^n} is an int whose base-p digits are its coefficients;
-products, sums and inverses are lookups in log and exp tables
-(Lidl-Niederreiter, Finite Fields, 2.1) that each field builds for
-itself.  Extensions stop at p^n <= 10^6 (EXT_FIELD_GUARD), where the
-tables take 8 MB and about 0.6 s to build; code that enumerates a field
-bounds its size itself.
+element of F_{p^n} is an int whose base-p digits are its coefficients,
+and arithmetic is in F_p[x]/(modulus): sums digit by digit, products by
+schoolbook multiplication and reduction by the modulus, inverses by the
+extended Euclidean algorithm and square roots by Tonelli-Shanks.  No
+field keeps tables, so building one costs the search for its modulus;
+extensions stop at p^n <= 10^6 (EXT_FIELD_GUARD).  Enumerating a whole
+field is left to the tests, whose log/exp table field is the oracle of
+this one.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
-from collections import deque
 from collections.abc import Iterator, Sequence
 
 from ._factor import factorize, is_prime
@@ -30,11 +29,18 @@ __all__ = [
     "EXT_FIELD_GUARD",
 ]
 
+# caps F_{p^n} at 10^6 elements, and with it the levels n > 1 whose group
+# structure `curve` and `localize` compute (N ~ q is factored, and the
+# Sylow steps take discrete logs in E(F_q)); past it they print null.
+# Building a field costs only the search for its modulus, so the edge is
+# cheap: `curve --model "[0,0,0,-1,0]" --p 997 --n 2` takes 35-40 ms as a
+# process and 2-6 ms in process, and `localize` at 97^3, 31^4, 13^5 and
+# 7^6 at most 50 ms as a process (Python 3.11, 2-vCPU Xeon)
 EXT_FIELD_GUARD = 10**6
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient tuples, low degree first)
+# polynomial helpers over F_p (coefficient sequences, low degree first)
 # ---------------------------------------------------------------------------
 
 
@@ -44,13 +50,22 @@ def _poly_trim(v: list) -> tuple:
     return tuple(v)
 
 
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> tuple:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_divmod(out, mod, p)[1]
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list:
+    """a * b mod the monic mod of degree n, as n coefficients: the
+    schoolbook product, then x^k = x^(k-n) (x^n - mod) for each k >= n
+    from the top down."""
+    n = len(mod) - 1
+    out = [0] * max(len(a) + len(b) - 1, n)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k] % p
+        if c:
+            for j, m in enumerate(mod, k - n):
+                out[j] -= c * m
+    return [c % p for c in out[:n]]
 
 
 def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
@@ -78,15 +93,17 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
     return a
 
 
-def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> tuple:
-    result = (1,)
-    base = _poly_divmod(a, mod, p)[1]
+def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> Sequence[int]:
+    """a^e mod the monic mod, for e >= 0 and deg a < deg mod, by
+    square-and-multiply."""
+    result = None
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            result = a if result is None else _poly_mulmod(result, a, mod, p)
         e >>= 1
-    return result
+        if e:
+            a = _poly_mulmod(a, a, mod, p)
+    return [1] if result is None else result
 
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
@@ -97,16 +114,13 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
         return False
     if n == 1:
         return True
-    xq = _poly_powmod((0, 1), p**n, f, p)
-    x = _poly_divmod((0, 1), f, p)[1]
-    if xq != x:
+    x = [0, 1] + [0] * (n - 2)
+    if _poly_powmod(x, p**n, f, p) != x:
         return False
     for ell in factorize(n):
-        h = _poly_powmod((0, 1), p ** (n // ell), f, p)
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(f, _poly_trim(diff), p)
-        if len(g) - 1 != 0:
+        h = _poly_powmod(x, p ** (n // ell), f, p)
+        h[1] = (h[1] - 1) % p
+        if len(_poly_gcd(f, _poly_trim(h), p)) != 1:
             return False
     return True
 
@@ -127,6 +141,33 @@ def find_irreducible(p: int, n: int) -> tuple:
         if _is_irreducible(f, p):
             return f
     raise RuntimeError(f"no monic irreducible of degree {n} over F_{p}")  # unreachable
+
+
+def _digits(v: int, p: int, n: int) -> tuple:
+    out = []
+    for _ in range(n):
+        v, c = divmod(v, p)
+        out.append(c)
+    return tuple(out)
+
+
+def _encode(coefficients: Sequence[int], p: int) -> int:
+    """The int whose base-p digits are the coefficients, each in [0, p)."""
+    v = 0
+    for c in reversed(coefficients):
+        v = v * p + c
+    return v
+
+
+def _combine(a: int, b: int, p: int, s: int, t: int) -> int:
+    """s*a + t*b digit by digit mod p, on base-p digit ints."""
+    out, place = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (s * x + t * y) % p * place
+        place *= p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +280,12 @@ class ExtField:
     """F_{p^n} as F_p[x]/(modulus).
 
     The element c_0 + c_1 x + ... + c_{n-1} x^{n-1} is the int
-    c_0 + c_1 p + ... + c_{n-1} p^{n-1}, so elements() is range(p^n) and
-    the prime subfield is 0..p-1.  With g the primitive element of the
-    field's tables, a product, inverse or power is index arithmetic mod
-    q-1 on log/exp, a sum is a + b = a (1 + b/a), where adding 1 changes
-    digit 0 alone, and -a is g^((q-1)/2) * a (a itself in characteristic 2).
+    c_0 + c_1 p + ... + c_{n-1} p^{n-1}, so the field is range(p^n) and
+    the prime subfield is 0..p-1.  Sums, differences and negatives go
+    digit by digit (xor in characteristic 2).
     """
 
-    __slots__ = ("p", "n", "modulus", "_m", "_half", "_exp", "_log")
+    __slots__ = ("p", "n", "modulus", "_sylow2")
 
     def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None):
         if not is_prime(p):
@@ -266,9 +305,15 @@ class ExtField:
         self.p = p
         self.n = n
         self.modulus = modulus
-        self._exp, self._log = _build_tables(p, n, modulus)
-        self._m = p**n - 1
-        self._half = 0 if p == 2 else self._m // 2  # log(-1)
+        # for Tonelli-Shanks when q = 1 mod 4: z^t, with q - 1 = 2^s t and t
+        # odd, generates the 2-Sylow subgroup for the first non-square z
+        # from x on (every element of F_p is a square when n is even)
+        q = p**n
+        self._sylow2 = None
+        if q % 4 == 1:
+            half = (q - 1) // 2
+            z = next(v for v in range(p if n > 1 else 2, q) if self.pow(v, half) != 1)
+            self._sylow2 = self.pow(z, (q - 1) // ((q - 1) & (1 - q)))
 
     @property
     def char(self) -> int:
@@ -280,7 +325,7 @@ class ExtField:
 
     @property
     def order(self) -> int:
-        return self._m + 1
+        return self.p**self.n
 
     def zero(self):
         return 0
@@ -292,64 +337,94 @@ class ExtField:
         return k % self.p
 
     def add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        p, m, log, exp = self.p, self._m, self._log, self._exp
-        la = log[a]
-        ratio = exp[(log[b] - la) % m]
-        ratio += (ratio + 1) % p - ratio % p
-        return exp[(la + log[ratio]) % m] if ratio else 0
+        return a ^ b if self.p == 2 else _combine(a, b, self.p, 1, 1)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return a ^ b if self.p == 2 else _combine(a, b, self.p, 1, -1)
 
     def neg(self, a):
-        return self._exp[(self._log[a] + self._half) % self._m] if a else 0
+        return a if self.p == 2 else _combine(a, 0, self.p, -1, 0)
 
     def mul(self, a, b):
-        if not a or not b:
-            return 0
-        log = self._log
-        return self._exp[(log[a] + log[b]) % self._m]
+        p = self.p
+        if a < p or b < p:
+            # a factor in the prime subfield scales the other's digits
+            c, v = (a, b) if a < p else (b, a)
+            if c < 2:
+                return v if c else 0
+            return _combine(v, 0, p, c, 0)
+        n = self.n
+        return _encode(_poly_mulmod(_digits(a, p, n), _digits(b, p, n), self.modulus, p), p)
 
     def inv(self, a):
+        """a^-1 by the extended Euclidean algorithm on (modulus, a), each
+        row keeping r = s a mod the modulus; the last r is a constant."""
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[-self._log[a] % self._m]
+        p = self.p
+        if a < p:
+            return pow(a, -1, p)
+        r0, s0 = list(self.modulus), [0]
+        r1, s1 = list(_digits(a, p, self.n)), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            lead = pow(r1[-1], -1, p)
+            while len(r0) >= len(r1):
+                c, d = r0[-1] * lead % p, len(r0) - len(r1)
+                for i, v in enumerate(r1, d):
+                    r0[i] = (r0[i] - c * v) % p
+                s0 += [0] * (len(s1) + d - len(s0))
+                for i, v in enumerate(s1, d):
+                    s0[i] = (s0[i] - c * v) % p
+                while r0 and not r0[-1]:
+                    r0.pop()
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        c = pow(r1[0], -1, p)
+        return _encode([v * c % p for v in s1], p)
 
     def pow(self, a, e: int):
         if not a:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0 if e else 1
-        return self._exp[self._log[a] * e % self._m]
+        if e < 0:
+            a, e = self.inv(a), -e
+        p, n = self.p, self.n
+        return _encode(_poly_powmod(_digits(a, p, n), e % (p**n - 1), self.modulus, p), p)
 
     def sqrt(self, a):
-        """A square root of a, or None when a is not a square: half the
-        log index, which must be even unless q - 1 is odd (characteristic 2)."""
+        """A square root of a, or None when a is not a square: a^(q/2) in
+        characteristic 2, one pow when q = 3 mod 4, and Tonelli-Shanks
+        otherwise (Cohen, GTM 138, Alg. 1.5.1)."""
         if not a:
             return 0
-        k = self._log[a]
-        if k & 1:
-            if self.p != 2:
-                return None
-            k += self._m
-        return self._exp[k // 2]
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self._m + 1))
-
-    def absolute_trace(self, a) -> int:
-        """Trace to F_p: sum of a^(p^i); returned as an int in [0, p)."""
-        acc = frob = a
-        for _ in range(self.n - 1):
-            frob = self.pow(frob, self.p)
-            acc = self.add(acc, frob)
-        if acc >= self.p:
-            raise RuntimeError(f"trace of {self.element_repr(a)} in {self!r} landed outside the prime field")
-        return acc
+        q = self.order
+        if self.p == 2:
+            return self.pow(a, q // 2)
+        if q % 4 == 3:
+            x = self.pow(a, (q + 1) // 4)
+            return x if self.mul(x, x) == a else None
+        mul = self.mul
+        s = ((q - 1) & (1 - q)).bit_length() - 1
+        w = self.pow(a, (q - 1) >> (s + 1))
+        # x^2 = a b with b = a^t, and b lies in the subgroup of order 2^s
+        # that c generates; a is a square iff b has order below 2^s
+        x, c = mul(a, w), self._sylow2
+        b = mul(x, w)
+        while b != 1:
+            i, b2 = 0, b
+            while b2 != 1:
+                b2 = mul(b2, b2)
+                i += 1
+                if i == s:
+                    return None
+            d = c
+            for _ in range(s - i - 1):
+                d = mul(d, d)
+            x, c = mul(x, d), mul(d, d)
+            b, s = mul(b, c), i
+        return x
 
     def element_repr(self, a) -> str:
         return "(" + ",".join(str(c) for c in _digits(a, self.p, self.n)) + ")"
@@ -365,142 +440,6 @@ class ExtField:
 
     def __repr__(self):
         return f"F_{self.p}^{self.n}"
-
-
-# ---------------------------------------------------------------------------
-# log/exp tables of F_{p^n}
-# ---------------------------------------------------------------------------
-
-# powers of g are computed this many at a time
-_BLOCK = 1 << 15
-
-
-def _digits(v: int, p: int, n: int) -> tuple:
-    out = []
-    for _ in range(n):
-        v, c = divmod(v, p)
-        out.append(c)
-    return tuple(out)
-
-
-def _primitive_element(p: int, n: int, modulus: tuple) -> int:
-    """The first v in int order with g^((q-1)/l) != 1 for each prime l | q-1.
-
-    No element of F_p generates F_{p^n}^* for n > 1, so the scan starts at x.
-    """
-    q = p**n
-    cofactors = [(q - 1) // ell for ell in factorize(q - 1)]
-    for v in range(p if n > 1 else 1, q):
-        g = _digits(v, p, n)
-        if all(_poly_powmod(g, e, modulus, p) != (1,) for e in cofactors):
-            return v
-    raise RuntimeError(f"F_{p}^{n} mod {modulus} has no primitive element")
-
-
-class _Lanes:
-    """Residues mod p packed into the bytes-wide lanes of one int, lane k
-    holding bits [w k, w k + w): one int operation adds every lane mod p.
-
-    A lane is wide enough that a sum of two residues plus 2^(w-1) - p
-    does not carry, and its top bit is set exactly when the sum is >= p.
-    """
-
-    def __init__(self, p: int, width: int, count: int):
-        bits = 8 * width
-        self.p, self.shift = p, bits - 1
-        self.ones = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
-        self.bias = ((1 << (bits - 1)) - p) * self.ones
-        self.high = (1 << (bits - 1)) * self.ones
-
-    def add(self, a: int, b: int) -> int:
-        s = a + b
-        return s - (((s + self.bias) & self.high) >> self.shift) * self.p
-
-    def times(self, planes: list, matrix: list) -> list:
-        """Planes of h*a for each a in a block, given the planes of a;
-        matrix[i][j] is digit i of h * x^j.  Each entry is applied by
-        binary expansion over the doublings of its plane."""
-        doublings = [[plane] for plane in planes]
-        out = []
-        for row in matrix:
-            acc = 0
-            for twice, c in zip(doublings, row):
-                i = 0
-                while c:
-                    if i == len(twice):
-                        twice.append(self.add(twice[-1], twice[-1]))
-                    if c & 1:
-                        acc = self.add(acc, twice[i])
-                    c >>= 1
-                    i += 1
-            out.append(acc)
-        return out
-
-
-def _widen(lanes: int, width: int, count: int) -> int:
-    """The same values in 4-byte lanes."""
-    raw = lanes.to_bytes(width * count, "little")
-    wide = bytearray(4 * count)
-    for b in range(width):
-        wide[b::4] = raw[b::width]
-    return int.from_bytes(wide, "little")
-
-
-def _build_tables(p: int, n: int, modulus: tuple) -> tuple:
-    """exp[k] = g^k for k < q-1 and log[v] for v < q (log[0] = -1), as
-    arrays of C ints.
-
-    The powers are built a block at a time on digit planes: plane i packs
-    digit i of each power of the block into its own lane (_Lanes), so the
-    next block, this one times g^size, is a fixed n x n matrix over F_p
-    applied to the planes.  The first block grows by doubling from g^0.
-    """
-    q = p**n
-    m = q - 1
-    g = _primitive_element(p, n, modulus)
-    g_poly = _digits(g, p, n)
-    width = (p.bit_length() + 8) // 8
-    bits = 8 * width
-
-    def matrix(e: int) -> list:
-        h = _poly_powmod(g_poly, e, modulus, p)
-        cols = [_poly_mulmod(h, (0,) * j + (1,), modulus, p) for j in range(n)]
-        return [[col[i] if i < len(col) else 0 for col in cols] for i in range(n)]
-
-    planes, size = [1] + [0] * (n - 1), 1
-    while size < min(m, _BLOCK):
-        grown = _Lanes(p, width, size).times(planes, matrix(size))
-        planes = [a | b << (bits * size) for a, b in zip(planes, grown)]
-        size *= 2
-    lanes, step = _Lanes(p, width, size), matrix(size)
-    exp = array("i")
-    for start in range(0, m, size):
-        if start:
-            planes = lanes.times(planes, step)
-        count = min(size, m - start)
-        mask = (1 << (bits * count)) - 1
-        low = [plane & mask for plane in planes]
-        enc = sum(_widen(plane, width, count) * p**i for i, plane in enumerate(low))
-        exp.frombytes(enc.to_bytes(4 * count, "little"))
-    if sys.byteorder != "little":
-        exp.byteswap()
-    log = _log_table(q, exp)
-    if m > 1 and exp[1] != g:
-        raise RuntimeError(f"exp table of F_{p}^{n} starts {exp[:2].tolist()}, not [1, {g}]")
-    return exp, log
-
-
-def _log_table(q: int, exp: array) -> array:
-    """The inverse of exp, after checking that exp is a bijection from
-    0..q-2 onto 1..q-1, i.e. that g is primitive; log[0] = -1."""
-    log = array("i", [-1]) * q
-    try:
-        deque(map(log.__setitem__, exp, range(len(exp))), maxlen=0)
-    except IndexError:
-        raise RuntimeError(f"exp table of a field of order {q} has a value past {q - 1}") from None
-    if len(exp) != q - 1 or log[0] != -1 or log.count(-1) != 1:
-        raise RuntimeError(f"exp table of a field of order {q} is not a bijection onto 1..{q - 1}")
-    return log
 
 
 def finite_field(p: int, n: int = 1, modulus: Sequence[int] | None = None):

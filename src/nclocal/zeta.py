@@ -270,7 +270,9 @@ def lemma1_check(
     continued-fraction ``period`` the trace slot is tr(A^p) of its
     incidence matrix (exploration mode, no pass guarantee).  At a good
     prime whose K0 orders equal the point counts, ``torus_series`` is
-    ``curve_series`` itself.
+    ``curve_series`` itself, and at a bad prime with alpha = 0 or 1, whose
+    signed orders alpha^n are never negative, ``torus_series_signed`` is
+    ``torus_series``.
     """
     a_matrix = incidence_matrix(period) if period is not None else None
     order_of = {"absolute": k0_order, "signed": k0_signed_order}.get(mode)
@@ -291,10 +293,11 @@ def lemma1_check(
             compared = torus
         else:
             alpha = rt.alpha
-            # one signed order per level feeds both conventions
+            # one signed order per level, alpha^n, feeds both conventions;
+            # they differ only when alpha = -1 makes some of them negative
             orders = [k0_signed_order(d) for d in epsilons(p, order, False, alpha=alpha)]
             torus = _exp_counts([abs(n) for n in orders], order)
-            signed = _exp_counts(orders, order)
+            signed = torus if min(orders) >= 0 else _exp_counts(orders, order)
             compared = signed if mode == "signed" else torus
         mismatch = None if compared is curve else curve.first_mismatch(compared)
         reports.append(

@@ -6,7 +6,8 @@ before it drew a few points.  ``group_by_orders`` reads d2 off the
 orders of all points, found cyclic subgroup by cyclic subgroup; it needs
 no bound from q - 1, and on non-cyclic groups, where the scan has to
 take a scalar multiple of every point, it makes a few additions per
-point instead.
+point instead.  Both run over F_{p^n} on the table fields of
+field_oracle.py.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterator
 
+from field_oracle import at_level
 from nclocal._factor import factorize
-from nclocal.elliptic import WeierstrassModel, _at_level, _fibres, _raw_add, _raw_consts, _raw_mul
+from nclocal.elliptic import WeierstrassModel, _fibres, _raw_add, _raw_consts, _raw_mul
 
 
 def affine_points(e: WeierstrassModel) -> Iterator:
-    """All affine points of a model over its (small) field, raw values."""
+    """All affine points of a model over its (small) field, raw values;
+    the field must enumerate its elements (F_p or a table field)."""
     f = e.field
     mul, zero = f.mul, f.zero()
     if f.char == 2:
@@ -60,7 +63,7 @@ def group_by_scan(e: WeierstrassModel, n: int = 1) -> tuple:
     listed points, d1 = N / d2.  The scan stops once the running lcm L is
     the only divisor of N that is a multiple of L with N/L | q - 1."""
     q = e.field.p**n
-    curve = _at_level(e, n)
+    curve = at_level(e, n)
     field = curve.field
     consts = _raw_consts(curve)
     pts = list(affine_points(curve))
@@ -89,7 +92,7 @@ def group_by_orders(e: WeierstrassModel, n: int = 1) -> tuple:
     """(d1, d2) of E(F_{p^n}) with d2 the largest point order (the group
     exponent), from every point: each point not yet met spans its cyclic
     subgroup by repeated addition, and kP has order ord(P)/gcd(k, ord(P))."""
-    curve = _at_level(e, n)
+    curve = at_level(e, n)
     field = curve.field
     consts = _raw_consts(curve)
     pts = list(affine_points(curve))

@@ -17,7 +17,8 @@ from nclocal.elliptic import (
     model_over_ext,
     transform,
 )
-from nclocal.ffield import EXT_FIELD_GUARD, FieldElement, PrimeField, finite_field
+from field_oracle import table_field
+from nclocal.ffield import EXT_FIELD_GUARD, FieldElement, PrimeField
 
 
 def _short_form(e: WeierstrassModel) -> tuple:
@@ -46,8 +47,8 @@ def isomorphism_witness(e1: WeierstrassModel, e2: WeierstrassModel):
     Searches twist scalars u over F_{p^k} with k <= 2 generically and
     k <= 6 for j in {0, 1728}, while p^k <= EXT_FIELD_GUARD; returns
     (transform, field) or None when the j-invariants differ.  Requires
-    p > 3.  Each F_{p^k} it tries builds its own tables, about 0.6 s
-    near the guard.
+    p > 3.  Each F_{p^k}, k > 1, is the table field of field_oracle.py,
+    since the search enumerates it.
     """
     if not isinstance(e1.field, PrimeField):
         raise ValueError("witness search needs models over F_p")
@@ -63,7 +64,7 @@ def isomorphism_witness(e1: WeierstrassModel, e2: WeierstrassModel):
         if p**k > EXT_FIELD_GUARD:
             break
         # F_p values are valid F_{p^k} values
-        field = finite_field(p, k)
+        field = e1.field if k == 1 else table_field(p, k)
         ea1, eb1, ea2, eb2 = (FieldElement(field, v.val) for v in (s1.a4, s1.a6, s2.a4, s2.a6))
         zero = FieldElement.of(field, 0)
         for uv in field.elements():

@@ -37,6 +37,7 @@ from nclocal.quadratic_cf import QuadraticIrrational, cf_expand, incidence_matri
 from nclocal.zeta import TruncatedSeries, curve_local_zeta, lemma1_check
 
 from cf_oracle import convergents
+from field_oracle import at_level
 from intmat_oracle import determinantal_divisors
 from zeta_oracle import torus_local_zeta
 
@@ -78,7 +79,7 @@ def test_criterion_1_lemma1_desk_form():
                     assert k0_order(epsilon(p, n, True, trace_ap=ap)) == counts[n - 1], (p, n)
                     identities += 1
                     if p**n <= 10**5:
-                        assert count_points(red, n) == counts[n - 1], (p, n)
+                        assert count_points(at_level(red, n)) == counts[n - 1], (p, n)
                         brute_checked += 1
         elapsed = time.monotonic() - start
         assert identities == 162 and brute_checked >= 90
@@ -213,7 +214,7 @@ def test_criterion_6_classifier_cross_check():
         multiplicative_seen = {1: 0, -1: 0}
         for p, model in models:
             rt = classify_reduction(model)  # from c4 and -c6, no point scan
-            alpha_count = p - count_nonsingular(model, 1)
+            alpha_count = p - count_nonsingular(model)
             assert rt.alpha == alpha_count, (p, rt)
             disc = _tangent_discriminant(model)
             if rt.kind is ReductionKind.ADDITIVE:

@@ -44,6 +44,7 @@ from nclocal.elliptic import (
 )
 from nclocal.ffield import FieldElement, PrimeField, finite_field
 
+from field_oracle import at_level, table_field
 from group_oracle import affine_points
 from iso_oracle import isomorphism_witness
 
@@ -214,14 +215,14 @@ class TestClassify:
         e = WeierstrassModel.over_field(f5, 0, 1, 0, 0, 0)  # y^2 = x^3 + x^2
         rt = classify_reduction(e)
         assert rt.kind is ReductionKind.SPLIT_MULTIPLICATIVE and rt.alpha == 1
-        assert count_nonsingular(e, 1) == 4
+        assert count_nonsingular(e) == 4
 
     def test_nonsplit_node(self):
         f5 = PrimeField(5)
         e = WeierstrassModel.over_field(f5, 0, 2, 0, 0, 0)  # y^2 = x^3 + 2x^2
         rt = classify_reduction(e)
         assert rt.kind is ReductionKind.NONSPLIT_MULTIPLICATIVE and rt.alpha == -1
-        assert count_nonsingular(e, 1) == 6
+        assert count_nonsingular(e) == 6
 
     def test_cusp(self):
         rt = classify_reduction(reduce_mod_p(E_PLUS_1, 3))
@@ -239,7 +240,7 @@ class TestClassify:
                     assert rt.kind is ReductionKind.SPLIT_MULTIPLICATIVE
                 else:
                     assert rt.kind is ReductionKind.NONSPLIT_MULTIPLICATIVE
-                assert count_nonsingular(e, 1) == p - rt.alpha
+                assert count_nonsingular(e) == p - rt.alpha
 
     def test_type_invariant_under_field_transforms(self):
         # reduction kind & alpha survive admissible transforms over F_p
@@ -260,7 +261,7 @@ class TestCounting:
     def test_spec_counts(self):
         assert count_points(reduce_mod_p(E_MINUS_X, 3)) == 4
         assert count_points(reduce_mod_p(E_MINUS_X, 5)) == 8
-        assert count_points(reduce_mod_p(E_MINUS_X, 5), 2) == 32
+        assert count_points(at_level(reduce_mod_p(E_MINUS_X, 5), 2)) == 32
 
     def test_trace_examples(self):
         assert trace_of_frobenius(reduce_mod_p(E_MINUS_X, 3)) == 0
@@ -284,7 +285,7 @@ class TestCounting:
                 ns = point_counts_via_recurrence(ap, p, 4)
                 for n in range(1, 5):
                     if p**n <= 10**4:
-                        assert count_points(red, n) == ns[n - 1], (p, n)
+                        assert count_points(at_level(red, n)) == ns[n - 1], (p, n)
 
     def test_char2_counting(self):
         # y^2 + y = x^3 over F_2: infinity, (0,0), (0,1); supersingular a_2 = 0
@@ -296,47 +297,52 @@ class TestCounting:
             for y in range(2)
             if (y * y + y) % 2 == (x**3) % 2
         )
-        assert count_points(e, 1) == direct == 3
+        assert count_points(e) == direct == 3
         # and over F_4 and F_8, against the trace recurrence
         ap = 2 + 1 - 3
         counts = point_counts_via_recurrence(ap, 2, 3)
-        assert count_points(e, 2) == counts[1] == 9
-        assert count_points(e, 3) == counts[2]
+        assert count_points(at_level(e, 2)) == counts[1] == 9
+        assert count_points(at_level(e, 3)) == counts[2]
 
     def test_singular_rejected(self):
         f5 = PrimeField(5)
         e = WeierstrassModel.over_field(f5, 0, 1, 0, 0, 0)
         with pytest.raises(ValueError, match="singular"):
-            count_points(e, 1)
+            count_points(e)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        # the guard reads the order of the model's own field
+        import nclocal.elliptic as elliptic_mod
+
+        curve = at_level(reduce_mod_p(E_MINUS_X, 5), 2)
+        monkeypatch.setattr(elliptic_mod, "COUNT_GUARD", 24)
         with pytest.raises(ValueError, match="guard"):
-            count_points(reduce_mod_p(E_MINUS_X, 5), 11)
+            count_points(curve)
+        monkeypatch.setattr(elliptic_mod, "COUNT_GUARD", 25)
+        assert count_points(curve) == 32
 
     def test_extension_guard(self):
-        # brute-force counts stop at 10^6 elements over F_p and F_{p^n} alike
-        with pytest.raises(ValueError, match="guard exceeded: p\\^n > 10\\^6"):
-            count_points(reduce_mod_p(E_MINUS_X, 1009), 2)
+        # no model over an extension past 10^6 elements can be built to count on
+        with pytest.raises(ValueError, match="field too large"):
+            model_over_ext(reduce_mod_p(E_MINUS_X, 1009), finite_field(1009, 2))
 
     def test_prime_field_guard(self):
         p = primes_from(10**6, 1, 2, 1)[0]
         for count in (count_points, count_nonsingular):
             with pytest.raises(ValueError, match="guard exceeded: p\\^n > 10\\^6"):
-                count(reduce_mod_p(E_MINUS_X, p), 1)
+                count(reduce_mod_p(E_MINUS_X, p))
 
     def test_counts_independent_of_modulus(self):
-        # the F_9 point count does not depend on which irreducible modulus
+        # the F_49 point count does not depend on which irreducible modulus
         # presents the field
-        from nclocal.ffield import ExtField
-
         for e in (E_MINUS_X, E_PLUS_1):
             red = reduce_mod_p(e, 7)
             counts = []
             for modulus in [(1, 0, 1), (3, 1, 1), (4, 0, 1)]:  # irreducible over F_7
-                ext = ExtField(7, 2, modulus)
+                ext = table_field(7, 2, modulus)
                 counts.append(len(list(affine_points(model_over_ext(red, ext)))) + 1)
             assert len(set(counts)) == 1
-            assert counts[0] == count_points(red, 2)
+            assert counts[0] == count_points(at_level(red, 2))
 
     def test_hasse_bound_catalog(self):
         primes = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
@@ -579,7 +585,7 @@ class TestGroupStructure:
                 if not classify_reduction(red).is_good:
                     continue
                 g = group_structure(red, n)
-                assert g.order == count_points(red, n)
+                assert g.order == count_points(at_level(red, n))
                 d1, d2 = g.invariant_factors
                 assert (p**n - 1) % d1 == 0
                 assert d1 * d2 == g.order and d2 % d1 == 0
@@ -611,7 +617,7 @@ class TestBabyStepGiantStep:
     @pytest.mark.parametrize("e, p, n", CURVES)
     def test_matches_scan_for_every_stride_and_target(self, e, p, n):
         red = reduce_mod_p(e, p)
-        curve = red if n == 1 else model_over_ext(red, finite_field(p, n))
+        curve = at_level(red, n)
         f, consts = curve.field, _raw_consts(curve)
         points = [None] + list(affine_points(curve))
         for stride in points:
@@ -789,7 +795,7 @@ class TestFibreSolver:
             for p in SMALL_PRIMES:
                 red = reduce_mod_p(e, p)
                 brute = brute_affine_count(red)
-                assert _affine_count(red, 1) == len(list(affine_points(red))) == brute, (e, p)
+                assert _affine_count(red) == len(list(affine_points(red))) == brute, (e, p)
 
     def test_points_lie_on_the_curve_over_extensions(self):
         for e in (E_MINUS_X, E_PLUS_1, WeierstrassModel.over_q(1, 0, 1, 4, -6)):
@@ -797,11 +803,11 @@ class TestFibreSolver:
                 red = reduce_mod_p(e, p)
                 if invariants(red).disc == 0:
                     continue
-                curve = model_over_ext(red, finite_field(p, n))
+                curve = at_level(red, n)
                 f = curve.field
                 a1, a2, a3, a4, a6 = (a.val for a in curve.coefficients)
                 pts = list(affine_points(curve))
-                assert len(set(pts)) == len(pts) == _affine_count(red, n)
+                assert len(set(pts)) == len(pts) == _affine_count(curve)
                 for x, y in pts:
                     lhs = f.add(f.mul(y, y), f.mul(f.add(f.mul(a1, x), a3), y))
                     rhs = f.add(f.mul(f.add(f.mul(f.add(x, a2), x), a4), x), a6)
@@ -873,6 +879,6 @@ class TestClassifierOracle:
 
         node = WeierstrassModel.over_field(PrimeField(2), 1, 0, 0, 0, 0)  # y^2 + xy = x^3
         assert classify_reduction(node).kind is ReductionKind.SPLIT_MULTIPLICATIVE
-        monkeypatch.setattr(elliptic_mod, "_affine_count", lambda e, n: 0)
+        monkeypatch.setattr(elliptic_mod, "_affine_count", lambda e: 0)
         with pytest.raises(RuntimeError, match="gives alpha=2, not \\+-1"):
             classify_reduction(node)

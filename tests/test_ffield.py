@@ -2,18 +2,15 @@ import os
 import random
 import subprocess
 import sys
-from array import array
 
 import pytest
 
+from field_oracle import TableField, table_field
 from nclocal import ffield
 from nclocal.ffield import (
     ExtField,
     FieldElement,
     PrimeField,
-    _log_table,
-    _poly_divmod,
-    _poly_mulmod,
     find_irreducible,
     finite_field,
     is_square,
@@ -50,7 +47,7 @@ class TestFieldArithmetic:
     @pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (5, 2), (2, 4), (7, 3)])
     def test_axioms_spot_check(self, p, n):
         field = finite_field(p, n)
-        els = list(field.elements())
+        els = range(field.order)
         rng = random.Random(p * 100 + n)
         for _ in range(300):
             a, b, c = (rng.choice(els) for _ in range(3))
@@ -64,7 +61,7 @@ class TestFieldArithmetic:
     @pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (2, 4)])
     def test_frobenius_is_additive_and_multiplicative(self, p, n):
         field = finite_field(p, n)
-        els = list(field.elements())
+        els = range(field.order)
         rng = random.Random(42)
         for _ in range(150):
             a, b = rng.choice(els), rng.choice(els)
@@ -72,11 +69,12 @@ class TestFieldArithmetic:
             assert field.pow(field.mul(a, b), p) == field.mul(field.pow(a, p), field.pow(b, p))
 
     def test_enumerate_counts(self):
+        # F_p and the table fields enumerate; ExtField is range(order)
         assert list(finite_field(2).elements()) == [0, 1]
-        f9 = list(finite_field(3, 2).elements())
-        assert len(f9) == 9 and len(set(f9)) == 9
-        f25 = list(finite_field(5, 2).elements())
-        assert len(f25) == 25 and len(set(f25)) == 25
+        f9 = list(table_field(3, 2).elements())
+        assert len(f9) == 9 and len(set(f9)) == 9 and finite_field(3, 2).order == 9
+        f25 = list(table_field(5, 2).elements())
+        assert len(f25) == 25 and len(set(f25)) == 25 and finite_field(5, 2).order == 25
 
     def test_bad_modulus_rejected(self):
         with pytest.raises(ValueError, match="reducible"):
@@ -95,12 +93,12 @@ class TestIsSquare:
     @pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
     def test_square_count_odd_q(self, p, n):
         field = finite_field(p, n)
-        count = sum(1 for a in field.elements() if is_square(field, a))
+        count = sum(1 for a in range(field.order) if is_square(field, a))
         assert count == (field.order + 1) // 2
 
     def test_char2_every_element_is_square(self):
         field = finite_field(2, 3)
-        assert all(is_square(field, a) for a in field.elements())
+        assert all(is_square(field, a) for a in range(field.order))
 
 
 class TestModulusIndependence:
@@ -109,11 +107,11 @@ class TestModulusIndependence:
         f9a = ExtField(3, 2, (1, 0, 1))  # x^2 + 1
         f9b = ExtField(3, 2, (2, 1, 1))  # x^2 + x + 2, also irreducible
         for f in (f9a, f9b):
-            assert sum(1 for a in f.elements() if is_square(f, a)) == 5
+            assert sum(1 for a in range(f.order) if is_square(f, a)) == 5
         # multiplicative group is cyclic of order 8 in both presentations
         def orders(f):
             out = {}
-            for a in f.elements():
+            for a in range(f.order):
                 if a == f.zero():
                     continue
                 k, acc = 1, a
@@ -143,32 +141,32 @@ class TestFieldElement:
             _ = a + b
 
 
-def _decode(field, v):
-    return tuple((v // field.p**i) % field.p for i in range(field.n))
-
-
-def _encode(field, digits):
-    return sum(c * field.p**i for i, c in enumerate(digits))
-
-
-def _check_against_polynomials(field, pairs):
-    """Table arithmetic against tuple-polynomial arithmetic mod the modulus."""
-    p, mod = field.p, field.modulus
+def _check_against_oracle(field, pairs):
+    """Every operation of ExtField against the table field of the same
+    modulus; a square root may differ from the oracle's in sign."""
+    oracle = table_field(field.p, field.n, field.modulus)
+    q = field.order
     for a, b in pairs:
-        da, db = _decode(field, a), _decode(field, b)
-        assert field.mul(a, b) == _encode(field, _poly_mulmod(da, db, mod, p)), (a, b)
-        assert field.add(a, b) == _encode(field, [(x + y) % p for x, y in zip(da, db)]), (a, b)
-        assert field.sub(a, b) == _encode(field, [(x - y) % p for x, y in zip(da, db)]), (a, b)
+        for op in ("add", "sub", "mul"):
+            assert getattr(field, op)(a, b) == getattr(oracle, op)(a, b), (op, a, b)
     for a in {a for pair in pairs for a in pair}:
-        da = _decode(field, a)
-        assert field.neg(a) == _encode(field, [-x % p for x in da])
-        assert field.pow(a, 3) == _encode(field, _poly_mulmod(_poly_mulmod(da, da, mod, p), da, mod, p))
+        assert field.neg(a) == oracle.neg(a), a
+        for e in (0, 1, 2, 3, field.p, q - 2, q - 1, q, 10**6 + 3, -1, -2, -q - 5):
+            if a or e >= 0:
+                assert field.pow(a, e) == oracle.pow(a, e), (a, e)
         if a:
-            inv = _decode(field, field.inv(a))
-            assert _poly_divmod(_poly_mulmod(da, inv, mod, p), mod, p)[1] == (1,)
+            assert field.inv(a) == oracle.inv(a), a
+        root, expected = field.sqrt(a), oracle.sqrt(a)
+        assert root is None if expected is None else root in (expected, oracle.neg(expected)), a
+    for bad in (field.inv, lambda a: field.pow(a, -1)):
+        with pytest.raises(ZeroDivisionError):
+            bad(0)
 
 
 class TestTableArithmetic:
+    """ExtField's polynomial arithmetic against the log/exp table field
+    of field_oracle.py."""
+
     @pytest.mark.parametrize(
         "p,n,modulus",
         [
@@ -184,24 +182,24 @@ class TestTableArithmetic:
     def test_exhaustive(self, p, n, modulus):
         field = ExtField(p, n, modulus)
         q = field.order
-        _check_against_polynomials(field, [(a, b) for a in range(q) for b in range(q)])
+        _check_against_oracle(field, [(a, b) for a in range(q) for b in range(q)])
 
     @pytest.mark.parametrize("p,n", [(5, 5), (7, 4), (31, 2)])
     def test_sampled(self, p, n):
         field = finite_field(p, n)
         rng = random.Random(p**n)
         pairs = [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(2000)]
-        _check_against_polynomials(field, pairs + [(0, 0), (1, field.order - 1)])
+        _check_against_oracle(field, pairs + [(0, 0), (1, field.order - 1)])
 
     def test_primitive_element(self):
-        # the first element in int order whose order is q - 1
-        assert ExtField(3, 2, (1, 0, 1))._exp[1] == 4  # x + 1
-        assert ExtField(3, 2, (2, 1, 1))._exp[1] == 3  # x
+        # the oracle's generator: the first element in int order whose order is q - 1
+        assert table_field(3, 2, (1, 0, 1)).exp[1] == 4  # x + 1
+        assert table_field(3, 2, (2, 1, 1)).exp[1] == 3  # x
 
     def test_elements_order_and_repr(self):
         field = finite_field(3, 2)
-        assert list(field.elements()) == list(range(9))
-        assert [field.element_repr(v) for v in field.elements()] == [
+        assert list(table_field(3, 2).elements()) == list(range(field.order))
+        assert [field.element_repr(v) for v in range(field.order)] == [
             "(0,0)", "(1,0)", "(2,0)", "(0,1)", "(1,1)", "(2,1)", "(0,2)", "(1,2)", "(2,2)"
         ]
 
@@ -221,24 +219,12 @@ class TestTableArithmetic:
 
 
 class TestIdentityChecks:
-    """The table self-checks raise, so they hold under python -O."""
-
-    def test_exp_table_with_a_repeat_is_rejected(self):
-        exp = array("i", finite_field(5, 2)._exp)
-        exp[7] = exp[8]
-        with pytest.raises(RuntimeError, match="not a bijection"):
-            _log_table(25, exp)
-
-    def test_exp_table_past_the_field_is_rejected(self):
-        exp = array("i", finite_field(5, 2)._exp)
-        exp[3] = 25
-        with pytest.raises(RuntimeError, match="past 24"):
-            _log_table(25, exp)
+    """The identity checks raise, so they hold under python -O."""
 
     def test_trace_outside_prime_field_is_rejected(self):
-        field = ExtField(2, 3)
-        field._exp = array("i", field._exp)
-        field._exp[1], field._exp[2] = field._exp[2], field._exp[1]
+        # the table oracle's trace check, on a table with two powers swapped
+        field = TableField(2, 3, find_irreducible(2, 3))
+        field.exp[1], field.exp[2] = field.exp[2], field.exp[1]
         raised = []
         for a in field.elements():
             try:
@@ -253,14 +239,15 @@ class TestIdentityChecks:
             find_irreducible(5, 3)
 
     def test_checks_survive_optimize_flag(self):
+        # a wrong #E over F_{p^n} is caught by the first point drawn
         code = (
-            "from array import array\n"
-            "from nclocal.ffield import _log_table\n"
-            "_log_table(5, array('i', [1, 2, 2, 3]))\n"
+            "from nclocal.elliptic import WeierstrassModel, group_structure, reduce_mod_p\n"
+            "red = reduce_mod_p(WeierstrassModel.over_q(0, 0, 0, -1, 0), 7)\n"
+            "group_structure(red, 2, 63)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 1 and "RuntimeError" in proc.stderr and "not a bijection" in proc.stderr
+        assert proc.returncode == 1 and "RuntimeError" in proc.stderr and "63 is not #E(F_7^2)" in proc.stderr
 
 
 class TestAgainstSympy:
@@ -301,12 +288,12 @@ class TestSqrt:
     def test_characteristic_2(self):
         assert [PrimeField(2).sqrt(a) for a in (0, 1)] == [0, 1]
         field = finite_field(2, 5)
-        assert all(field.mul(field.sqrt(a), field.sqrt(a)) == a for a in field.elements())
+        assert all(field.mul(field.sqrt(a), field.sqrt(a)) == a for a in range(field.order))
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
     def test_odd_extensions(self, p, n):
         field = finite_field(p, n)
-        for a in field.elements():
+        for a in range(field.order):
             root = field.sqrt(a)
             assert (root is None) == (not is_square(field, a))
             assert root is None or field.mul(root, root) == a

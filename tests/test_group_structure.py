@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from field_oracle import at_level, table_field
 from group_oracle import affine_points, group_by_orders, group_by_scan
 from nclocal._factor import is_prime
 from nclocal.catalog import load_catalog
@@ -104,6 +105,35 @@ class TestSmallCharacteristic:
         assert seen >= 5
 
 
+class TestAgainstTableFields:
+    """group_structure on ExtField against the same call with the table
+    field of field_oracle.py in its place: the draws take the same x in
+    the same order, and a root may differ only in sign."""
+
+    @staticmethod
+    def on_table_fields(monkeypatch, red, n):
+        import nclocal.elliptic as elliptic_mod
+
+        with monkeypatch.context() as patch:
+            patch.setattr(elliptic_mod, "finite_field", table_field)
+            return factors(red, n)
+
+    @pytest.mark.parametrize("label", sorted(CATALOG)[::3])
+    def test_catalog_sample(self, monkeypatch, label):
+        levels = [(p, n) for p in (2, 3, 5, 7, 11, 13, 31, 97) for n in range(2, 7) if p**n <= 3 * 10**4]
+        for p, n in levels:
+            red = good_reductions(CATALOG[label], p)
+            if red is not None:
+                assert factors(red, n) == self.on_table_fields(monkeypatch, red, n), (label, p, n)
+
+    def test_curves_without_cm(self, monkeypatch):
+        for model in (WeierstrassModel.over_q(0, 0, 0, 1, 1), WeierstrassModel.over_q(0, 0, 1, -1, 0)):
+            for p, n in ((5, 3), (7, 2), (37, 2), (101, 2), (2, 8), (3, 6)):
+                red = good_reductions(model, p)
+                if red is not None:
+                    assert factors(red, n) == self.on_table_fields(monkeypatch, red, n), (model, p, n)
+
+
 class TestPointSource:
     @pytest.mark.parametrize("p, n", [(7, 1), (13, 1), (17, 1), (2, 1), (2, 6), (3, 5), (5, 3), (7, 2)])
     def test_one_point_per_x_with_a_root(self, p, n):
@@ -115,7 +145,7 @@ class TestPointSource:
             f = curve.field
             a1, a2, a3, a4, a6 = (a.val for a in curve.coefficients)
             drawn = list(_points(curve))
-            assert {x for x, _ in drawn} == {x for x, _ in affine_points(curve)}
+            assert {x for x, _ in drawn} == {x for x, _ in affine_points(at_level(red, n))}
             assert len(drawn) == len({x for x, _ in drawn})
             for x, y in drawn:
                 lhs = f.add(f.mul(y, y), f.mul(f.add(f.mul(a1, x), a3), y))

@@ -73,9 +73,6 @@ UNREACHED = {
     # field and transform API that only tests and oracles use
     "nclocal.ffield.ExtField.zero",
     "nclocal.ffield.ExtField.one",
-    "nclocal.ffield.ExtField.pow",
-    "nclocal.ffield.ExtField.elements",
-    "nclocal.ffield.ExtField.absolute_trace",
     "nclocal.ffield.FieldElement.__rsub__",
     "nclocal.ffield.FieldElement.__rtruediv__",
     "nclocal.ffield.FieldElement.__pow__",

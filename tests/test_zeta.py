@@ -23,6 +23,7 @@ from nclocal.zeta import (
 )
 from nclocal.zeta import _curve_series, _exp_counts, local_data
 
+from field_oracle import at_level
 from zeta_oracle import torus_local_zeta
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)
@@ -147,7 +148,7 @@ class TestCurveZeta:
         red = reduce_mod_p(E_MINUS_X, 2)
         rt = classify_reduction(red)
         for n in (1, 2, 3):
-            assert count_nonsingular(red, n) == 2**n - rt.alpha**n
+            assert count_nonsingular(at_level(red, n)) == 2**n - rt.alpha**n
 
 
 class TestTorusZeta:
@@ -243,6 +244,17 @@ class TestLemma1AgainstOracle:
         # identity mode shares at every good prime; exploration mode builds at every one
         assert (shared, built) == ((29, 0) if period is None else (0, 29))
 
+    @pytest.mark.parametrize(
+        "coefficients, p, alpha",
+        [([0, 1, 0, 5, 5], 5, 1), ([0, 0, 0, 0, 1], 3, 0), ([0, -4, 0, 0, 7], 7, -1)],
+    )
+    def test_bad_prime_builds_the_signed_series_only_for_alpha_minus_one(self, coefficients, p, alpha):
+        (r,) = lemma1_check(WeierstrassModel.over_q(*coefficients), [p], 7)
+        assert (r.good, r.alpha) == (False, alpha)
+        assert (r.torus_series_signed is r.torus_series) == (r.torus_series_signed == r.torus_series) == (alpha != -1)
+        assert r.torus_series_signed == torus_local_zeta(p, 7, good=False, alpha=alpha, mode="signed")
+        assert r.torus_series == torus_local_zeta(p, 7, good=False, alpha=alpha)
+
     def test_exploration_mode_reaches_negative_signed_orders(self):
         # tr(A^p) of the [1] incidence matrix is the Lucas number L_p, past the
         # Hasse bound, so det(I - L^n) changes sign with n
@@ -323,7 +335,7 @@ class TestLocalData:
         local = local_data(WeierstrassModel.over_q(0, 2, 0, 0, 0), 5)  # non-split node
         assert local.a_p is None and local.reduction.alpha == -1
         assert local.point_counts(3) == [5 + 1, 25 - 1, 125 + 1]
-        assert local.point_counts(1) == [count_nonsingular(local.reduced, 1)]
+        assert local.point_counts(1) == [count_nonsingular(local.reduced)]
 
     def test_rational_form_check_raises(self, monkeypatch):
         import nclocal.zeta as zeta_mod
