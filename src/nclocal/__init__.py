@@ -24,18 +24,10 @@ _EXPORTS = {
         "transform",
     ),
     "ffield": ("ExtField", "FieldElement", "PrimeField", "find_irreducible", "finite_field", "is_square"),
-    "functor": ("footnote2_experiment", "lemma3_bridge", "localize", "theorem1_check"),
-    "intmat": ("ConjugacyVerdict", "IntMatrix", "conjugacy_test", "invariant_factors", "mat_pow"),
-    "quadratic_cf": (
-        "CFExpansion",
-        "QuadraticIrrational",
-        "boundary_to_theta",
-        "cf_expand",
-        "gl2z_equivalent",
-        "incidence_matrix",
-        "is_reduced",
-    ),
-    "zeta": ("TruncatedSeries", "curve_local_zeta", "lemma1_check", "series_exp", "series_log"),
+    "functor": ("localize", "theorem1_check"),
+    "intmat": ("IntMatrix", "invariant_factors", "mat_pow"),
+    "quadratic_cf": ("CFExpansion", "QuadraticIrrational", "cf_expand", "incidence_matrix", "is_reduced"),
+    "zeta": ("TruncatedSeries", "lemma1_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -19,9 +19,9 @@ CM one.  All derived counts go through the trace recurrence, from a
 LocalData record.  Brute-force counts and the drawn points share only
 the fibre equation y^2 + b*y = c at each x: the count tests it by
 Euler's criterion (the absolute trace in char 2), the points take a
-root, so the count is an independent oracle of the points.  The CLI
-counts over F_p only; counts over F_{p^n} are test work, on a field that
-enumerates its elements.
+root, so the count is an independent oracle of the points.  A count
+enumerates range(order), so it runs over F_p and F_{p^n} alike; the CLI
+counts over F_p only, and counts over F_{p^n} are test work.
 """
 
 from __future__ import annotations
@@ -232,23 +232,6 @@ class AdmissibleTransform(Frozen):
     def over_q(cls, u, r=0, s=0, t=0) -> "AdmissibleTransform":
         return cls(Fraction(u), Fraction(r), Fraction(s), Fraction(t))
 
-    def then(self, other: "AdmissibleTransform") -> "AdmissibleTransform":
-        """Composite with ``other`` applied second:
-        transform(transform(E, self), other) == transform(E, self.then(other))."""
-        u1, r1, s1, t1 = self.u, self.r, self.s, self.t
-        u2, r2, s2, t2 = other.u, other.r, other.s, other.t
-        return AdmissibleTransform(
-            u1 * u2,
-            u1 * u1 * r2 + r1,
-            u1 * s2 + s1,
-            u1 * u1 * u1 * t2 + s1 * u1 * u1 * r2 + t1,
-        )
-
-    def inverse(self) -> "AdmissibleTransform":
-        u, r, s, t = self.u, self.r, self.s, self.t
-        iu = 1 / u
-        return AdmissibleTransform(iu, -r * iu * iu, -s * iu, (r * s - t) * iu * iu * iu)
-
 
 def transform(e: WeierstrassModel, tr: AdmissibleTransform) -> WeierstrassModel:
     """Apply an admissible change of variable; disc scales by u^-12, c4 by
@@ -355,7 +338,7 @@ def _fibres(e: WeierstrassModel, xs: Iterable | None = None) -> Iterator:
     f = e.field
     a1, a2, a3, a4, a6 = _raw_consts(e)
     mul, add = f.mul, f.add
-    for x in f.elements() if xs is None else xs:
+    for x in range(f.order) if xs is None else xs:
         yield x, add(mul(a1, x), a3), add(mul(add(mul(add(x, a2), x), a4), x), a6)
 
 
@@ -364,9 +347,19 @@ def _at_level(e: WeierstrassModel, n: int) -> WeierstrassModel:
     return e if n == 1 else model_over_ext(e, finite_field(e.field.p, n))
 
 
+def _absolute_trace(f, a) -> int:
+    """Tr(a) = a + a^2 + a^4 + ... + a^(2^(n-1)) of a in F_{2^n}, which
+    lies in F_2 = {0, 1}."""
+    total = a
+    for _ in range(f.degree - 1):
+        a = f.mul(a, a)
+        total = f.add(total, a)
+    return total
+
+
 def _affine_count(e: WeierstrassModel) -> int:
     """Number of affine solutions of the Weierstrass equation over the
-    model's field, which must enumerate its elements."""
+    model's field, by enumerating range(order)."""
     f = e.field
     if f.order > COUNT_GUARD:
         raise ValueError("guard exceeded: p^n > 10^6")
@@ -375,7 +368,7 @@ def _affine_count(e: WeierstrassModel) -> int:
         # y^2 + b y = c has one root when b = 0, else two iff
         # Tr(c / b^2) = 0 after the substitution y = b z
         return sum(
-            1 if b == zero else 2 * (f.absolute_trace(mul(c, f.inv(mul(b, b)))) == 0)
+            1 if b == zero else 2 * (_absolute_trace(f, mul(c, f.inv(mul(b, b)))) == 0)
             for _, b, c in _fibres(e)
         )
     four = f.from_int(4)

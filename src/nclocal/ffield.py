@@ -15,7 +15,7 @@ this one.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from ._factor import factorize, is_prime
 
@@ -256,12 +256,6 @@ class PrimeField:
             x, c = x * d % p, d * d % p
             b, s = b * c % p, i
         return x
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
-    def absolute_trace(self, a) -> int:
-        return a
 
     def element_repr(self, a) -> str:
         return str(a)

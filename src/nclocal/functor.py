@@ -1,12 +1,11 @@
 """The mod-p localization pipeline and its correctness checkers.
 
 ``localize`` maps a rational model and a prime to Cuntz-Krieger
-matrices and K0 data, level by level.  ``theorem1_check`` verifies on
+matrices and K0 data, level by level, next to the groups E(F_{p^n}):
+the paper's footnote 2 compares the two.  ``theorem1_check`` verifies on
 seeded random admissible transforms that the pipeline only sees the
 isomorphism class: equal trace matrices at good primes, equal alpha at
-bad ones.  ``lemma3_bridge`` runs the matrix-similarity chain for a pair
-of continued-fraction periods, and ``footnote2_experiment`` compares the
-group structures on the two sides without asserting them equal.
+bad ones.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .elliptic import (
     isomorphic_over_closure,
     transform,
 )
-from .intmat import IntMatrix, conjugacy_test, mat_pow
+from .intmat import IntMatrix, mat_pow
 from .quadratic_cf import incidence_matrix
 from .zeta import local_data
 
@@ -35,10 +34,6 @@ __all__ = [
     "TrialRecord",
     "Theorem1Report",
     "theorem1_check",
-    "Lemma3Report",
-    "lemma3_bridge",
-    "Footnote2Row",
-    "footnote2_experiment",
     "MAX_LEVEL",
 ]
 
@@ -244,142 +239,3 @@ def theorem1_check(e: WeierstrassModel, p: int, trials: int, seed: int) -> Theor
         trials=tuple(records),
         all_passed=all(rec.passed for rec in records),
     )
-
-
-# ---------------------------------------------------------------------------
-# period-conjugacy chain
-# ---------------------------------------------------------------------------
-
-
-class Lemma3Report(Frozen):
-    __slots__ = (
-        "period_a", "period_b", "p", "matrix_a", "matrix_b", "verdict_status", "witness", "reason", "trace_power_a",
-        "trace_power_b", "traces_equal", "lp_equal", "lp",
-    )
-    period_a: tuple
-    period_b: tuple
-    p: int
-    matrix_a: IntMatrix
-    matrix_b: IntMatrix
-    verdict_status: str
-    witness: IntMatrix | None
-    reason: str | None
-    trace_power_a: int | None
-    trace_power_b: int | None
-    traces_equal: bool | None
-    lp_equal: bool | None
-    lp: IntMatrix | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "period_a": list(self.period_a),
-            "period_b": list(self.period_b),
-            "p": self.p,
-            "matrix_a": self.matrix_a.to_rows(),
-            "matrix_b": self.matrix_b.to_rows(),
-            "conjugacy": self.verdict_status,
-            "witness": None if self.witness is None else self.witness.to_rows(),
-            "reason": self.reason,
-            "trace_power_a": self.trace_power_a,
-            "trace_power_b": self.trace_power_b,
-            "traces_equal": self.traces_equal,
-            "lp_equal": self.lp_equal,
-            "lp": None if self.lp is None else self.lp.to_rows(),
-        }
-
-
-def lemma3_bridge(period_a: Sequence[int], period_b: Sequence[int], p: int, bound: int = 10) -> Lemma3Report:
-    """Similar incidence matrices force equal trace powers and equal
-    (trace, p; -1, 0) matrices; the chain is checked step by step.
-
-    Non-conjugate inputs stop at the verdict: the downstream comparisons
-    are reported as None rather than being run vacuously.
-    """
-    a = incidence_matrix(period_a)
-    b = incidence_matrix(period_b)
-    verdict = conjugacy_test(a, b, bound)
-    ta = tb = lp = None
-    if verdict.is_conjugate:
-        ta = mat_pow(a, p).trace()
-        tb = mat_pow(b, p).trace()
-        if ta != tb:
-            raise RuntimeError(
-                f"similar matrices must share trace powers: tr(A^{p}) = {ta} for period {list(period_a)}, "
-                f"{tb} for period {list(period_b)}"
-            )
-        # both sides give build_lp(ta, p), so lp_equal holds by construction
-        lp = build_lp(ta, p)
-    settled = True if verdict.is_conjugate else None
-    return Lemma3Report(
-        period_a=tuple(period_a),
-        period_b=tuple(period_b),
-        p=p,
-        matrix_a=a,
-        matrix_b=b,
-        verdict_status=verdict.status,
-        witness=verdict.witness,
-        reason=verdict.reason,
-        trace_power_a=ta,
-        trace_power_b=tb,
-        traces_equal=settled,
-        lp_equal=settled,
-        lp=lp,
-    )
-
-
-# ---------------------------------------------------------------------------
-# footnote-2 experiment
-# ---------------------------------------------------------------------------
-
-
-class Footnote2Row(Frozen):
-    __slots__ = ("n", "order_curve", "order_k0", "curve_factors", "k0_factors", "isomorphic")
-    n: int
-    order_curve: int
-    order_k0: int
-    curve_factors: tuple
-    k0_factors: tuple
-    isomorphic: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "order": self.order_curve,
-            "curve_factors": list(self.curve_factors),
-            "k0_factors": list(self.k0_factors),
-            "isomorphic": self.isomorphic,
-        }
-
-
-def footnote2_experiment(e: WeierstrassModel, p: int, n_max: int) -> list:
-    """Compare E(F_{p^n}) and K0 invariant factors level by level.
-
-    Orders must agree (that much is the determinant identity, checked
-    always: a mismatch raises RuntimeError naming p and n); whether the
-    groups are isomorphic is only reported.
-    """
-    res = localize(e, p, n_max)
-    if not res.reduction.is_good:
-        raise ValueError("footnote2_experiment needs a good prime")
-    rows = []
-    for n in range(1, n_max + 1):
-        cg = res.curve_groups[n - 1]
-        if cg is None:
-            continue
-        kg = res.k0_groups[n - 1]
-        if not cg.order == kg.order == res.curve_counts[n - 1] == res.k0_orders[n - 1]:
-            raise RuntimeError(
-                f"group orders must equal the counts (determinant identity) at p={p}, n={n}: "
-                f"curve {cg.order}, K0 {kg.order}, N {res.curve_counts[n - 1]}, |det| {res.k0_orders[n - 1]}"
-            )
-        rows.append(
-            Footnote2Row(
-                n=n,
-                order_curve=cg.order,
-                order_k0=kg.order,
-                curve_factors=cg.invariant_factors,
-                k0_factors=kg.invariant_factors,
-                isomorphic=cg.canonical() == kg.canonical(),
-            )
-        )
-    return rows

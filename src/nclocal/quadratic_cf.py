@@ -1,4 +1,4 @@
-"""Exact arithmetic of quadratic irrationals and their continued fractions.
+"""Quadratic irrationals in exact canonical form, and their continued fractions.
 
 A value (P+sqrt(D))/Q with nonsquare D > 0 is kept in a canonical integer
 triple, so equality is triple equality.  Expansions are computed with the
@@ -15,12 +15,12 @@ instead of stepping through them.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from math import gcd, isqrt, lcm
 
 from ._factor import factorize, squarefree_split
 from ._frozen import Frozen
-from .intmat import IntMatrix, _incidence_product, cyclically_equivalent
+from .intmat import IntMatrix, identity
 
 __all__ = [
     "QuadraticIrrational",
@@ -28,8 +28,6 @@ __all__ = [
     "cf_expand",
     "is_reduced",
     "incidence_matrix",
-    "boundary_to_theta",
-    "gl2z_equivalent",
     "D_DIGITS_GUARD",
 ]
 
@@ -87,55 +85,8 @@ class QuadraticIrrational(Frozen):
             raise ValueError(f"D={D} is a perfect square; the value is rational")
         super().__init__(*_canonical(P, g, Q, d), d)
 
-    @classmethod
-    def _of(cls, P: int, D: int, Q: int, d: int) -> "QuadraticIrrational":
-        # a triple already canonical, with the squarefree kernel d of D
-        x = cls.__new__(cls)
-        Frozen.__init__(x, P, D, Q, d)
-        return x
-
     def __reduce__(self):
         return type(self), (self.P, self.D, self.Q)
-
-    @classmethod
-    def from_value_pair(cls, a, b, d: int) -> "QuadraticIrrational":
-        """Build from the exact value a + b*sqrt(d), for rational a and b
-        (int or Fraction) and squarefree d."""
-        if b == 0:
-            raise ValueError("value is rational")
-        if squarefree_split(d) != (1, d) or d == 1:
-            raise ValueError("d must be squarefree and > 1")
-        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-        # a + b*sqrt(d) = (an*bd + |bn|*ad*sqrt(d)) / (ad*bd), b's sign in Q
-        s = 1 if bn > 0 else -1
-        return cls._of(*_canonical(s * an * bd, abs(bn) * ad, s * ad * bd, d), d)
-
-    # -- value access -------------------------------------------------
-
-    def value_pair(self) -> tuple:
-        """(a, b, d) with value = a + b*sqrt(d), d squarefree."""
-        from fractions import Fraction
-
-        return Fraction(self.P, self.Q), Fraction(isqrt(self.D // self.d), self.Q), self.d
-
-    def conjugate(self) -> "QuadraticIrrational":
-        """The algebraic conjugate (P-sqrt(D))/Q."""
-        return self._of(-self.P, self.D, -self.Q, self.d)
-
-    def compare_to(self, q) -> int:
-        """Exact sign of (self - q) for rational q: -1, or +1 (never 0)."""
-        n, m = q.as_integer_ratio()
-        # self - q = (s + m*sqrt(D)) / (m*Q) with m > 0, and s + m*sqrt(D)
-        # is negative iff s < 0 and s^2 > m^2*D (never equal: D is no square)
-        s = m * self.P - n * self.Q
-        sign = -1 if s < 0 and s * s > m * m * self.D else 1
-        return sign if self.Q > 0 else -sign
-
-    def _plus_reciprocal(self, a: int) -> "QuadraticIrrational":
-        """a + 1/self, where 1/self = (-P+sqrt(D))/((D-P^2)/Q) is the step of
-        cf_expand run backwards: canonical triples stay canonical, D fixed."""
-        q = (self.D - self.P * self.P) // self.Q
-        return self._of(a * q - self.P, self.D, q, self.d)
 
     def __float__(self) -> float:
         # int true division is correctly rounded, as float(Fraction) is;
@@ -226,12 +177,6 @@ class CFExpansion(Frozen):
     @property
     def is_purely_periodic(self) -> bool:
         return not self.preperiod
-
-    def digits(self) -> Iterator[int]:
-        """Infinite digit stream a0, a1, ..."""
-        yield from self.preperiod
-        while True:
-            yield from self.period
 
     def __str__(self) -> str:
         """"[a0; a1, ..., (b1, ..., bm)]", or "[(b1, ..., bm)]" when purely
@@ -337,22 +282,7 @@ def incidence_matrix(period: Sequence[int]) -> IntMatrix:
         raise ValueError("empty period")
     if any(a < 1 for a in period):
         raise ValueError("period entries must be >= 1")
-    return _incidence_product(period)
-
-
-def boundary_to_theta(x: QuadraticIrrational) -> QuadraticIrrational:
-    """The boundary parameterization |x|/(1+|x|), exactly; lands in (0, 1)."""
-    # -x = (P+sqrt(D))/(-Q), and |x|/(1+|x|) = 0 + 1/(1 + 1/|x|)
-    y = x if x.compare_to(0) > 0 else QuadraticIrrational._of(x.P, x.D, -x.Q, x.d)
-    theta = y._plus_reciprocal(1)._plus_reciprocal(0)
-    if not (theta.compare_to(0) > 0 and theta.compare_to(1) < 0):
-        raise RuntimeError(f"boundary_to_theta({x}) gave {theta}, which is not in (0, 1)")
-    return theta
-
-
-def gl2z_equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
-    """Serret's criterion: equivalent under integer Moebius maps of
-    determinant +-1 iff the minimal periods are cyclic shifts."""
-    px = cf_expand(x).period
-    py = cf_expand(y).period
-    return cyclically_equivalent(px, py) is not None
+    m = identity(2)
+    for a in period:
+        m = m * IntMatrix(2, 2, (a, 1, 1, 0))
+    return m

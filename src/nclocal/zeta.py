@@ -4,8 +4,8 @@ The curve side exponentiates point counts, the torus side K0 orders;
 the comparison engine compares the counts first, and lines up a torus
 series with the curve's coefficient for coefficient only where they
 differ.  Each prime is read once, by ``local_data``.  Counts are
-exponentiated in integers, with one Fraction per output coefficient;
-the generic series operations are Fraction arithmetic.  No floating point.
+exponentiated in integers, with one Fraction per output coefficient.
+No floating point.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
     "TruncatedSeries",
     "LocalFactorReport",
     "local_data",
-    "series_exp",
-    "series_log",
-    "curve_local_zeta",
     "lemma1_check",
     "dirichlet_coefficients",
     "euler_factor_polynomial",
@@ -117,39 +114,11 @@ class TruncatedSeries(Frozen):
         return None
 
 
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term, via E' = S'E."""
-    if s.coefficients[0] != 0:
-        raise ValueError("exp needs constant term 0")
-    k = s.order
-    out = [Fraction(0)] * (k + 1)
-    out[0] = Fraction(1)
-    for n in range(1, k + 1):
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            acc += i * s.coefficients[i] * out[n - i]
-        out[n] = acc / n
-    return TruncatedSeries(tuple(out))
-
-
-def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term 1; inverse of series_exp."""
-    if s.coefficients[0] != 1:
-        raise ValueError("log needs constant term 1")
-    k = s.order
-    out = [Fraction(0)] * (k + 1)
-    for n in range(1, k + 1):
-        acc = n * s.coefficients[n]
-        for i in range(1, n):
-            acc -= i * out[i] * s.coefficients[n - i]
-        out[n] = acc / n
-    return TruncatedSeries(tuple(out))
-
-
 def _exp_scaled(counts: Sequence[int], order: int) -> list:
     """[E_0, ..., E_order] with E_n = n! e_n for exp(sum c_n z^n / n) =
-    sum e_n z^n, c_n integers: E_n = n! e_n turns series_exp's
-    n e_n = sum_i c_i e_{n-i} into E_n = sum_i c_i E_{n-i} (n-1)!/(n-i)!."""
+    sum e_n z^n, c_n integers: E_n = n! e_n turns the recurrence
+    n e_n = sum_i c_i e_{n-i} of E' = S'E into
+    E_n = sum_i c_i E_{n-i} (n-1)!/(n-i)!."""
     cs = list(counts[:order]) + [0] * order
     scaled = [1]
     for n in range(1, order + 1):
@@ -186,21 +155,11 @@ def euler_factor_polynomial(ap: int, p: int) -> list:
     return [1, -ap, p]
 
 
-def curve_local_zeta(e: WeierstrassModel, p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """exp(sum N_n z^n / n) for the reduction of e at p.
-
-    Good reduction uses the trace recurrence seeded by a_p, and the
-    result is checked against the closed rational form
-    (1 - a_p z + p z^2)/((1-z)(1-pz)).  Bad reduction counts the
-    nonsingular points p^n - alpha^n.
-    """
-    local = local_data(e, p)
-    return _curve_series(local, local.point_counts(order), order)
-
-
 def _curve_series(local: LocalData, counts: list, order: int) -> TruncatedSeries:
-    """The curve_local_zeta series from already computed local data and
-    its point counts [N_1, ..., N_order]."""
+    """exp(sum N_n z^n / n) from already computed local data and its
+    point counts [N_1, ..., N_order].  At a good prime the series is
+    checked against the closed rational form
+    (1 - a_p z + p z^2)/((1-z)(1-pz))."""
     scaled = _exp_scaled(counts, order)
     if local.reduction.is_good:
         p = local.p

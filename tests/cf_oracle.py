@@ -8,24 +8,97 @@ cf_expand finds from the first reduced state.  ``reduced_by_comparison``
 is the Galois criterion read off exact comparisons of the value and its
 conjugate with rationals, sharing no code with the integer test.
 
-``cf_value`` folds an expansion back into its exact value, and
-``convergents`` lists its first convergents; no CLI command needs
-either, so they live here.  ``cf_value(cf_expand(x)) == x`` is a round
-trip that shares no step with the expansion.
+The value views of a canonical triple (``value_pair``, ``conjugate``,
+``compare_to``, ``plus_reciprocal``, ``from_value_pair``), the digit
+stream of an expansion, the boundary map ``boundary_to_theta`` and
+Serret's ``gl2z_equivalent`` serve only the tests, so they live here as
+functions.  ``cf_value`` folds an expansion back into its exact value,
+and ``convergents`` lists its first convergents.
+``cf_value(cf_expand(x)) == x`` is a round trip that shares no step with
+the expansion.
 
 ``FractionQuadratic`` is QuadraticIrrational as it was before its state
 became the integer triple alone: it canonicalizes the value pair
 a + b*sqrt(d) with Fraction arithmetic and keeps that pair for its
-views.  With ``fraction_cf_value`` and ``fraction_boundary_to_theta`` it
-is the oracle of the integer canonical form and of every operation on
-triples.
+views.  With ``fraction_cf_value`` it is the oracle of the integer
+canonical form and of the views on triples.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
+from conjugacy_oracle import cyclically_equivalent
 from nclocal._factor import squarefree_split
-from nclocal.quadratic_cf import QuadraticIrrational, incidence_matrix
+from nclocal._frozen import Frozen
+from nclocal.quadratic_cf import QuadraticIrrational, _canonical, cf_expand, incidence_matrix
+
+
+def _of(P, D, Q, d):
+    """The QuadraticIrrational of a triple already canonical, with the
+    squarefree kernel d of D, without factoring D again."""
+    x = QuadraticIrrational.__new__(QuadraticIrrational)
+    Frozen.__init__(x, P, D, Q, d)
+    return x
+
+
+def from_value_pair(a, b, d):
+    """The QuadraticIrrational a + b*sqrt(d), for rational a and b (int
+    or Fraction) and squarefree d."""
+    if b == 0:
+        raise ValueError("value is rational")
+    if squarefree_split(d) != (1, d) or d == 1:
+        raise ValueError("d must be squarefree and > 1")
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    # a + b*sqrt(d) = (an*bd + |bn|*ad*sqrt(d)) / (ad*bd), b's sign in Q
+    s = 1 if bn > 0 else -1
+    return _of(*_canonical(s * an * bd, abs(bn) * ad, s * ad * bd, d), d)
+
+
+def value_pair(x):
+    """(a, b, d) with x = a + b*sqrt(d), d squarefree."""
+    return Fraction(x.P, x.Q), Fraction(isqrt(x.D // x.d), x.Q), x.d
+
+
+def conjugate(x):
+    """The algebraic conjugate (P-sqrt(D))/Q."""
+    return _of(-x.P, x.D, -x.Q, x.d)
+
+
+def compare_to(x, q):
+    """Exact sign of (x - q) for rational q: -1, or +1 (never 0)."""
+    n, m = q.as_integer_ratio()
+    # x - q = (s + m*sqrt(D)) / (m*Q) with m > 0, and s + m*sqrt(D)
+    # is negative iff s < 0 and s^2 > m^2*D (never equal: D is no square)
+    s = m * x.P - n * x.Q
+    sign = -1 if s < 0 and s * s > m * m * x.D else 1
+    return sign if x.Q > 0 else -sign
+
+
+def plus_reciprocal(x, a):
+    """a + 1/x, where 1/x = (-P+sqrt(D))/((D-P^2)/Q) is the step of
+    cf_expand run backwards: canonical triples stay canonical, D fixed."""
+    q = (x.D - x.P * x.P) // x.Q
+    return _of(a * q - x.P, x.D, q, x.d)
+
+
+def digits(exp):
+    """Infinite digit stream a0, a1, ... of a CFExpansion."""
+    yield from exp.preperiod
+    while True:
+        yield from exp.period
+
+
+def boundary_to_theta(x):
+    """The boundary parameterization |x|/(1+|x|), exactly; it lands in (0, 1)."""
+    # -x = (P+sqrt(D))/(-Q), and |x|/(1+|x|) = 0 + 1/(1 + 1/|x|)
+    y = x if compare_to(x, 0) > 0 else _of(x.P, x.D, -x.Q, x.d)
+    return plus_reciprocal(plus_reciprocal(y, 1), 0)
+
+
+def gl2z_equivalent(x, y):
+    """Serret's criterion: equivalent under integer Moebius maps of
+    determinant +-1 iff the minimal periods are cyclic shifts."""
+    return cyclically_equivalent(cf_expand(x).period, cf_expand(y).period) is not None
 
 
 def expand_by_repetition(x):
@@ -63,7 +136,7 @@ def cf_value(exp):
     # tail solves r*t^2 + (s-p)*t - q = 0; take the positive root
     x = QuadraticIrrational(p - s, (p - s) ** 2 + 4 * r * q, 2 * r)
     for digit in reversed(exp.preperiod):
-        x = x._plus_reciprocal(digit)
+        x = plus_reciprocal(x, digit)
     return x
 
 
@@ -72,7 +145,7 @@ def convergents(exp, count):
     out = []
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
-    for a, _ in zip(exp.digits(), range(count)):
+    for a, _ in zip(digits(exp), range(count)):
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         out.append(Fraction(p_cur, q_cur))
@@ -81,10 +154,10 @@ def convergents(exp, count):
 
 def reduced_by_comparison(x):
     """x > 1 and the conjugate lies strictly in (-1, 0), by exact comparison."""
-    if x.compare_to(1) <= 0:
+    if compare_to(x, 1) <= 0:
         return False
-    conj = x.conjugate()
-    return conj.compare_to(-1) > 0 and conj.compare_to(0) < 0
+    conj = conjugate(x)
+    return compare_to(conj, -1) > 0 and compare_to(conj, 0) < 0
 
 
 class FractionQuadratic:
@@ -152,16 +225,6 @@ class FractionQuadratic:
 
     def __float__(self):
         return float(self._a) + float(self._b) * self._d ** 0.5
-
-
-def fraction_boundary_to_theta(x):
-    """|x|/(1+|x|) of a FractionQuadratic, rationalized by the conjugate."""
-    a, b, d = x.value_pair()
-    if x.compare_to(0) < 0:
-        a, b = -a, -b
-    c, e = 1 + a, b
-    norm = c * c - e * e * d
-    return FractionQuadratic.from_value_pair((a * c - b * e * d) / norm, (b * c - a * e) / norm, d)
 
 
 def _recip(pair):

@@ -21,14 +21,13 @@ from nclocal.elliptic import WeierstrassModel, _fibres, _raw_add, _raw_consts, _
 
 
 def affine_points(e: WeierstrassModel) -> Iterator:
-    """All affine points of a model over its (small) field, raw values;
-    the field must enumerate its elements (F_p or a table field)."""
+    """All affine points of a model over its (small) field, raw values."""
     f = e.field
     mul, zero = f.mul, f.zero()
     if f.char == 2:
         # y = b z turns y^2 + b y = c into z^2 + z = c / b^2
         halves: dict = {}
-        for z in f.elements():
+        for z in range(f.order):
             halves.setdefault(f.add(mul(z, z), z), []).append(z)
         for x, b, c in _fibres(e):
             if b == zero:
@@ -39,7 +38,7 @@ def affine_points(e: WeierstrassModel) -> Iterator:
                     yield (x, mul(b, z))
         return
     roots: dict = {}
-    for z in f.elements():
+    for z in range(f.order):
         roots.setdefault(mul(z, z), z)
     inv2 = f.inv(f.from_int(2))
     four = f.from_int(4)

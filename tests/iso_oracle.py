@@ -4,7 +4,8 @@
 a transform (u, r, s, t) that carries one model onto another, and
 checks it by transforming.  It is the explicit counterpart of
 ``elliptic.isomorphic_over_closure``, which compares j-invariants; no
-CLI path uses it.
+CLI path uses it.  ``then`` composes two admissible transforms and
+``inverse`` inverts one; only this search and the tests need either.
 """
 
 from fractions import Fraction
@@ -21,6 +22,25 @@ from field_oracle import table_field
 from nclocal.ffield import EXT_FIELD_GUARD, FieldElement, PrimeField
 
 
+def then(t1: AdmissibleTransform, t2: AdmissibleTransform) -> AdmissibleTransform:
+    """The composite with t2 applied second:
+    transform(transform(E, t1), t2) == transform(E, then(t1, t2))."""
+    u1, r1, s1, tt1 = t1.u, t1.r, t1.s, t1.t
+    u2, r2, s2, tt2 = t2.u, t2.r, t2.s, t2.t
+    return AdmissibleTransform(
+        u1 * u2,
+        u1 * u1 * r2 + r1,
+        u1 * s2 + s1,
+        u1 * u1 * u1 * tt2 + s1 * u1 * u1 * r2 + tt1,
+    )
+
+
+def inverse(tr: AdmissibleTransform) -> AdmissibleTransform:
+    u, r, s, t = tr.u, tr.r, tr.s, tr.t
+    iu = 1 / u
+    return AdmissibleTransform(iu, -r * iu * iu, -s * iu, (r * s - t) * iu * iu * iu)
+
+
 def _short_form(e: WeierstrassModel) -> tuple:
     """(E_short, T) with transform(e, T) = E_short: y^2 = x^3 + Ax + B.
     Needs characteristic 0 or > 3."""
@@ -30,7 +50,7 @@ def _short_form(e: WeierstrassModel) -> tuple:
     t1 = AdmissibleTransform(one, zero, -e.a1 / 2, -e.a3 / 2)
     mid = transform(e, t1)
     t2 = AdmissibleTransform(one, -invariants(mid).b2 / 12, zero, zero)
-    total = t1.then(t2)
+    total = then(t1, t2)
     short = transform(e, total)
     if short.a1 != 0 or short.a2 != 0 or short.a3 != 0:
         raise RuntimeError(f"the short form {short} of {e} keeps a nonzero a1, a2 or a3")
@@ -67,15 +87,13 @@ def isomorphism_witness(e1: WeierstrassModel, e2: WeierstrassModel):
         field = e1.field if k == 1 else table_field(p, k)
         ea1, eb1, ea2, eb2 = (FieldElement(field, v.val) for v in (s1.a4, s1.a6, s2.a4, s2.a6))
         zero = FieldElement.of(field, 0)
-        for uv in field.elements():
-            if uv == field.zero():
-                continue
+        for uv in range(1, field.order):
             u = FieldElement(field, uv)
             u4 = u**4
             u6 = u4 * u * u
             if ea2 * u4 == ea1 and eb2 * u6 == eb1:
                 tw = AdmissibleTransform(u, zero, zero, zero)
-                total = _embed_transform(t1, field).then(tw).then(_embed_transform(t2, field).inverse())
+                total = then(then(_embed_transform(t1, field), tw), inverse(_embed_transform(t2, field)))
                 if transform(model_over_ext(e1, field), total) == model_over_ext(e2, field):
                     return total, field
     return None

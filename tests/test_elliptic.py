@@ -33,6 +33,7 @@ from nclocal.elliptic import (
 )
 from nclocal.elliptic import (
     _CM_ORDERS,
+    _absolute_trace,
     _affine_count,
     _bsgs,
     _cm_trace,
@@ -46,7 +47,7 @@ from nclocal.ffield import FieldElement, PrimeField, finite_field
 
 from field_oracle import at_level, table_field
 from group_oracle import affine_points
-from iso_oracle import isomorphism_witness
+from iso_oracle import inverse, isomorphism_witness, then
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)  # y^2 = x^3 - x
 E_PLUS_1 = WeierstrassModel.over_q(0, 0, 0, 0, 1)  # y^2 = x^3 + 1
@@ -162,12 +163,12 @@ class TestTransform:
             e = rand_model(rng)
             t1 = AdmissibleTransform.over_q(rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
             t2 = AdmissibleTransform.over_q(rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-            assert transform(transform(e, t1), t2) == transform(e, t1.then(t2))
+            assert transform(transform(e, t1), t2) == transform(e, then(t1, t2))
 
     def test_inverse(self):
         t = AdmissibleTransform.over_q(Fraction(2, 3), 1, -2, 5)
         e = E_PLUS_1
-        assert transform(transform(e, t), t.inverse()) == e
+        assert transform(transform(e, t), inverse(t)) == e
 
     def test_u_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -303,6 +304,11 @@ class TestCounting:
         counts = point_counts_via_recurrence(ap, 2, 3)
         assert count_points(at_level(e, 2)) == counts[1] == 9
         assert count_points(at_level(e, 3)) == counts[2]
+        # over the polynomial F_8, with the trace by squarings against the
+        # table field's sum of Frobenius powers
+        ext, table = finite_field(2, 3), table_field(2, 3)
+        assert count_points(model_over_ext(e, ext)) == counts[2]
+        assert [_absolute_trace(ext, a) for a in range(8)] == [table.absolute_trace(a) for a in range(8)]
 
     def test_singular_rejected(self):
         f5 = PrimeField(5)
@@ -343,6 +349,9 @@ class TestCounting:
                 counts.append(len(list(affine_points(model_over_ext(red, ext)))) + 1)
             assert len(set(counts)) == 1
             assert counts[0] == count_points(at_level(red, 2))
+            # and over the polynomial F_49 itself
+            for count in (count_points, count_nonsingular):
+                assert count(model_over_ext(red, finite_field(7, 2))) == counts[0]
 
     def test_hasse_bound_catalog(self):
         primes = [p for p in range(2, 98) if all(p % q for q in range(2, p))]

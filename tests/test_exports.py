@@ -45,6 +45,25 @@ def test_no_assert_statement_in_the_library():
     assert found == []
 
 
+def test_no_module_imports_the_tests():
+    # oracles move from src to tests, never back: src imports no test module
+    found = []
+    for path in sorted(Path(nclocal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in ("tests", "conftest") or name.split(".")[-1].endswith("_oracle")
+            ]
+    assert found == []
+
+
 # the start-up cost of every CLI run: dataclasses alone pulls in inspect,
 # ast, dis and tokenize
 SLOW_IMPORTS = ("dataclasses", "typing", "inspect")

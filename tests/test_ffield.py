@@ -69,8 +69,8 @@ class TestFieldArithmetic:
             assert field.pow(field.mul(a, b), p) == field.mul(field.pow(a, p), field.pow(b, p))
 
     def test_enumerate_counts(self):
-        # F_p and the table fields enumerate; ExtField is range(order)
-        assert list(finite_field(2).elements()) == [0, 1]
+        # the table fields enumerate; F_p and ExtField are range(order)
+        assert finite_field(2).order == 2
         f9 = list(table_field(3, 2).elements())
         assert len(f9) == 9 and len(set(f9)) == 9 and finite_field(3, 2).order == 9
         f25 = list(table_field(5, 2).elements())

@@ -4,13 +4,10 @@ import pytest
 
 from nclocal.ck_k0 import AbelianGroupInv, build_lp
 from nclocal.elliptic import WeierstrassModel
-from nclocal.functor import (
-    footnote2_experiment,
-    lemma3_bridge,
-    localize,
-    theorem1_check,
-)
+from nclocal.functor import localize, theorem1_check
 from nclocal.zeta import lemma1_check
+
+from zeta_oracle import series_log
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)
 E_PLUS_1 = WeierstrassModel.over_q(0, 0, 0, 0, 1)
@@ -24,7 +21,9 @@ class TestLocalize:
         assert [str(g) for g in res.k0_groups] == ["Z/4", "Z/4 x Z/4"]
         assert res.k0_orders == (4, 16)
         assert res.curve_counts == (4, 16)
+        # footnote 2: equal orders, yet E(F_3) = (Z/2)^2 and K0 = Z/4
         assert res.curve_groups[0].invariant_factors == (2, 2)
+        assert res.k0_groups[0].invariant_factors == (1, 4)
 
     def test_good_p7_order_identity(self):
         res = localize(E_PLUS_1, 7, 1)
@@ -40,9 +39,13 @@ class TestLocalize:
 
     def test_orders_equal_counts_always(self):
         for e in (E_MINUS_X, E_PLUS_1):
-            for p in (5, 7, 11, 13):
+            for p in (5, 7, 11, 13, 17):
                 res = localize(e, p, 4)
                 assert res.k0_orders == res.curve_counts
+                assert res.curve_groups[0].order == res.k0_groups[0].order == res.curve_counts[0]
+        # footnote 2: at p = 5, E(F_5) and K0 of y^2 = x^3 + 1 are both Z/6
+        res = localize(E_PLUS_1, 5, 1)
+        assert res.curve_groups[0].canonical() == res.k0_groups[0].canonical() == (6,)
 
     def test_level_guard(self):
         with pytest.raises(ValueError):
@@ -68,8 +71,6 @@ class TestLocalize:
             res = localize(e, p, 4)
             (report,) = lemma1_check(e, [p], 4)
             # recover counts from the exp-sum by differentiating the log
-            from nclocal.zeta import series_log
-
             logged = series_log(report.torus_series)
             recovered = [int(logged.coefficients[n] * n) for n in range(1, 5)]
             assert json.dumps(recovered) == json.dumps(list(res.k0_orders))
@@ -116,83 +117,6 @@ class TestTheorem1:
                 report = theorem1_check(entry.model, p, 20, seed=1000 + p)
                 assert report.all_passed, (entry.label, p)
                 assert report.good == (invariants(red).disc != 0)
-
-
-class TestLemma3Bridge:
-    def test_cyclic_shift_pair(self):
-        rep = lemma3_bridge([2, 1], [1, 2], 5)
-        assert rep.verdict_status == "conjugate"
-        assert rep.trace_power_a == rep.trace_power_b == 724
-        assert rep.lp_equal and rep.lp == build_lp(724, 5)
-        w = rep.witness
-        assert w is not None and w * rep.matrix_a == rep.matrix_b * w
-
-    def test_trace_mismatch_pair(self):
-        rep = lemma3_bridge([1], [2], 3)
-        assert rep.verdict_status == "not_conjugate"
-        assert "trace" in rep.reason
-        assert rep.lp is None and rep.traces_equal is None
-
-    def test_identical_periods(self):
-        rep = lemma3_bridge([3], [3], 7)
-        assert rep.verdict_status == "conjugate"
-        assert rep.witness.entries == (1, 0, 0, 1)
-
-    def test_unequal_trace_powers_raise(self, monkeypatch):
-        import nclocal.functor as functor
-
-        # a power map that breaks similarity: A^p of the second matrix is off
-        real = functor.mat_pow
-        monkeypatch.setattr(functor, "mat_pow", lambda m, k: real(m, k + (m.entries[1] == 1)))
-        with pytest.raises(RuntimeError, match=r"tr\(A\^5\) = 724 for period \[2, 1\], 2702 for period \[1, 2\]"):
-            lemma3_bridge([2, 1], [1, 2], 5)
-
-    def test_json_round_trip(self):
-        rep = lemma3_bridge([2, 1], [1, 2], 5)
-        d = rep.to_json_dict()
-        assert d["conjugacy"] == "conjugate" and d["lp"] == [[724, 5], [-1, 0]]
-
-
-class TestFootnote2:
-    def test_p3_order_match_group_mismatch(self):
-        rows = footnote2_experiment(E_MINUS_X, 3, 2)
-        first = rows[0]
-        assert first.order_curve == first.order_k0 == 4
-        assert first.curve_factors == (2, 2)
-        assert first.k0_factors == (1, 4)
-        assert not first.isomorphic
-
-    def test_p5_plus1_cyclic_six(self):
-        rows = footnote2_experiment(E_PLUS_1, 5, 1)
-        assert rows[0].order_curve == 6
-        assert rows[0].isomorphic
-
-    def test_order_always_equal_at_n1(self):
-        for e in (E_MINUS_X, E_PLUS_1):
-            for p in (5, 7, 11, 13, 17):
-                rows = footnote2_experiment(e, p, 1)
-                assert rows[0].order_curve == rows[0].order_k0
-
-    def test_bad_prime_rejected(self):
-        with pytest.raises(ValueError, match="good prime"):
-            footnote2_experiment(E_PLUS_1, 3, 1)
-
-    def test_wrong_factor_list_raises(self, monkeypatch):
-        import nclocal.functor as functor
-
-        # a K0 group whose order disagrees with |det| and the point count;
-        # localize takes its orders from its groups, so the groups are
-        # replaced in its result
-        localize_groups = functor.localize
-
-        def wrong_groups(*args):
-            res = localize_groups(*args)
-            fields = dict(zip(res._fields, res._values()), k0_groups=(AbelianGroupInv((1, 1)),) * res.n_max)
-            return type(res)(**fields)
-
-        monkeypatch.setattr(functor, "localize", wrong_groups)
-        with pytest.raises(RuntimeError, match=r"p=5, n=1"):
-            footnote2_experiment(E_MINUS_X, 5, 2)
 
 
 class TestLocalizeErrors:

@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclocal.intmat import (
-    IntMatrix,
+from nclocal.intmat import IntMatrix, identity, invariant_factors, mat_pow
+from nclocal.quadratic_cf import incidence_matrix
+from conjugacy_oracle import (
     _verified_conjugate,
     brute_force_conjugator,
     conjugacy_test,
     cyclically_equivalent,
-    identity,
-    invariant_factors,
-    mat_pow,
     unimodular_2x2,
     word_of_matrix,
 )
-from nclocal.quadratic_cf import incidence_matrix
 from intmat_oracle import ck_family, determinantal_divisors, leibniz_det
 
 M = IntMatrix.from_rows

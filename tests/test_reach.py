@@ -30,6 +30,7 @@ COMMANDS = [
     ["k0", "--matrix", "[[0,3],[-1,0]]"],
     ["k0", "--matrix", "[[2,1],[1,1]]", "--format", "csv"],
     ["k0", "--matrix", "[[3,5,1],[7,2,4],[6,9,8]]"],
+    ["k0", "--matrix", "[[-3,-3],[0,4]]"],  # Z/12 after one gcd step
     ["curve", "--model", MODEL],
     ["curve", "--model", MODEL, "--p", "3", "--n", "3"],
     ["curve", "--model", MODEL, "--p", "2"],
@@ -59,6 +60,7 @@ UNREACHED = {
     "nclocal._frozen.Frozen.__delattr__",
     "nclocal._frozen.Frozen.__reduce__",
     "nclocal.quadratic_cf.QuadraticIrrational.__reduce__",
+    "nclocal.quadratic_cf.CFExpansion.__str__",
     "nclocal.elliptic.WeierstrassModel.__str__",
     "nclocal.elliptic.ReductionType.__str__",
     "nclocal.ffield.PrimeField.element_repr",
@@ -70,44 +72,19 @@ UNREACHED = {
     "nclocal.ffield.ExtField.__repr__",
     "nclocal.ffield.FieldElement.__hash__",
     "nclocal.ffield.FieldElement.__repr__",
-    # field and transform API that only tests and oracles use
+    # the field protocol over F_{p^n}, which the brute counts use and the
+    # CLI runs over F_p only
     "nclocal.ffield.ExtField.zero",
     "nclocal.ffield.ExtField.one",
+    # names that bench/spans.py looks up, which tests/test_bench_spans.py
+    # checks, so they stay until the benchmark is respanned: the counted
+    # FieldElement operators, the epsilon hook, and TruncatedSeries, whose
+    # __mul__ and reciprocal are spans and whose ring the series oracles
+    # of tests/zeta_oracle.py use
     "nclocal.ffield.FieldElement.__rsub__",
     "nclocal.ffield.FieldElement.__rtruediv__",
     "nclocal.ffield.FieldElement.__pow__",
-    "nclocal.elliptic.AdmissibleTransform.then",
-    "nclocal.elliptic.AdmissibleTransform.inverse",
     "nclocal.ck_k0.epsilon",
-    "nclocal.intmat.IntMatrix.transpose",
-    # Lemma 3: GL(2,Z) conjugacy, which no subcommand runs
-    "nclocal.functor.Lemma3Report.to_json_dict",
-    "nclocal.functor.lemma3_bridge",
-    "nclocal.intmat.ConjugacyVerdict.is_conjugate",
-    "nclocal.intmat._inverse_unimodular_2x2",
-    "nclocal.intmat.word_of_matrix",
-    "nclocal.intmat.cyclically_equivalent",
-    "nclocal.intmat.unimodular_2x2",
-    "nclocal.intmat.brute_force_conjugator",
-    "nclocal.intmat._verified_conjugate",
-    "nclocal.intmat.conjugacy_test",
-    "nclocal.intmat._gcd_coefficients",
-    # footnote 2, a view of localize's own groups
-    "nclocal.functor.Footnote2Row.to_json_dict",
-    "nclocal.functor.footnote2_experiment",
-    # quadratic-irrational arithmetic beyond the cf expansion
-    "nclocal.quadratic_cf.QuadraticIrrational._of",
-    "nclocal.quadratic_cf.QuadraticIrrational.from_value_pair",
-    "nclocal.quadratic_cf.QuadraticIrrational.value_pair",
-    "nclocal.quadratic_cf.QuadraticIrrational.conjugate",
-    "nclocal.quadratic_cf.QuadraticIrrational.compare_to",
-    "nclocal.quadratic_cf.QuadraticIrrational._plus_reciprocal",
-    "nclocal.quadratic_cf.CFExpansion.digits",
-    "nclocal.quadratic_cf.CFExpansion.__str__",
-    "nclocal.quadratic_cf.boundary_to_theta",
-    "nclocal.quadratic_cf.gl2z_equivalent",
-    # series arithmetic, replaced on every CLI path by the integer
-    # recurrence of _exp_scaled
     "nclocal.zeta.TruncatedSeries.from_list",
     "nclocal.zeta.TruncatedSeries.zero",
     "nclocal.zeta.TruncatedSeries.one",
@@ -115,9 +92,6 @@ UNREACHED = {
     "nclocal.zeta.TruncatedSeries.__sub__",
     "nclocal.zeta.TruncatedSeries.__mul__",
     "nclocal.zeta.TruncatedSeries.reciprocal",
-    "nclocal.zeta.series_exp",
-    "nclocal.zeta.series_log",
-    "nclocal.zeta.curve_local_zeta",
     # Dirichlet coefficients, whose bad primes wait on minimal models
     "nclocal.zeta._local_dirichlet",
     "nclocal.zeta.dirichlet_coefficients",

@@ -22,10 +22,12 @@ from nclocal.elliptic import (
     WInvariants,
     reduce_mod_p,
 )
-from nclocal.functor import Footnote2Row, Lemma3Report, LocalizationResult, Theorem1Report, TrialRecord
-from nclocal.intmat import ConjugacyVerdict, IntMatrix
+from nclocal.functor import LocalizationResult, Theorem1Report, TrialRecord
+from nclocal.intmat import IntMatrix
 from nclocal.quadratic_cf import CFExpansion
 from nclocal.zeta import LocalFactorReport, TruncatedSeries
+
+from conjugacy_oracle import ConjugacyVerdict
 
 E = WeierstrassModel.over_q(0, 0, 0, -1, 0)
 M = IntMatrix(2, 2, (-2, 5, -1, 0))
@@ -68,14 +70,6 @@ FIELDS = [
         dict(trial=0, u="1", r="0", s="-1", t="2", closure_isomorphic=True, invariant_equal=True, passed=True),
     ),
     (Theorem1Report, dict(p=5, good=True, seed=1, baseline="[[-2,5],[-1,0]]", trials=(TRIAL,), all_passed=True)),
-    (
-        Lemma3Report,
-        dict(
-            period_a=(1, 2), period_b=(2, 1), p=5, matrix_a=M, matrix_b=M, verdict_status="conjugate", witness=M,
-            reason=None, trace_power_a=3, trace_power_b=3, traces_equal=True, lp_equal=True, lp=M,
-        ),
-    ),
-    (Footnote2Row, dict(n=1, order_curve=8, order_k0=8, curve_factors=(2, 4), k0_factors=(2, 4), isomorphic=True)),
 ]
 IDS = [cls.__name__ for cls, _ in FIELDS]
 # the classes that check or convert their input before storing it
