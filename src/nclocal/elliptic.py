@@ -58,7 +58,6 @@ __all__ = [
     "LocalData",
     "group_structure",
     "isomorphic_over_closure",
-    "model_over_ext",
     "AP_GUARD",
     "COUNT_GUARD",
     "CM_J_INVARIANTS",
@@ -264,13 +263,6 @@ def reduce_mod_p(e: WeierstrassModel, p: int) -> WeierstrassModel:
     return WeierstrassModel.over_field(fp, *vals)
 
 
-def model_over_ext(e: WeierstrassModel, ext) -> WeierstrassModel:
-    """Base-change a model over F_p to an extension of F_p."""
-    if not isinstance(e.field, PrimeField) or ext.char != e.field.p:
-        raise ValueError("model must be over the prime subfield of ext")
-    return WeierstrassModel.over_field(ext, *(a.val for a in e.coefficients))
-
-
 # ---------------------------------------------------------------------------
 # reduction types
 # ---------------------------------------------------------------------------
@@ -332,19 +324,14 @@ def classify_reduction(e: WeierstrassModel) -> ReductionType:
 # point counting
 # ---------------------------------------------------------------------------
 
-def _fibres(e: WeierstrassModel, xs: Iterable | None = None) -> Iterator:
-    """(x, b, c) for each x of xs (all of the model's field by default),
-    raw values, where the equation at x reads y^2 + b*y = c."""
-    f = e.field
-    a1, a2, a3, a4, a6 = _raw_consts(e)
+def _fibres(f, consts: tuple, xs: Iterable | None = None) -> Iterator:
+    """(x, b, c) for each x of xs (all of the field f by default), raw
+    values, where the equation with raw coefficients consts over f reads
+    y^2 + b*y = c at x."""
+    a1, a2, a3, a4, a6 = consts
     mul, add = f.mul, f.add
     for x in range(f.order) if xs is None else xs:
         yield x, add(mul(a1, x), a3), add(mul(add(mul(add(x, a2), x), a4), x), a6)
-
-
-def _at_level(e: WeierstrassModel, n: int) -> WeierstrassModel:
-    """A model over F_p base-changed to F_{p^n}."""
-    return e if n == 1 else model_over_ext(e, finite_field(e.field.p, n))
 
 
 def _absolute_trace(f, a) -> int:
@@ -364,16 +351,17 @@ def _affine_count(e: WeierstrassModel) -> int:
     if f.order > COUNT_GUARD:
         raise ValueError("guard exceeded: p^n > 10^6")
     mul, zero = f.mul, f.zero()
+    fibres = _fibres(f, _raw_consts(e))
     if f.char == 2:
         # y^2 + b y = c has one root when b = 0, else two iff
         # Tr(c / b^2) = 0 after the substitution y = b z
         return sum(
             1 if b == zero else 2 * (_absolute_trace(f, mul(c, f.inv(mul(b, b)))) == 0)
-            for _, b, c in _fibres(e)
+            for _, b, c in fibres
         )
     four = f.from_int(4)
     total = 0
-    for _, b, c in _fibres(e):
+    for _, b, c in fibres:
         disc = f.add(mul(b, b), mul(four, c))
         if disc == zero:
             total += 1
@@ -476,7 +464,12 @@ class LocalData(Frozen):
 
 
 # raw group-law core: points are None or (x, y) in the field's native
-# representation; group_structure and the baby-step giant-step a_p use it
+# representation; group_structure and the baby-step giant-step a_p use it.
+# Every function takes the field and the raw coefficients apart: those of
+# a model over F_p are its elements 0..p-1, which are the prime subfield
+# of F_{p^n} too, so group_structure changes level on the field alone and
+# builds no second model.  Inverses and square roots are the field's, from
+# the one extended Euclid and the one Tonelli-Shanks of ffield.
 
 
 def _raw_consts(e: WeierstrassModel) -> tuple:
@@ -569,14 +562,14 @@ def _fibre_root(f):
     return root
 
 
-def _points(e: WeierstrassModel) -> Iterator:
-    """One affine point (x, y) per x with a root, raw values, in a fixed
-    order of x: 0, 1, 2, ... over F_p, and from x = p on over F_{p^n},
-    n > 1, where an x in F_p gives a point of E(F_p) or of its twist."""
-    f = e.field
+def _points(f, consts: tuple) -> Iterator:
+    """One affine point (x, y) per x with a root, raw values, of the curve
+    with raw coefficients consts over the field f, in a fixed order of x:
+    0, 1, 2, ... over F_p, and from x = p on over F_{p^n}, n > 1, where an
+    x in F_p gives a point of E(F_p) or of its twist."""
     start = f.char if f.degree > 1 else 0
     root = _fibre_root(f)
-    for x, b, c in _fibres(e, chain(range(start, f.order), range(start))):
+    for x, b, c in _fibres(f, consts, chain(range(start, f.order), range(start))):
         y = root(b, c)
         if y is not None:
             yield (x, y)
@@ -673,17 +666,16 @@ def group_structure(e: WeierstrassModel, n: int = 1, order: int | None = None) -
         order = point_counts_via_recurrence(trace_of_frobenius(e), p, n)[-1]
     if order == 1:
         return AbelianGroupInv((1, 1))
-    curve = _at_level(e, n)
-    field = curve.field
-    consts = _raw_consts(curve)
-    first = next(_points(curve), None)
+    field = e.field if n == 1 else finite_field(p, n)
+    consts = _raw_consts(e)
+    first = next(_points(field, consts), None)
     if first is None or _raw_mul(field, consts, first, order) is not None:
         raise RuntimeError(f"{order} is not #E(F_{p}^{n}) for {e}: it does not kill the point {first}")
     d1 = 1
     for ell, v in sorted(factorize(order).items()):
         if v >= 2 and (q - 1) % ell == 0:
             cofactor = order // ell**v
-            parts = (_raw_mul(field, consts, pt, cofactor) for pt in _points(curve))
+            parts = (_raw_mul(field, consts, pt, cofactor) for pt in _points(field, consts))
             d1 *= ell ** _sylow_small_exponent(field, consts, ell, v, parts)
     d2 = order // d1
     if d1 * d2 != order or d2 % d1 or (q - 1) % d1:
@@ -753,7 +745,7 @@ def _cm_trace(e: WeierstrassModel) -> int | None:
         base += [(t + 3 * w) // 2, (t - 3 * w) // 2]
     live = set(base) | {-c for c in base}
     consts = _raw_consts(e)
-    for pt in islice(_points(e), 8):
+    for pt in islice(_points(field, consts), 8):
         target = _raw_mul(field, consts, pt, p + 1)
         for c in base:
             if c in live or -c in live:

@@ -1,12 +1,15 @@
 """Exact arithmetic in F_p and small extensions F_{p^n}.
 
-Field descriptors are immutable and element operations are pure.  The
-extension modulus is the lexicographically smallest monic irreducible,
-so enumeration order and diagnostics are reproducible run to run.  An
-element of F_{p^n} is an int whose base-p digits are its coefficients,
-and arithmetic is in F_p[x]/(modulus): sums digit by digit, products by
-schoolbook multiplication and reduction by the modulus, inverses by the
-extended Euclidean algorithm and square roots by Tonelli-Shanks.  No
+Element operations are pure, and a field descriptor keeps nothing but
+its parameters and the 2-Sylow generator its first square root finds.
+The extension modulus is the lexicographically smallest monic
+irreducible, so enumeration order and diagnostics are reproducible run
+to run.  An element of F_{p^n} is an int whose base-p digits are its
+coefficients, and arithmetic is in F_p[x]/(modulus): sums digit by
+digit, products by schoolbook multiplication and reduction by the
+modulus.  One extended Euclidean algorithm (_poly_inverse) gives the
+inverses of F_{p^n} and the gcd step of the irreducibility test, and one
+Tonelli-Shanks (_sqrt) the square roots of F_p and F_{p^n} alike.  No
 field keeps tables, so building one costs the search for its modulus;
 extensions stop at p^n <= 10^6 (EXT_FIELD_GUARD).  Enumerating a whole
 field is left to the tests, whose log/exp table field is the oracle of
@@ -44,12 +47,6 @@ EXT_FIELD_GUARD = 10**6
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(v: list) -> tuple:
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
-
-
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list:
     """a * b mod the monic mod of degree n, as n coefficients: the
     schoolbook product, then x^k = x^(k-n) (x^n - mod) for each k >= n
@@ -68,29 +65,31 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int)
     return [c % p for c in out[:n]]
 
 
-def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            c = c * inv_lb % p
-            q[i - db] = c
-            for j, bj in enumerate(b):
-                a[i - db + j] = (a[i - db + j] - c * bj) % p
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
-    a, b = tuple(a), tuple(b)
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple(c * inv % p for c in a)
-    return a
+def _poly_inverse(a: Sequence[int], mod: Sequence[int], p: int) -> list | None:
+    """a^-1 mod the monic mod, for deg a < deg mod, or None when
+    gcd(a, mod) != 1: the extended Euclidean algorithm on (mod, a), each
+    row keeping r = s a mod the modulus, ends on a constant r when the
+    gcd is 1 and on r = 0 otherwise."""
+    r0, s0 = list(mod), [0]
+    r1, s1 = list(a), [1]
+    while r1 and not r1[-1]:
+        r1.pop()
+    while len(r1) > 1:
+        lead = pow(r1[-1], -1, p)
+        while len(r0) >= len(r1):
+            c, d = r0[-1] * lead % p, len(r0) - len(r1)
+            for i, v in enumerate(r1, d):
+                r0[i] = (r0[i] - c * v) % p
+            s0 += [0] * (len(s1) + d - len(s0))
+            for i, v in enumerate(s1, d):
+                s0[i] = (s0[i] - c * v) % p
+            while r0 and not r0[-1]:
+                r0.pop()
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    if not r1:
+        return None
+    c = pow(r1[0], -1, p)
+    return [v * c % p for v in s1]
 
 
 def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> Sequence[int]:
@@ -108,7 +107,7 @@ def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> Sequen
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
     """Monic f of degree n is irreducible iff x^(p^n) = x mod f and
-    gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n."""
+    x^(p^(n/l)) - x is invertible mod f for every prime l | n."""
     n = len(f) - 1
     if n < 1 or f[-1] != 1:
         return False
@@ -120,7 +119,7 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     for ell in factorize(n):
         h = _poly_powmod(x, p ** (n // ell), f, p)
         h[1] = (h[1] - 1) % p
-        if len(_poly_gcd(f, _poly_trim(h), p)) != 1:
+        if _poly_inverse(h, f, p) is None:
             return False
     return True
 
@@ -128,12 +127,7 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 def find_irreducible(p: int, n: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree n over F_p,
     as a low-first coefficient tuple of length n+1; deterministic."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("degree must be positive")
-    if p**n > EXT_FIELD_GUARD:
-        raise ValueError(f"field too large: {p}^{n} > 10^6")
+    _check_field(p, n)
     # c_i is base-p digit i of val, so val counts (c_{n-1},...,c_0)
     # lexicographically
     for val in range(p**n):
@@ -141,6 +135,15 @@ def find_irreducible(p: int, n: int) -> tuple:
         if _is_irreducible(f, p):
             return f
     raise RuntimeError(f"no monic irreducible of degree {n} over F_{p}")  # unreachable
+
+
+def _check_field(p: int, n: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if n < 1:
+        raise ValueError("degree must be positive")
+    if p**n > EXT_FIELD_GUARD:
+        raise ValueError(f"field too large: {p}^{n} > 10^6")
 
 
 def _digits(v: int, p: int, n: int) -> tuple:
@@ -170,6 +173,47 @@ def _combine(a: int, b: int, p: int, s: int, t: int) -> int:
     return out
 
 
+def _sqrt(field, a):
+    """A square root of a in F_q, or None when a is not a square: a^(q/2)
+    in characteristic 2, one pow when q = 3 mod 4, and Tonelli-Shanks
+    otherwise (Cohen, GTM 138, Alg. 1.5.1)."""
+    if not a:
+        return 0
+    q, mul = field.order, field.mul
+    if field.char == 2:
+        return field.pow(a, q // 2)
+    if q % 4 == 3:
+        x = field.pow(a, (q + 1) // 4)
+        return x if mul(x, x) == a else None
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    w = field.pow(a, (q - 1) >> (s + 1))
+    c = field._sylow2
+    if c is None:
+        # z^t, with q - 1 = 2^s t and t odd, generates the 2-Sylow
+        # subgroup for the first non-square z from 2 in F_p and from x in
+        # F_{p^n}, n > 1 (every element of F_p is a square when n is even)
+        half = (q - 1) // 2
+        z = next(v for v in range(field.char if field.degree > 1 else 2, q) if field.pow(v, half) != 1)
+        c = field._sylow2 = field.pow(z, (q - 1) >> s)
+    # x^2 = a b with b = a^t, and b lies in the subgroup of order 2^s
+    # that c generates; a is a square iff b has order below 2^s
+    x = mul(a, w)
+    b = mul(x, w)
+    while b != 1:
+        i, b2 = 0, b
+        while b2 != 1:
+            b2 = mul(b2, b2)
+            i += 1
+            if i == s:
+                return None
+        d = c
+        for _ in range(s - i - 1):
+            d = mul(d, d)
+        x, c = mul(x, d), mul(d, d)
+        b, s = mul(b, c), i
+    return x
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -178,12 +222,13 @@ def _combine(a: int, b: int, p: int, s: int, t: int) -> int:
 class PrimeField:
     """F_p with elements represented as ints in [0, p)."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_sylow2")
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        self._sylow2 = None
 
     @property
     def char(self) -> int:
@@ -229,33 +274,7 @@ class PrimeField:
         return pow(a, e, self.p)
 
     def sqrt(self, a):
-        """A square root of a, or None when a is not a square: one pow for
-        p = 3 mod 4, Tonelli-Shanks otherwise (Cohen, GTM 138, Alg. 1.5.1)."""
-        p = self.p
-        a %= p
-        if a == 0 or p == 2:
-            return a
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
-        # p - 1 = 2^s * t with t odd; z is the least non-residue
-        s = ((p - 1) & (1 - p)).bit_length() - 1
-        t = (p - 1) >> s
-        z = 2
-        while pow(z, (p - 1) // 2, p) == 1:
-            z += 1
-        c, x, b = pow(z, t, p), pow(a, (t + 1) // 2, p), pow(a, t, p)
-        # x^2 = a b, and b lies in the subgroup of order 2^s that c generates
-        while b != 1:
-            i, b2 = 0, b
-            while b2 != 1:
-                b2 = b2 * b2 % p
-                i += 1
-            d = pow(c, 1 << (s - i - 1), p)
-            x, c = x * d % p, d * d % p
-            b, s = b * c % p, i
-        return x
+        return _sqrt(self, a % self.p)
 
     def element_repr(self, a) -> str:
         return str(a)
@@ -282,15 +301,10 @@ class ExtField:
     __slots__ = ("p", "n", "modulus", "_sylow2")
 
     def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if n < 1:
-            raise ValueError("degree must be positive")
-        if p**n > EXT_FIELD_GUARD:
-            raise ValueError(f"field too large: {p}^{n} > 10^6")
         if modulus is None:
             modulus = find_irreducible(p, n)
         else:
+            _check_field(p, n)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree n")
@@ -299,15 +313,7 @@ class ExtField:
         self.p = p
         self.n = n
         self.modulus = modulus
-        # for Tonelli-Shanks when q = 1 mod 4: z^t, with q - 1 = 2^s t and t
-        # odd, generates the 2-Sylow subgroup for the first non-square z
-        # from x on (every element of F_p is a square when n is even)
-        q = p**n
         self._sylow2 = None
-        if q % 4 == 1:
-            half = (q - 1) // 2
-            z = next(v for v in range(p if n > 1 else 2, q) if self.pow(v, half) != 1)
-            self._sylow2 = self.pow(z, (q - 1) // ((q - 1) & (1 - q)))
 
     @property
     def char(self) -> int:
@@ -351,31 +357,12 @@ class ExtField:
         return _encode(_poly_mulmod(_digits(a, p, n), _digits(b, p, n), self.modulus, p), p)
 
     def inv(self, a):
-        """a^-1 by the extended Euclidean algorithm on (modulus, a), each
-        row keeping r = s a mod the modulus; the last r is a constant."""
         if not a:
             raise ZeroDivisionError("inverse of zero")
         p = self.p
         if a < p:
             return pow(a, -1, p)
-        r0, s0 = list(self.modulus), [0]
-        r1, s1 = list(_digits(a, p, self.n)), [1]
-        while not r1[-1]:
-            r1.pop()
-        while len(r1) > 1:
-            lead = pow(r1[-1], -1, p)
-            while len(r0) >= len(r1):
-                c, d = r0[-1] * lead % p, len(r0) - len(r1)
-                for i, v in enumerate(r1, d):
-                    r0[i] = (r0[i] - c * v) % p
-                s0 += [0] * (len(s1) + d - len(s0))
-                for i, v in enumerate(s1, d):
-                    s0[i] = (s0[i] - c * v) % p
-                while r0 and not r0[-1]:
-                    r0.pop()
-            r0, s0, r1, s1 = r1, s1, r0, s0
-        c = pow(r1[0], -1, p)
-        return _encode([v * c % p for v in s1], p)
+        return _encode(_poly_inverse(_digits(a, p, self.n), self.modulus, p), p)
 
     def pow(self, a, e: int):
         if not a:
@@ -388,37 +375,7 @@ class ExtField:
         return _encode(_poly_powmod(_digits(a, p, n), e % (p**n - 1), self.modulus, p), p)
 
     def sqrt(self, a):
-        """A square root of a, or None when a is not a square: a^(q/2) in
-        characteristic 2, one pow when q = 3 mod 4, and Tonelli-Shanks
-        otherwise (Cohen, GTM 138, Alg. 1.5.1)."""
-        if not a:
-            return 0
-        q = self.order
-        if self.p == 2:
-            return self.pow(a, q // 2)
-        if q % 4 == 3:
-            x = self.pow(a, (q + 1) // 4)
-            return x if self.mul(x, x) == a else None
-        mul = self.mul
-        s = ((q - 1) & (1 - q)).bit_length() - 1
-        w = self.pow(a, (q - 1) >> (s + 1))
-        # x^2 = a b with b = a^t, and b lies in the subgroup of order 2^s
-        # that c generates; a is a square iff b has order below 2^s
-        x, c = mul(a, w), self._sylow2
-        b = mul(x, w)
-        while b != 1:
-            i, b2 = 0, b
-            while b2 != 1:
-                b2 = mul(b2, b2)
-                i += 1
-                if i == s:
-                    return None
-            d = c
-            for _ in range(s - i - 1):
-                d = mul(d, d)
-            x, c = mul(x, d), mul(d, d)
-            b, s = mul(b, c), i
-        return x
+        return _sqrt(self, a)
 
     def element_repr(self, a) -> str:
         return "(" + ",".join(str(c) for c in _digits(a, self.p, self.n)) + ")"

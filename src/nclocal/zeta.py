@@ -235,6 +235,8 @@ def lemma1_check(
     """
     a_matrix = incidence_matrix(period) if period is not None else None
     order_of = {"absolute": k0_order, "signed": k0_signed_order}.get(mode)
+    if order_of is None:
+        raise ValueError(f"unknown mode {mode!r}")
     reports = []
     for p in primes:
         local = local_data(e, p)
@@ -242,8 +244,6 @@ def lemma1_check(
         counts = local.point_counts(order)
         curve = _curve_series(local, counts, order)
         if rt.is_good:
-            if order_of is None:
-                raise ValueError(f"unknown mode {mode!r}")
             trace_slot = mat_pow(a_matrix, p).trace() if a_matrix is not None else local.a_p
             # local_data's PrimeField(p) has tested p; equal counts have equal exp series
             orders = [order_of(m) for m in _lp_powers(trace_slot, p, order)]

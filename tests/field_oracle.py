@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from nclocal.elliptic import WeierstrassModel, model_over_ext
-from nclocal.ffield import find_irreducible
+from nclocal.elliptic import WeierstrassModel
+from nclocal.ffield import PrimeField, find_irreducible
 
 
 def _times(u: list, w: list, mod: tuple, p: int) -> list:
@@ -183,6 +183,14 @@ def table_field(p: int, n: int, modulus: tuple | None = None) -> TableField:
     """The table field of F_{p^n} mod ``modulus`` (ExtField's by default),
     built once per (p, n, modulus) while it is among the last 64 used."""
     return TableField(p, n, find_irreducible(p, n) if modulus is None else tuple(c % p for c in modulus))
+
+
+def model_over_ext(e: WeierstrassModel, ext) -> WeierstrassModel:
+    """Base-change a model over F_p to an extension of F_p: its raw
+    coefficients are elements of the prime subfield 0..p-1 there too."""
+    if not isinstance(e.field, PrimeField) or ext.char != e.field.p:
+        raise ValueError("model must be over the prime subfield of ext")
+    return WeierstrassModel.over_field(ext, *(a.val for a in e.coefficients))
 
 
 def at_level(e: WeierstrassModel, n: int) -> WeierstrassModel:

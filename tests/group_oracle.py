@@ -24,12 +24,13 @@ def affine_points(e: WeierstrassModel) -> Iterator:
     """All affine points of a model over its (small) field, raw values."""
     f = e.field
     mul, zero = f.mul, f.zero()
+    fibres = _fibres(f, _raw_consts(e))
     if f.char == 2:
         # y = b z turns y^2 + b y = c into z^2 + z = c / b^2
         halves: dict = {}
         for z in range(f.order):
             halves.setdefault(f.add(mul(z, z), z), []).append(z)
-        for x, b, c in _fibres(e):
+        for x, b, c in fibres:
             if b == zero:
                 # y^2 = c: the Frobenius is bijective
                 yield (x, f.pow(c, f.order // 2))
@@ -42,7 +43,7 @@ def affine_points(e: WeierstrassModel) -> Iterator:
         roots.setdefault(mul(z, z), z)
     inv2 = f.inv(f.from_int(2))
     four = f.from_int(4)
-    for x, b, c in _fibres(e):
+    for x, b, c in fibres:
         r = roots.get(f.add(mul(b, b), mul(four, c)))
         if r is not None:
             yield (x, mul(f.sub(r, b), inv2))

@@ -15,10 +15,9 @@ from nclocal.elliptic import (
     WeierstrassModel,
     invariants,
     isomorphic_over_closure,
-    model_over_ext,
     transform,
 )
-from field_oracle import table_field
+from field_oracle import model_over_ext, table_field
 from nclocal.ffield import EXT_FIELD_GUARD, FieldElement, PrimeField
 
 

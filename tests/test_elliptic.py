@@ -25,7 +25,6 @@ from nclocal.elliptic import (
     invariants,
     isomorphic_over_closure,
     j_invariant,
-    model_over_ext,
     point_counts_via_recurrence,
     reduce_mod_p,
     trace_of_frobenius,
@@ -45,7 +44,7 @@ from nclocal.elliptic import (
 )
 from nclocal.ffield import FieldElement, PrimeField, finite_field
 
-from field_oracle import at_level, table_field
+from field_oracle import at_level, model_over_ext, table_field
 from group_oracle import affine_points
 from iso_oracle import inverse, isomorphism_witness, then
 
@@ -871,7 +870,7 @@ class TestClassifierOracle:
     def test_no_fibre_scan_at_odd_p(self, monkeypatch):
         import nclocal.elliptic as elliptic_mod
 
-        def no_scan(e):
+        def no_scan(f, consts, xs=None):
             raise AssertionError("classify_reduction scanned the fibres")
 
         monkeypatch.setattr(elliptic_mod, "_fibres", no_scan)

@@ -43,6 +43,70 @@ class TestFindIrreducible:
                 assert value != 0
 
 
+def _monic(p: int, n: int) -> list:
+    """Every monic polynomial of degree n over F_p, low degree first."""
+    return [tuple(v // p**i % p for i in range(n)) + (1,) for v in range(p**n)]
+
+
+def _times(f: tuple, g: tuple, p: int) -> tuple:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _moebius(m: int) -> int:
+    sign, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if m > 1 else sign
+
+
+class TestIrreducibilityOracle:
+    """_is_irreducible against the sieve: a monic f of degree n is
+    reducible iff it is a product of monic factors of degrees i and n - i
+    for some 1 <= i <= n/2, and the irreducibles number Gauss's
+    (1/n) sum_{d | n} mu(d) p^(n/d)."""
+
+    @pytest.mark.parametrize("p,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)] + [(5, 2), (5, 3)])
+    def test_accepts_exactly_the_sieved_irreducibles(self, p, n):
+        reducible = {_times(f, g, p) for i in range(1, n // 2 + 1) for f in _monic(p, i) for g in _monic(p, n - i)}
+        accepted = {f for f in _monic(p, n) if ffield._is_irreducible(f, p)}
+        assert accepted == set(_monic(p, n)) - reducible
+        gauss = sum(_moebius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+        assert gauss % n == 0 and len(accepted) == gauss // n
+
+    @pytest.mark.parametrize(
+        "p,f",
+        [
+            (2, (1, 0, 1, 0, 1)),  # (x^2+x+1)^2
+            (3, (1, 0, 2, 0, 1)),  # (x^2+1)^2
+            (2, (1, 1, 1, 1, 1, 1, 1)),  # (x^3+x+1)(x^3+x^2+1)
+            (3, (2, 1, 0, 1, 1)),  # (x^2+1)(x^2+x+2)
+        ],
+    )
+    def test_reducibles_without_roots_rejected(self, p, f):
+        assert all(sum(c * a**i for i, c in enumerate(f)) % p for a in range(p))
+        assert not ffield._is_irreducible(f, p)
+        with pytest.raises(ValueError, match="reducible"):
+            ExtField(p, len(f) - 1, f)
+
+    @pytest.mark.parametrize("p,f", [(2, (1, 1, 1, 1, 1, 1, 1)), (3, (2, 1, 0, 1, 1))])
+    def test_only_the_gcd_step_rejects_distinct_factors_of_degree_dividing_n(self, p, f):
+        # f is squarefree and each factor's degree divides n, so f divides
+        # x^(p^n) - x and the first step passes it
+        n = len(f) - 1
+        x = [0, 1] + [0] * (n - 2)
+        assert ffield._poly_powmod(x, p**n, f, p) == x
+        assert not ffield._is_irreducible(f, p)
+
+
 class TestFieldArithmetic:
     @pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (5, 2), (2, 4), (7, 3)])
     def test_axioms_spot_check(self, p, n):
@@ -75,6 +139,14 @@ class TestFieldArithmetic:
         assert len(f9) == 9 and len(set(f9)) == 9 and finite_field(3, 2).order == 9
         f25 = list(table_field(5, 2).elements())
         assert len(f25) == 25 and len(set(f25)) == 25 and finite_field(5, 2).order == 25
+
+    @pytest.mark.parametrize("modulus", [None, (2, 0, 1)])
+    def test_characteristic_tested_once(self, monkeypatch, modulus):
+        calls = []
+        real = ffield.is_prime
+        monkeypatch.setattr(ffield, "is_prime", lambda p: calls.append(p) or real(p))
+        ExtField(5, 2, modulus)
+        assert calls == [5]
 
     def test_bad_modulus_rejected(self):
         with pytest.raises(ValueError, match="reducible"):
@@ -285,6 +357,39 @@ class TestAgainstSympy:
 
 
 class TestSqrt:
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 97, 193, 257])
+    def test_prime_field_against_every_root(self, p):
+        field = PrimeField(p)
+        roots = {a: {r for r in range(p) if r * r % p == a} for a in range(p)}
+        for a in range(p):
+            root = field.sqrt(a)
+            assert root is None if not roots[a] else root in roots[a], (p, a)
+            assert field.sqrt(a - p) == root
+
+    @pytest.mark.parametrize("p", [998244353, 999999999989])
+    def test_large_prime_fields_by_euler(self, p):
+        # 2^23 exactly divides 998244353 - 1; 999999999989 - 1 has 2^2
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for a in [rng.randrange(1, p) for _ in range(100)] + [rng.randrange(1, p) ** 2 % p for _ in range(100)]:
+            root = field.sqrt(a)
+            if pow(a, (p - 1) // 2, p) == 1:
+                assert root is not None and root * root % p == a, a
+            else:
+                assert root is None, a
+
+    @pytest.mark.parametrize("field", [PrimeField(998244353), PrimeField(257), finite_field(5, 2), finite_field(3, 4)])
+    def test_generator_found_on_first_use_and_reused(self, field):
+        # no generator is sought before Tonelli-Shanks first needs one
+        assert field._sylow2 is None
+        squares = [field.mul(v, v) for v in (3, 5, 7, 11, 13)]
+        root = field.sqrt(squares[0])
+        generator = field._sylow2
+        assert generator is not None and field.mul(root, root) == squares[0]
+        for a in squares[1:]:
+            root = field.sqrt(a)
+            assert field.mul(root, root) == a and field._sylow2 == generator
+
     def test_characteristic_2(self):
         assert [PrimeField(2).sqrt(a) for a in (0, 1)] == [0, 1]
         field = finite_field(2, 5)

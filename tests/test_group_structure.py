@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from field_oracle import at_level, table_field
+from field_oracle import at_level, model_over_ext, table_field
 from group_oracle import affine_points, group_by_orders, group_by_scan
 from nclocal._factor import is_prime
 from nclocal.catalog import load_catalog
@@ -18,11 +18,10 @@ from nclocal.elliptic import (
     classify_reduction,
     group_structure,
     invariants,
-    model_over_ext,
     reduce_mod_p,
     transform,
 )
-from nclocal.elliptic import _points
+from nclocal.elliptic import _points, _raw_consts
 from nclocal.ffield import PrimeField, finite_field
 from nclocal.functor import localize
 from nclocal.zeta import local_data
@@ -143,8 +142,8 @@ class TestPointSource:
                 continue
             curve = model_over_ext(red, finite_field(p, n)) if n > 1 else red
             f = curve.field
-            a1, a2, a3, a4, a6 = (a.val for a in curve.coefficients)
-            drawn = list(_points(curve))
+            a1, a2, a3, a4, a6 = consts = _raw_consts(curve)
+            drawn = list(_points(f, consts))
             assert {x for x, _ in drawn} == {x for x, _ in affine_points(at_level(red, n))}
             assert len(drawn) == len({x for x, _ in drawn})
             for x, y in drawn:

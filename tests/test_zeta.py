@@ -258,6 +258,11 @@ class TestLemma1AgainstOracle:
         with pytest.raises(ValueError, match="unknown mode 'weird'"):
             lemma1_check(E_MINUS_X, [2, 5], 3, mode="weird")
 
+    def test_invalid_mode_raises_at_bad_primes_only(self):
+        # 2 is bad for y^2 = x^3 - x: the mode is checked before any prime
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            lemma1_check(E_MINUS_X, [2], mode="bogus")
+
     def test_lp_chain_tests_no_prime_again(self, monkeypatch):
         # local_data's PrimeField(p) has tested p before the L_p chain is built
         import nclocal.ck_k0 as ck_k0
