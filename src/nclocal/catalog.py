@@ -12,24 +12,29 @@ import json
 from fractions import Fraction
 
 from ._frozen import Frozen
-from .elliptic import CM_J_INVARIANTS, WeierstrassModel, j_invariant
+from .elliptic import CM_J_INVARIANTS, CM_MODELS, WeierstrassModel, j_invariant
 
 __all__ = ["CatalogEntry", "load_catalog", "CM_J_INVARIANTS"]
 
+# label, discriminant and notes of each entry; the models are elliptic's
+# CM_MODELS, whose a_p signs _cm_trace is built on
 _BUILTIN = [
-    {"label": "cm-3", "coefficients": [0, 0, 0, 0, 1], "cm_discriminant": -3, "notes": "y^2 = x^3 + 1, j = 0"},
-    {"label": "cm-4", "coefficients": [0, 0, 0, -1, 0], "cm_discriminant": -4, "notes": "y^2 = x^3 - x, j = 1728"},
-    {"label": "cm-7", "coefficients": [1, -1, 0, -2, -1], "cm_discriminant": -7, "notes": "conductor 49"},
-    {"label": "cm-8", "coefficients": [0, 4, 0, 2, 0], "cm_discriminant": -8, "notes": "conductor 256"},
-    {"label": "cm-11", "coefficients": [0, -1, 1, -7, 10], "cm_discriminant": -11, "notes": "conductor 121"},
-    {"label": "cm-12", "coefficients": [0, 0, 0, -15, 22], "cm_discriminant": -12, "notes": "order of conductor 2 in Q(sqrt(-3))"},
-    {"label": "cm-16", "coefficients": [0, 0, 0, -11, -14], "cm_discriminant": -16, "notes": "order of conductor 2 in Q(i)"},
-    {"label": "cm-19", "coefficients": [0, 0, 1, -38, 90], "cm_discriminant": -19, "notes": "conductor 361"},
-    {"label": "cm-27", "coefficients": [0, 0, 1, -30, 63], "cm_discriminant": -27, "notes": "order of conductor 3 in Q(sqrt(-3))"},
-    {"label": "cm-28", "coefficients": [1, -1, 0, -37, -78], "cm_discriminant": -28, "notes": "order of conductor 2 in Q(sqrt(-7))"},
-    {"label": "cm-43", "coefficients": [0, 0, 1, -860, 9707], "cm_discriminant": -43, "notes": "conductor 1849"},
-    {"label": "cm-67", "coefficients": [0, 0, 1, -7370, 243528], "cm_discriminant": -67, "notes": "conductor 4489"},
-    {"label": "cm-163", "coefficients": [0, 0, 1, -2174420, 1234136692], "cm_discriminant": -163, "notes": "conductor 26569"},
+    {"label": f"cm-{-d}", "coefficients": list(CM_MODELS[d]), "cm_discriminant": d, "notes": notes}
+    for d, notes in (
+        (-3, "y^2 = x^3 + 1, j = 0"),
+        (-4, "y^2 = x^3 - x, j = 1728"),
+        (-7, "conductor 49"),
+        (-8, "conductor 256"),
+        (-11, "conductor 121"),
+        (-12, "order of conductor 2 in Q(sqrt(-3))"),
+        (-16, "order of conductor 2 in Q(i)"),
+        (-19, "conductor 361"),
+        (-27, "order of conductor 3 in Q(sqrt(-3))"),
+        (-28, "order of conductor 2 in Q(sqrt(-7))"),
+        (-43, "conductor 1849"),
+        (-67, "conductor 4489"),
+        (-163, "conductor 26569"),
+    )
 ]
 
 

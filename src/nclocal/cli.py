@@ -27,7 +27,9 @@ from ._limits import AP_GUARD, DEFAULT_ORDER, MAX_LEVEL
 # integers in a --primes range, on one core of a 2-vCPU VM: the 337 primes
 # just below AP_GUARD take 8.2-9.8 s at the default order on a curve
 # without CM (y^2 = x^3 + x + 1), almost all of it a_p by baby-step
-# giant-step, and 0.4-0.65 s on the catalog curves
+# giant-step, and 0.15-0.31 s as a process on the catalog curves cm-3,
+# cm-4, cm-67 and cm-163 (5 runs each, two sessions), where a_p is a
+# residue symbol
 PRIMES_SPAN_GUARD = 10**4
 # largest series order of zeta; --primes 2..10001 at order 12 takes 0.95-1.15 s
 ORDER_GUARD = 12

@@ -11,10 +11,11 @@ discriminant, c4 and a square test of -c6, with no point scan at odd p;
 over F_p these invariants are read as ints from the raw coefficients.
 At p >= 5, a curve whose j is a class-number-one CM j mod p gets a_p
 from the norm equation: Cornacchia's algorithm gives Frobenius up to a
-unit, and a few points pick the unit.  Any other j, and the few tied
-cases, get a_p from Shanks-Mestre baby-step giant-step above p = 229 and
-from a brute-force count below it.  The brute-force counter is the
-oracle for both fast paths, and baby-step giant-step the oracle for the
+unit, and a residue symbol picks the unit, with no scalar multiplication
+and no ties.  Any other j gets a_p from Shanks-Mestre baby-step
+giant-step above p = 229 and from a brute-force count below it.  The
+brute-force counter is the oracle for both fast paths; baby-step
+giant-step and the point step of tests/cm_oracle.py are oracles for the
 CM one.  All derived counts go through the trace recurrence, from a
 LocalData record.  Brute-force counts and the drawn points share only
 the fibre equation y^2 + b*y = c at each x: the count tests it by
@@ -61,6 +62,7 @@ __all__ = [
     "AP_GUARD",
     "COUNT_GUARD",
     "CM_J_INVARIANTS",
+    "CM_MODELS",
 ]
 
 # measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11;
@@ -76,7 +78,7 @@ COUNT_GUARD = 10**6
 # has a single multiple in the Hasse interval (Schoof, JTNB 7 (1995),
 # section 3), so baby-step giant-step always ends with one #E; below it
 # a_p comes from count_points, at most 229 steps.  Either one runs only
-# for a j that is no CM j mod p, or when the CM candidates stay tied
+# for a j that is no CM j mod p
 MESTRE_BOUND = 229
 
 # the thirteen class-number-one CM orders: discriminant D -> (j, d_K), with
@@ -98,6 +100,23 @@ _CM_ORDERS = {
 }
 # j-invariants of the class-number-one CM orders, keyed by discriminant
 CM_J_INVARIANTS = {d: j for d, (j, _) in _CM_ORDERS.items()}
+# one integral model over Q per order, keyed by discriminant: the curves
+# of the built-in catalog, and the reference models of _cm_trace's signs
+CM_MODELS = {
+    -3: (0, 0, 0, 0, 1),
+    -4: (0, 0, 0, -1, 0),
+    -7: (1, -1, 0, -2, -1),
+    -8: (0, 4, 0, 2, 0),
+    -11: (0, -1, 1, -7, 10),
+    -12: (0, 0, 0, -15, 22),
+    -16: (0, 0, 0, -11, -14),
+    -19: (0, 0, 1, -38, 90),
+    -27: (0, 0, 1, -30, 63),
+    -28: (1, -1, 0, -37, -78),
+    -43: (0, 0, 1, -860, 9707),
+    -67: (0, 0, 1, -7370, 243528),
+    -163: (0, 0, 1, -2174420, 1234136692),
+}
 
 
 class ReductionError(ValueError):
@@ -375,8 +394,8 @@ def count_points(e: WeierstrassModel) -> int:
     brute force.
 
     The oracle for the CM and baby-step giant-step a_p; trace_of_frobenius
-    counts this way only at p <= MESTRE_BOUND, for a j that is no CM j
-    mod p or candidates that stay tied, and always at p = 2, 3.
+    counts this way only at p <= MESTRE_BOUND for a j that is no CM j
+    mod p, and always at p = 2, 3.
     """
     if is_singular(e):
         raise ValueError("singular model (use count_nonsingular)")
@@ -397,9 +416,9 @@ def trace_of_frobenius(e: WeierstrassModel) -> int:
     """a_p = p + 1 - #E(F_p); the Hasse bound is checked.
 
     At p >= 5 a j-invariant that is a class-number-one CM j mod p gives
-    a_p from the norm equation (_cm_trace).  Otherwise, or when the
-    points leave its candidates tied, a_p comes from baby-step giant-step
-    for p > MESTRE_BOUND and from a brute-force count below.
+    a_p from the norm equation and a residue symbol (_cm_trace), with no
+    scalar multiplication.  Any other j gets a_p from baby-step
+    giant-step for p > MESTRE_BOUND and from a brute-force count below.
     """
     p = e.field.p
     if p > AP_GUARD:
@@ -686,7 +705,7 @@ def group_structure(e: WeierstrassModel, n: int = 1, order: int | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# a_p of CM curves from the norm equation
+# a_p of CM curves from the norm equation and residue symbols
 # ---------------------------------------------------------------------------
 
 
@@ -710,55 +729,96 @@ def _cornacchia(field: PrimeField, d: int) -> tuple:
     return b, w
 
 
+# (c4, c6) of each model of CM_MODELS, the reference for the sign of a_p;
+# each model is bad only at 2, 3 and the primes of d_K, where _cm_trace
+# never reads its invariants, so c4_ref c6_ref is a unit wherever it does
+_CM_REFERENCE = {d: _invariant_polys(*model)[4:6] for d, model in CM_MODELS.items()}
+
+
 def _cm_trace(e: WeierstrassModel) -> int | None:
     """a_p of a nonsingular model over F_p, p >= 5, whose j is a
-    class-number-one CM j mod p, or None when it is not one or the points
-    leave the candidates tied.
+    class-number-one CM j mod p, or None when it is not one.
 
     By Deuring's reduction theorem a curve with such a j is supersingular,
     so a_p = 0, when p does not split in the CM field K; otherwise
-    Frobenius is an element of norm p in O_K, whether or not the curve
-    came from one with CM over Q.  So a_p = t up to a unit, with
-    4p = t^2 + |d_K| w^2 (_cornacchia): the candidates are +-t, and +-2w
-    when d_K = -4 or +-(t +- 3w)/2 when d_K = -3 (the quartic and sextic
-    twists).  The true a_p is the c for which p + 1 - c kills the points
-    drawn, [p+1]P = [c]P; the first few points of _points decide it.
+    Frobenius is an element pi of norm p in the order O_D, whether or not
+    the curve came from one with CM over Q, and a residue symbol picks its
+    unit (Ireland-Rosen, GTM 84, ch. 18; Rubin-Silverberg, Math. Comp. 79
+    (2010) 545-561).  On y^2 = x^3 - 27 c4 x - 54 c6, isomorphic to the
+    model:
+    - j = 1728: pi = a + bi primary (b even, a + b = 1 mod 4), and
+      a_p = 2 Re(chi conj(pi)) for the quartic symbol chi = (27 c4 / pi)_4,
+      read with i = -a/b mod pi;
+    - j = 0: pi = a + b omega = 2 mod 3, and a_p = -Tr(chi conj(pi)) for
+      the sextic symbol chi = (-216 c6 / pi)_6, read with omega = -a/b;
+    - any other j: t^2 + |D| w^2 = 4p in the order itself, and a_p = +-t:
+      the sign on CM_MODELS[D] (_reference_sign) times the quadratic
+      character of the twist c6 c4_ref / (c4 c6_ref) from that model to
+      this one.
+    No point is drawn, so no candidates tie.
     """
     field = e.field
     p = field.p
-    c4, _, disc = _invariants_mod_p(e)
+    c4, c6, disc = _invariants_mod_p(e)
     if not disc:
         raise ValueError("singular model (use count_nonsingular)")
     j = c4 * c4 * c4 * pow(disc, -1, p) % p
     # two CM j's that meet mod p with different fields leave p split in
-    # neither (an ordinary curve has one CM field), so any match serves
-    d_k = next((d for j0, d in _CM_ORDERS.values() if j0 % p == j), None)
-    if d_k is None:
+    # neither (an ordinary curve has one CM field), so any match serves;
+    # the fundamental orders come first, and j = 0, 1728 take their rules
+    d = next((d for d, (j0, _) in _CM_ORDERS.items() if j0 % p == j), None)
+    if d is None:
         return None
+    d_k = _CM_ORDERS[d][1]
     if pow(d_k, (p - 1) // 2, p) != 1:
         return 0
-    t, w = _cornacchia(field, d_k)
-    base = [t]
-    if d_k == -4:
-        base.append(2 * w)
-    elif d_k == -3:
-        base += [(t + 3 * w) // 2, (t - 3 * w) // 2]
-    live = set(base) | {-c for c in base}
-    consts = _raw_consts(e)
-    for pt in islice(_points(field, consts), 8):
-        target = _raw_mul(field, consts, pt, p + 1)
-        for c in base:
-            if c in live or -c in live:
-                cp = _raw_mul(field, consts, pt, c)
-                if cp != target:
-                    live.discard(c)
-                if _raw_neg(field, consts, cp) != target:
-                    live.discard(-c)
-        if len(live) <= 1:
-            break
-    if not live:
-        raise RuntimeError(f"no CM trace candidate of {e} over F_{p} kills the points drawn")
-    return live.pop() if len(live) == 1 else None
+    t, w = _cornacchia(field, d)
+    if d == -4:
+        a, b = (t // 2, w) if w % 2 == 0 else (w, t // 2)
+        if (a + b) % 4 != 1:
+            a, b = -a, -b
+        # 2 Re(chi conj(pi)) for chi = 1, i
+        return _unit_trace(e, pow(27 * c4, (p - 1) // 4, p), (1, -a * pow(b, -1, p) % p), (2 * a, 2 * b))
+    if d == -3:
+        a, b = (t + w) // 2, w
+        # the associates a + b omega, omega (a + b omega), omega^2 (a + b omega)
+        while b % 3:
+            a, b = -b, a - b
+        if a % 3 != 2:
+            a, b = -a, -b
+        omega = -a * pow(b, -1, p) % p
+        # -Tr(chi conj(pi)) for chi = 1, omega, omega^2
+        units = (1, omega, omega * omega % p)
+        return _unit_trace(e, pow(-216 * c6, (p - 1) // 6, p), units, (b - 2 * a, a - 2 * b, a + b))
+    c4_ref, c6_ref = _CM_REFERENCE[d]
+    twist = pow(c4 * c6 * c4_ref * c6_ref, (p - 1) // 2, p)
+    return _reference_sign(d, t, w) * (t if twist == 1 else -t)
+
+
+def _unit_trace(e: WeierstrassModel, symbol: int, units: tuple, traces: tuple) -> int:
+    """The trace that goes with the residue symbol: traces[k] when it is
+    units[k] mod p, and -traces[k] when it is -units[k]."""
+    p = e.field.p
+    for unit, trace in zip(units, traces):
+        if symbol == unit:
+            return trace
+        if symbol == p - unit:
+            return -trace
+    raise RuntimeError(f"the residue symbol {symbol} of {e} over F_{p} is no root of unity of order {2 * len(units)}")
+
+
+def _reference_sign(d: int, t: int, w: int) -> int:
+    """The sign of a_p = +-t on CM_MODELS[d], d != -3, -4, at a prime p
+    with t^2 + |d| w^2 = 4p, t, w >= 0, from the residues of t and w."""
+    if d == -8:
+        # t/2 = 1, 3 mod 8 agrees with 4 | w
+        return 1 if (t // 2 % 8 in (1, 3)) == (w % 4 == 0) else -1
+    if d == -16:
+        return -1 if ((t // 2 - 1) // 2 + w) % 2 else 1
+    q = -_CM_ORDERS[d][1]
+    # the Legendre symbol (t / |d_K|), and -1 on all but two models
+    legendre = 1 if pow(t, (q - 1) // 2, q) == 1 else -1
+    return legendre if d in (-7, -28) else -legendre
 
 
 # ---------------------------------------------------------------------------

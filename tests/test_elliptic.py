@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nclocal._factor import is_prime
+from nclocal._factor import factorize, is_prime
 from nclocal.catalog import CM_J_INVARIANTS, load_catalog
 from nclocal.elliptic import (
     AP_GUARD,
+    CM_MODELS,
     MESTRE_BOUND,
     AdmissibleTransform,
     ReductionError,
@@ -32,6 +33,7 @@ from nclocal.elliptic import (
 )
 from nclocal.elliptic import (
     _CM_ORDERS,
+    _CM_REFERENCE,
     _absolute_trace,
     _affine_count,
     _bsgs,
@@ -46,6 +48,7 @@ from nclocal.ffield import FieldElement, PrimeField, finite_field
 
 from field_oracle import at_level, model_over_ext, table_field
 from group_oracle import affine_points
+from cm_oracle import cm_trace_by_points
 from iso_oracle import inverse, isomorphism_witness, then
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)  # y^2 = x^3 - x
@@ -403,7 +406,6 @@ def cm_models(label):
 
 # curves over Q without CM: 37a1, y^2 = x^3 + x + 1, 11a1 and 11a3
 NON_CM = [WeierstrassModel.over_q(*c) for c in ((0, 0, 1, -1, 0), (0, 0, 0, 1, 1), (0, -1, 1, -10, -20), (0, -1, 1, 0, 0))]
-FUNDAMENTAL_DISCRIMINANTS = sorted({d_k for _, d_k in _CM_ORDERS.values()})
 
 
 def reduces_to_cm_j(red):
@@ -511,33 +513,38 @@ class TestFastTrace:
                     continue
                 seen += 1
                 assert trace_of_frobenius(red) == p + 1 - count_points(red), (e, p)
-                assert p <= 269 or _cm_trace(red) is not None
+                assert _cm_trace(red) is not None
         assert seen >= 40
 
     @pytest.mark.parametrize("label, p", [("cm-4", 233), ("cm-11", 269)])
     def test_tied_candidates_fall_back(self, label, p):
+        # the point step left two candidates alive here; the symbols do not
         red = reduce_mod_p(CATALOG[label], p)
-        assert _cm_trace(red) is None
-        assert trace_of_frobenius(red) == p + 1 - count_points(red) == p + 1 - _order_by_bsgs(red)
+        assert cm_trace_by_points(red) is None
+        assert _cm_trace(red) == p + 1 - count_points(red) == p + 1 - _order_by_bsgs(red)
 
     def test_catalog_needs_no_bsgs_above_the_ties(self, monkeypatch):
         import nclocal.elliptic as elliptic_mod
 
         expected = {}
         for label, model in CATALOG.items():
-            for p in primes_between(270, 3000):
+            for p in primes_between(5, 3000):
                 red = reduce_mod_p(model, p)
                 if invariants(red).disc != 0:
-                    expected[label, p] = (red, p + 1 - _order_by_bsgs(red))
+                    expected[label, p] = (red, p + 1 - (count_points(red) if p <= MESTRE_BOUND else _order_by_bsgs(red)))
 
         def no_bsgs(e):
             raise AssertionError("trace_of_frobenius ran baby-step giant-step")
 
+        def no_count(e):
+            raise AssertionError("trace_of_frobenius counted points")
+
         monkeypatch.setattr(elliptic_mod, "_order_by_bsgs", no_bsgs)
+        monkeypatch.setattr(elliptic_mod, "count_points", no_count)
         for key, (red, ap) in expected.items():
             assert trace_of_frobenius(red) == ap, key
 
-    @pytest.mark.parametrize("d", FUNDAMENTAL_DISCRIMINANTS)
+    @pytest.mark.parametrize("d", sorted(_CM_ORDERS))
     def test_cornacchia_solves_the_norm_equation(self, d):
         split = [p for p in primes_between(5, 10**4) if pow(d, (p - 1) // 2, p) == 1]
         split += [p for p in primes_between(AP_GUARD - 10**4, AP_GUARD - 10**4 + 2000) if pow(d, (p - 1) // 2, p) == 1][:4]
@@ -575,6 +582,115 @@ class TestFastTrace:
             core = d_k if d_k % 4 == 1 else d_k // 4
             assert (d_k % 4 == 1 or core % 4 in (2, 3)) and all(core % (q * q) for q in range(2, 14))
 
+
+
+# y^2 = x^3 + Ax and y^2 = x^3 + B beside the catalog's A = -1 and B = 1:
+# between them they meet every quartic and every sextic residue class
+QUARTIC_MODELS = [WeierstrassModel.over_q(0, 0, 0, a, 0) for a in (2, 3)]
+SEXTIC_MODELS = [WeierstrassModel.over_q(0, 0, 0, 0, b) for b in (2, 3)]
+
+
+def symbol_models():
+    """(model, the model the oracle runs on) pairs: each catalog curve, an
+    isomorphic model with u = 2 (an isomorphism over Q keeps a_p, so the
+    oracle runs on the catalog curve) and its twist by 5, then the quartic
+    and sextic families."""
+    out = []
+    for e in CATALOG.values():
+        twist = short_twist(e, 5)
+        out += [(e, e), (transform(e, AdmissibleTransform.over_q(2, 1, -1, 3)), e), (twist, twist)]
+    return out + [(e, e) for e in QUARTIC_MODELS + SEXTIC_MODELS]
+
+
+def sign_classes(d, t, w):
+    """The residues of t and w that _reference_sign reads for d, beyond
+    the Legendre symbol that fixes the sign itself for odd d_K."""
+    if d == -8:
+        return (t // 2 % 8 in (1, 3), w % 4 == 0)
+    if d == -16:
+        return ((t // 2 - 1) // 2 % 2 == 1, w % 2 == 1)
+    return ()
+
+
+class TestResidueSymbols:
+    """The unit of Frobenius from residue symbols (_cm_trace) against the
+    point step that picked it before (tests/cm_oracle.py), at every good
+    prime 5 <= p <= 10^4 and at the 337 primes just below AP_GUARD; every
+    residue class the rules read is met."""
+
+    def test_reference_models_are_good_away_from_6_d_k(self):
+        # the sign rule reads c4 c6 of CM_MODELS[d] at split primes p >= 5
+        for d, (c4, c6) in _CM_REFERENCE.items():
+            e = WeierstrassModel.over_q(*CM_MODELS[d])
+            assert j_invariant(e) == CM_J_INVARIANTS[d] and (c4, c6) == (invariants(e).c4, invariants(e).c6)
+            assert set(factorize(abs(invariants(e).disc))) <= {2, 3} | set(factorize(-_CM_ORDERS[d][1])), d
+        # the catalog serves the same models
+        assert {entry.cm_discriminant: entry.model for entry in load_catalog()} == {
+            d: WeierstrassModel.over_q(*m) for d, m in CM_MODELS.items()
+        }
+
+    def test_symbols_match_the_point_step(self, monkeypatch):
+        import nclocal.elliptic as elliptic_mod
+
+        unit_trace, reference_sign = elliptic_mod._unit_trace, elliptic_mod._reference_sign
+        seen, signed_t = set(), []
+
+        def record_unit(e, symbol, units, traces):
+            p = e.field.p
+            k = next(k for k, u in enumerate(units) if symbol in (u, p - u))
+            seen.add(("unit", 2 * len(units), k, symbol == units[k]))
+            return unit_trace(e, symbol, units, traces)
+
+        def record_sign(d, t, w):
+            sign = reference_sign(d, t, w)
+            signed_t.append(sign * t)
+            seen.add(("sign", d, sign, sign_classes(d, t, w)))
+            return sign
+
+        monkeypatch.setattr(elliptic_mod, "_unit_trace", record_unit)
+        monkeypatch.setattr(elliptic_mod, "_reference_sign", record_sign)
+        models = symbol_models()
+        checked = 0
+        for p in primes_between(5, 10**4):
+            # one field per p, whose Tonelli-Shanks state every model shares
+            fp, oracle = PrimeField(p), {}
+            for e, base in models:
+                red = WeierstrassModel.over_field(fp, *(a.numerator * pow(a.denominator, -1, p) % p for a in e.coefficients))
+                c4, _, disc = _invariants_mod_p(red)
+                if not disc:
+                    continue
+                j = c4**3 * pow(disc, -1, p) % p
+                d = next(d for d, j0 in CM_J_INVARIANTS.items() if j0 % p == j)
+                ap = _cm_trace(red)
+                if id(base) not in oracle:
+                    expected = cm_trace_by_points(red)
+                    oracle[id(base)] = p + 1 - count_points(red) if expected is None else expected
+                assert ap == oracle[id(base)], (e, p)
+                checked += 1
+                seen.add(("p", d, p % -d if d in (-3, -4) else None, ap == 0))
+                if ap and d not in (-3, -4):
+                    seen.add(("twist", d, ap == signed_t[-1]))
+        large = primes_between(AP_GUARD - 10**4, AP_GUARD - 1)
+        assert len(large) == 337
+        for e in CATALOG.values():
+            for p in large:
+                red = reduce_mod_p(e, p)
+                assert _cm_trace(red) == cm_trace_by_points(red), (e, p)
+                checked += 1
+        assert checked > 50000
+        wanted = {("unit", 4, k, s) for k in range(2) for s in (True, False)}
+        wanted |= {("unit", 6, k, s) for k in range(3) for s in (True, False)}
+        wanted |= {("p", -4, 1, False), ("p", -4, 3, True), ("p", -3, 1, False), ("p", -3, 2, True)}
+        for d in CM_J_INVARIANTS:
+            if d in (-3, -4):
+                continue
+            wanted |= {("p", d, None, True), ("p", d, None, False), ("twist", d, True), ("twist", d, False)}
+            met = {key[2:] for key in seen if key[:2] == ("sign", d)}
+            if d in (-8, -16):
+                assert {c for _, c in met} == {(x, y) for x in (True, False) for y in (True, False)}, d
+            else:
+                assert {s for s, _ in met} == {1, -1}, d
+        assert wanted <= seen, sorted(wanted - seen, key=str)
 
 
 class TestGroupStructure:

@@ -40,7 +40,9 @@ COMMANDS = [
     ["localize", "--model", MODEL, "--p", "2", "--nmax", "2"],
     ["localize", "--model", MODEL, "--p", "7", "--nmax", "2", "--period", "2,1", "--format", "csv"],
     ["zeta", "--model", MODEL, "--primes", "2..30"],
-    # bad primes 2 and 31, and baby-step giant-step with tied candidates
+    # bad primes 2 and 31; above p = 229 baby-step giant-step on this curve
+    # without CM, where some primes need point orders on E and its twist
+    # (_single_candidate, which no other command reaches)
     ["zeta", "--model", NO_CM, "--primes", "2..300", "--mode", "signed"],
     ["zeta", "--model", MODEL, "--primes", "3,5,7", "--period", "2,1", "--format", "csv"],
     ["theorem1", "--model", MODEL, "--p", "5", "--trials", "3"],
