@@ -33,8 +33,9 @@ from ._limits import AP_GUARD, DEFAULT_ORDER, MAX_LEVEL
 PRIMES_SPAN_GUARD = 10**4
 # largest series order of zeta; --primes 2..10001 at order 12 takes 0.95-1.15 s
 ORDER_GUARD = 12
-# most theorem1 trials; 100 at p = 999999999989 take 2.8-4.6 s on
-# y^2 = x^3 + x + 1, without CM, and 0.34-0.36 s on y^2 = x^3 - x
+# most theorem1 trials; 100 at p = 999999999989 take 1.7-2.0 s as a
+# process on y^2 = x^3 + x + 1, without CM, and 0.10-0.11 s on
+# y^2 = x^3 - x, where a_p is a residue symbol (5 runs each)
 TRIALS_GUARD = 100
 # largest k0 matrix, and most digits of the Hadamard bound on
 # |det(I - A^t)|; dense 120 x 120 matrices near the digit edge take 5.5-7 s
@@ -89,18 +90,15 @@ def _check_p(p: int | None) -> None:
 
 
 class _IntList(list):
-    """A list of ints that carries its text, the ints joined by ", ", for
-    _render_json to print; json.dumps and the CSV writer see a plain list."""
+    """A list of ints whose text, the ints joined by ", ", is
+    text[start:stop], for _render_json to print; json.dumps and the CSV
+    writer see a plain list."""
 
-    __slots__ = ("text",)
-
-    def __init__(self, ints, text: str):
-        super().__init__(ints)
-        self.text = text
+    __slots__ = ("text", "start", "stop")
 
 
 def _cmd_cf(args) -> tuple:
-    from .quadratic_cf import QuadraticIrrational, _display, _join_digits, cf_expand, is_reduced
+    from .quadratic_cf import QuadraticIrrational, _display, cf_expand, is_reduced
 
     x = QuadraticIrrational.parse(args.value)
     try:
@@ -108,16 +106,22 @@ def _cmd_cf(args) -> tuple:
     except OverflowError:
         raise ValueError("guard exceeded: value_approx passes the float range") from None
     exp = cf_expand(x)
-    # each digit is converted to text once, for the lists and the display
-    preperiod = _IntList(exp.preperiod, _join_digits(exp.preperiod))
-    period = _IntList(exp.period, _join_digits(exp.period))
+    purely_periodic = exp.is_purely_periodic
+    # the expansion goes as soon as the lists hold its digits, so that no
+    # sequence as long as the period exists twice
+    preperiod, period = list(exp.preperiod), _IntList(exp.period)
+    del exp
+    display = _display(preperiod, period)
+    # the period prints from its text in the display, between "(" and ")]",
+    # so each digit is converted to text once
+    period.text, period.start, period.stop = display, display.index("(") + 1, len(display) - 2
     payload = {
         "input": str(x),
         "value_approx": approx,
         "preperiod": preperiod,
         "period": period,
-        "display": _display(preperiod.text, period.text),
-        "purely_periodic": exp.is_purely_periodic,
+        "display": display,
+        "purely_periodic": purely_periodic,
         "reduced": is_reduced(x),
     }
     return payload, False
@@ -266,19 +270,31 @@ def _cmd_catalog(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+# ints joined into one string at a time, and most characters written at
+# once: str.join first makes a sequence of every string it is given, and a
+# write first encodes all of its text
+_INT_BLOCK = 4096
+_TEXT_SLICE = 1 << 16
+
+
 def _render_json(o, pieces: list, indent: str = "\n") -> None:
     """Append the text of json.dumps(o, indent=2) to pieces, a few
     strings at a time.
 
     Containers recurse, and strings and ints are encoded directly; any
     other scalar goes through json.dumps.  A list of plain ints is joined
-    in one call, and an _IntList is printed from its text.  `indent` is
-    the newline and indentation of the enclosing level.
+    _INT_BLOCK ints at a time, and an _IntList is printed from its text,
+    _TEXT_SLICE characters at a time.  A string longer than _TEXT_SLICE
+    that needs no escapes is appended itself, between quotes.  `indent`
+    is the newline and indentation of the enclosing level.
     """
     if type(o) is int:
         pieces.append(int.__repr__(o))
     elif isinstance(o, str):
-        pieces.append(encode_basestring_ascii(o))
+        if len(o) > _TEXT_SLICE and o.isascii() and o.isprintable() and '"' not in o and "\\" not in o:
+            pieces += ('"', o, '"')
+        else:
+            pieces.append(encode_basestring_ascii(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             pieces.append("[]")
@@ -287,10 +303,16 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
         sep = "," + inner
         pieces.append("[" + inner)
         if type(o) is _IntList:
+            text, start, stop = o.text, o.start, o.stop
             # exact: ", " cannot occur inside the text of an int
-            pieces.append(o.text.replace(", ", sep))
+            while (end := text.find(", ", start + _TEXT_SLICE, stop)) >= 0:
+                pieces += (text[start:end].replace(", ", sep), sep)
+                start = end + 2
+            pieces.append(text[start:stop].replace(", ", sep))
         elif all(type(v) is int for v in o):
-            pieces.append(sep.join(map(int.__repr__, o)))
+            for i in range(0, len(o), _INT_BLOCK):
+                pieces += (sep.join(map(int.__repr__, o[i : i + _INT_BLOCK])), sep)
+            pieces.pop()
         else:
             for i, v in enumerate(o):
                 if i:
@@ -419,7 +441,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         # the stdout of the moment: a caller may have redirected it
-        sys.stdout.writelines(pieces)
+        write = sys.stdout.write
+        for piece in pieces:
+            if len(piece) > _TEXT_SLICE:
+                for i in range(0, len(piece), _TEXT_SLICE):
+                    write(piece[i : i + _TEXT_SLICE])
+            else:
+                write(piece)
         sys.stdout.flush()
     except BrokenPipeError:
         # Python flushes stdout again at exit; point it at devnull so that

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
+from itertools import chain, islice
 from math import gcd, isqrt, lcm
 
 from ._factor import factorize, squarefree_split
@@ -36,8 +37,8 @@ __all__ = [
 D_DIGITS_GUARD = 22
 
 # the state orbit is always finite, but can be long: a whole `cf` run that
-# reaches this cap took 0.20-0.24 s and 23 MB on one core of a 2-vCPU VM,
-# 0.14-0.16 s of it in cf_expand, which meets no centre of symmetry first
+# reaches this cap took 0.23-0.32 s and 22 MB on one core of a 2-vCPU VM,
+# 0.18-0.19 s of it in cf_expand, which meets no centre of symmetry first
 _MAX_CF_STATES = 10**6
 _CAP_EXCEEDED = "guard exceeded: continued fraction has more than 10^6 states"
 
@@ -120,21 +121,25 @@ class QuadraticIrrational(Frozen):
         raise ValueError(f"cannot parse quadratic irrational {text!r}")
 
 
-def _join_digits(digits: Sequence[int]) -> str:
-    """The digits joined by ", ", each distinct digit converted to text
-    once: the period of (1+sqrt(1000000000039))/1 has 532,572 digits of
-    1,103 distinct values."""
-    text = {a: str(a) for a in set(digits)}
-    return ", ".join(map(text.__getitem__, digits))
+# digits joined into one string at a time: str.join first makes a
+# sequence of every string it is given
+_BLOCK = 4096
 
 
-def _display(preperiod: str, period: str) -> str:
+def _display(preperiod: Sequence[int], period: Sequence[int]) -> str:
     """"[a0; a1, ..., (b1, ..., bm)]", or "[(b1, ..., bm)]" when purely
-    periodic, from the _join_digits text of the preperiod and the period."""
-    if not preperiod:
-        return f"[({period})]"
-    a0, _, rest = preperiod.partition(", ")
-    return f"[{a0}; {rest}, ({period})]" if rest else f"[{a0}; ({period})]"
+    periodic.  Each distinct digit is converted to text once: the period
+    of (1+sqrt(1000000000039))/1 has 532,572 digits of 1,103 distinct
+    values.  The digits are joined _BLOCK at a time, so that the display
+    is the only text as long as the period."""
+    text = {a: str(a) for a in {*preperiod, *period}}.__getitem__
+    parts = [f"[{preperiod[0]}; " if preperiod else "["]
+    for digits, opening in ((preperiod[1:], ""), (period, "(")):
+        parts.append(opening)
+        for i in range(0, len(digits), _BLOCK):
+            parts += (", ".join(map(text, digits[i : i + _BLOCK])), ", ")
+    parts[-1] = ")]"
+    return "".join(parts)
 
 
 def _floor_quadratic(p: int, s: int, q: int) -> int:
@@ -142,6 +147,19 @@ def _floor_quadratic(p: int, s: int, q: int) -> int:
     if q > 0:
         return (p + s) // q
     return -((p + s) // (-q)) - 1
+
+
+def _check_minimal(per: tuple) -> None:
+    """Refuse a period that is a proper power of a shorter word."""
+    m = len(per)
+    # a word that is a proper power is a power of prime exponent; its
+    # first 8 digits tell most shifts s apart before a whole slice is made
+    if any(
+        per[s : s + 8] == per[: min(8, m - s)] and per[s:] == per[: m - s]
+        for s in (m // ell for ell in factorize(m))
+    ):
+        k = next(k for k in range(1, m) if m % k == 0 and per[k:] == per[: m - k])
+        raise ValueError(f"period {per} is not minimal (repeats with length {k})")
 
 
 class CFExpansion(Frozen):
@@ -163,16 +181,17 @@ class CFExpansion(Frozen):
             raise ValueError("period entries must be >= 1")
         if any(a < 1 for a in preperiod[1:]):
             raise ValueError("preperiod entries after a0 must be >= 1")
-        per, m = period, len(period)
-        # a word that is a proper power is a power of prime exponent; its
-        # first 8 digits tell most shifts s apart before a whole slice is made
-        if any(
-            per[s : s + 8] == per[: min(8, m - s)] and per[s:] == per[: m - s]
-            for s in (m // ell for ell in factorize(m))
-        ):
-            k = next(k for k in range(1, m) if m % k == 0 and per[k:] == per[: m - k])
-            raise ValueError(f"period {per} is not minimal (repeats with length {k})")
+        _check_minimal(period)
         super().__init__(preperiod, period)
+
+    @classmethod
+    def _of(cls, preperiod: tuple, period: tuple) -> "CFExpansion":
+        # digits of cf_expand: every complete quotient after x itself
+        # exceeds 1, so the digits after a0 are >= 1
+        _check_minimal(period)
+        exp = cls.__new__(cls)
+        Frozen.__init__(exp, preperiod, period)
+        return exp
 
     @property
     def is_purely_periodic(self) -> bool:
@@ -181,7 +200,7 @@ class CFExpansion(Frozen):
     def __str__(self) -> str:
         """"[a0; a1, ..., (b1, ..., bm)]", or "[(b1, ..., bm)]" when purely
         periodic."""
-        return _display(_join_digits(self.preperiod), _join_digits(self.period))
+        return _display(self.preperiod, self.period)
 
 
 def _reduced(p: int, q: int, s: int) -> bool:
@@ -242,17 +261,20 @@ def cf_expand(x: QuadraticIrrational) -> CFExpansion:
             break
         p = p_next
         if p == p0 and q == q0:
-            return CFExpansion(tuple(preperiod), tuple(period))
+            return CFExpansion._of(tuple(preperiod), tuple(period))
     else:
         raise ValueError(_CAP_EXCEEDED)
-    # the first centre c is 2i, or 2i + 1 when only Q repeats
-    period += period[: i + (p_next != p)][::-1]
-    c = len(period) - 1
+    # the first centre c is 2i, or 2i + 1 when only Q repeats; the digits
+    # past it mirror all those stepped but a_c when c = 2i
+    halves = [_mirrored(period, p_next == p)]
+    c = 2 * i + (p_next != p)
     # Q_{-1} = Q_0 makes c = m - 1: the period is its own mirror image
     if q_back != q0:
         # state c + 1 is (P_0, Q_{-1}); the second centre c + m is found at
         # step (c + m) // 2, which a period within the cap reaches
         p, q_prev, q = p0, q0, q_back
+        second = []
+        append = second.append
         for j in range(c + 1, (c + cap - k) // 2 + 1):
             a = (p + s) // q
             append(a)
@@ -264,10 +286,19 @@ def cf_expand(x: QuadraticIrrational) -> CFExpansion:
         else:
             raise ValueError(_CAP_EXCEEDED)
         # the second centre c + m is 2j, or 2j + 1 when only Q repeats
-        period += period[c + 1 : j + (p_next != p)][::-1]
+        halves.append(_mirrored(second, p_next == p))
+    # the period is built from the stepped digits alone, with no copy of
+    # either half next to it
+    period = tuple(chain(*halves))
     if k + len(period) > cap:
         raise ValueError(_CAP_EXCEEDED)
-    return CFExpansion(tuple(preperiod), tuple(period))
+    return CFExpansion._of(tuple(preperiod), period)
+
+
+def _mirrored(stepped: list, at_digit: bool):
+    """The digits of stepped, then the same reversed; without its last
+    digit when the centre of symmetry is that digit."""
+    return chain(stepped, islice(reversed(stepped), at_digit, None))
 
 
 def is_reduced(x: QuadraticIrrational) -> bool:

@@ -1,12 +1,14 @@
 """Compare the CLI output of two checkouts on the benchmark's jobs.
 
     python tests/compare_outputs.py PARENT CHANGE --seeds 301..310
+    python tests/compare_outputs.py PARENT CHANGE --workloads ck_k0
 
-Builds every batch and edge job of the four workloads at each seed with
-bench/workloads.py of the checkout that holds this script (read only),
-runs each job as `python -m nclocal.cli` from PARENT/src and from
-CHANGE/src in the benchmark's environment, and prints every job whose
-exit code, stdout or stderr differ.  Exits 1 when any job differs.
+Builds every batch and edge job of the four workloads, or of those that
+--workloads names, at each seed with bench/workloads.py of the checkout
+that holds this script (read only), runs each job as `python -m
+nclocal.cli` from PARENT/src and from CHANGE/src in the benchmark's
+environment, and prints every job whose exit code, stdout or stderr
+differ.  Exits 1 when any job differs.
 
 A manual tool, not a test: at ten seeds it runs 280 jobs on each
 side, one at a time, and takes a few minutes.
@@ -56,14 +58,19 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout whose output is the reference")
     parser.add_argument("change", type=Path, help="checkout to compare with it")
     parser.add_argument("--seeds", default="301..310", help='"lo..hi" or "a,b,..."')
+    parser.add_argument("--workloads", default=",".join(workloads.WORKLOADS), help='"NAME[,NAME]"')
     args = parser.parse_args(argv)
+    names = args.workloads.split(",")
+    for name in names:
+        if name not in workloads.WORKLOADS:
+            parser.error(f"unknown workload {name!r}: choose from {', '.join(workloads.WORKLOADS)}")
     sides = [args.parent.resolve(), args.change.resolve()]
     for side in sides:
         if not (side / "src" / "nclocal" / "cli.py").is_file():
             parser.error(f"{side} is not an nclocal checkout")
 
     total, differ = 0, 0
-    for name in workloads.WORKLOADS:
+    for name in names:
         for seed in parse_seeds(args.seeds):
             workload = workloads.build(name, seed)
             for kind, jobs in (("batch", workload.batch), ("edge", workload.edges)):

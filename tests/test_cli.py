@@ -1,17 +1,20 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from math import isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nclocal import cli
+from nclocal import cli, quadratic_cf
 from nclocal.cli import _cmd_cf, _render_json, main
 
 from intmat_oracle import ck_family
@@ -55,6 +58,23 @@ class TestCf:
         code, out, err = run(capsys, "cf", f"(1+sqrt({d}))/1")
         assert code == 2 and out == ""
         assert err == "error: guard exceeded: D has more than 22 digits\n"
+
+    def test_peak_memory_per_period_digit(self):
+        # tracemalloc's peak over a whole run is about 26 bytes a digit: the
+        # list of the period's ints, its text in the display and the JSON
+        # text of the list, 8 + 3 + 7 bytes, and the output written in
+        # slices; one more copy of the period, as a sequence of 8-byte
+        # pointers or as text, passes the bound
+        args = ["cf", "sqrt(1000000123)"]  # 24,638 digits
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(args)  # imports and caches outside the measurement
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak / 24638 < 28
 
 
 class TestMatrix:
@@ -413,9 +433,18 @@ class TestRenderJson:
         assert render(value) == json.dumps(value, indent=2)
 
     def test_long_int_lists_render_as_json_dumps(self):
-        for n in (0, 1, 8191, 8192, 8193, 2 * 8192 + 5):
+        # about the blocks in which the ints are joined
+        b = cli._INT_BLOCK
+        for n in (0, 1, b - 1, b, b + 1, 2 * b + 5):
             value = {"n": n, "ints": [(-1) ** i * i * 10**18 for i in range(n)], "bools": [True, 1, False]}
             assert render(value) == json.dumps(value, indent=2)
+
+    def test_long_strings_render_as_json_dumps(self):
+        # past _TEXT_SLICE a string that needs no escapes is printed itself
+        n = cli._TEXT_SLICE
+        for tail in ("", "a", '"', "\\", "\n", "\x1f", "\x7f", "\u00e9", "\ud800"):
+            for text in ("x" * (n - 1) + tail, "x" * n + tail, tail + "y" * (2 * n)):
+                assert render({"s": [text]}) == json.dumps({"s": [text]}, indent=2)
 
     def test_tuples_and_non_string_keys_render_like_json(self):
         value = {1: (1, 2), 2.5: ((), [()]), None: {True: (None, "x")}, False: [1.5, -0.0, 10**30]}
@@ -435,6 +464,29 @@ class TestRenderJson:
         with contextlib.redirect_stdout(out):
             code = main(["cf", value])
         assert code == 0 and out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    def test_cf_digits_across_blocks_and_slices(self, capsys):
+        # k + 1/x taken 4100 times over the reduced sqrt(D) + isqrt(D), whose
+        # period has 24,638 digits: a preperiod past _BLOCK digits, and a
+        # display and period past _TEXT_SLICE characters
+        d = 1000000123
+        p, q = isqrt(d), 1
+        for k in range(4100):
+            p, q = -p, (d - p * p) // q
+            p += (1 + k % 3) * q
+        value = f"({p}+sqrt({d}))/{q}"
+        code, out, _ = run(capsys, "cf", value)
+        data = json.loads(out)
+        assert code == 0 and len(data["preperiod"]) > quadratic_cf._BLOCK and len(data["period"]) == 24638
+        assert len(data["display"]) > cli._TEXT_SLICE
+        payload, _ = _cmd_cf(argparse.Namespace(value=value))
+        plain = {k: list(v) if isinstance(v, list) else v for k, v in payload.items()}
+        assert out == json.dumps(plain, indent=2) + "\n"
+        code, out, _ = run(capsys, "cf", value, "--format", "csv")
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert code == 0 and row == {
+            k: json.dumps(v) if isinstance(v, list) else str(v) for k, v in data.items()
+        }
 
 
 class TestBrokenPipe:

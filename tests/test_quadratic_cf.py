@@ -246,7 +246,9 @@ class TestExpand:
         assert str(cf_expand(SQRT2)) == "[1; (2)]"
 
     def test_display_of_long_periods_is_one_plain_join(self):
-        for m in (8191, 8192, 8193, 3 * 8192 + 1):
+        # about the blocks in which the digits are joined
+        b = quadratic_cf._BLOCK
+        for m in (b - 1, b, b + 1, 2 * b + 5):
             period = (1,) * (m - 1) + (2,)
             assert str(CFExpansion((), period)) == "[(" + ", ".join(map(str, period)) + ")]"
             pre = (-3,) + (7,) * m
@@ -405,17 +407,30 @@ class TestMirroredPeriods:
     oracle of cf_oracle, and against the cf_value round trip where the
     values are small."""
 
-    def test_symmetric_and_asymmetric_family(self):
-        kinds = [0, 0]
+    @staticmethod
+    def family():
         for d in range(2, 3000, 7):
             if isqrt(d) ** 2 == d:
                 continue
             for p in range(-3, 4):
                 for q in (1, 2, 3, 5, -4):
-                    exp = _assert_expands_as_the_oracle(QuadraticIrrational(p, d, q))
-                    kinds[_is_mirror_symmetric(exp.period)] += 1
+                    yield QuadraticIrrational(p, d, q)
+
+    def test_symmetric_and_asymmetric_family(self):
+        kinds = [0, 0]
+        for x in self.family():
+            exp = _assert_expands_as_the_oracle(x)
+            kinds[_is_mirror_symmetric(exp.period)] += 1
         # neither kind may drop out of the family unnoticed
         assert min(kinds) >= 1000, kinds
+
+    def test_no_digit_after_a0_below_1(self):
+        # cf_expand builds its result without the digit scans of the
+        # public constructor, which must accept it unchanged
+        for x in self.family():
+            exp = cf_expand(x)
+            assert min(exp.period) >= 1 and all(a >= 1 for a in exp.preperiod[1:]), x
+            assert CFExpansion(exp.preperiod, exp.period) == exp
 
     def test_periods_of_length_one_and_two(self):
         for n in range(1, 40):
