@@ -1,8 +1,9 @@
 """Limits and defaults that the CLI reads before any math runs.
 
 They live apart from the modules that use them, so that building the
-argument parser and checking --p imports none of elliptic, functor or
-zeta.  Each of those modules re-exports its own.
+argument parser, checking --p and rendering the output import none of
+elliptic, functor, quadratic_cf or zeta.  Each of those modules
+re-exports its own.
 """
 
 # measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11
@@ -15,3 +16,6 @@ AP_GUARD = 10**12
 MAX_LEVEL = 6
 # series order of zeta when --order is not given
 DEFAULT_ORDER = 6
+# most strings joined in one str.join, which first makes a sequence of
+# every string it is given: the cf display and the JSON int lists
+JOIN_BLOCK = 4096

@@ -22,7 +22,7 @@ from math import log10, sqrt
 
 # each handler imports the modules it runs, so that `--help`, `cf`,
 # `matrix` and `k0` load no curve code
-from ._limits import AP_GUARD, DEFAULT_ORDER, MAX_LEVEL
+from ._limits import AP_GUARD, DEFAULT_ORDER, JOIN_BLOCK, MAX_LEVEL
 
 # integers in a --primes range, on one core of a 2-vCPU VM: the 337 primes
 # just below AP_GUARD take 8.2-9.8 s at the default order on a curve
@@ -111,10 +111,10 @@ def _cmd_cf(args) -> tuple:
     # sequence as long as the period exists twice
     preperiod, period = list(exp.preperiod), _IntList(exp.period)
     del exp
-    display = _display(preperiod, period)
-    # the period prints from its text in the display, between "(" and ")]",
-    # so each digit is converted to text once
-    period.text, period.start, period.stop = display, display.index("(") + 1, len(display) - 2
+    # the period prints from its text in the display, so each digit is
+    # converted to text once
+    period.text, period.start, period.stop = _display(preperiod, period)
+    display = period.text
     payload = {
         "input": str(x),
         "value_approx": approx,
@@ -270,10 +270,7 @@ def _cmd_catalog(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-# ints joined into one string at a time, and most characters written at
-# once: str.join first makes a sequence of every string it is given, and a
-# write first encodes all of its text
-_INT_BLOCK = 4096
+# most characters written at once: a write first encodes all of its text
 _TEXT_SLICE = 1 << 16
 
 
@@ -283,7 +280,7 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
 
     Containers recurse, and strings and ints are encoded directly; any
     other scalar goes through json.dumps.  A list of plain ints is joined
-    _INT_BLOCK ints at a time, and an _IntList is printed from its text,
+    JOIN_BLOCK ints at a time, and an _IntList is printed from its text,
     _TEXT_SLICE characters at a time.  A string longer than _TEXT_SLICE
     that needs no escapes is appended itself, between quotes.  `indent`
     is the newline and indentation of the enclosing level.
@@ -310,8 +307,8 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
                 start = end + 2
             pieces.append(text[start:stop].replace(", ", sep))
         elif all(type(v) is int for v in o):
-            for i in range(0, len(o), _INT_BLOCK):
-                pieces += (sep.join(map(int.__repr__, o[i : i + _INT_BLOCK])), sep)
+            for i in range(0, len(o), JOIN_BLOCK):
+                pieces += (sep.join(map(int.__repr__, o[i : i + JOIN_BLOCK])), sep)
             pieces.pop()
         else:
             for i, v in enumerate(o):

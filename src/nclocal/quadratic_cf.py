@@ -21,6 +21,7 @@ from math import gcd, isqrt, lcm
 
 from ._factor import factorize, squarefree_split
 from ._frozen import Frozen
+from ._limits import JOIN_BLOCK
 from .intmat import IntMatrix, identity
 
 __all__ = [
@@ -121,25 +122,25 @@ class QuadraticIrrational(Frozen):
         raise ValueError(f"cannot parse quadratic irrational {text!r}")
 
 
-# digits joined into one string at a time: str.join first makes a
-# sequence of every string it is given
-_BLOCK = 4096
-
-
-def _display(preperiod: Sequence[int], period: Sequence[int]) -> str:
+def _display(preperiod: Sequence[int], period: Sequence[int]) -> tuple:
     """"[a0; a1, ..., (b1, ..., bm)]", or "[(b1, ..., bm)]" when purely
-    periodic.  Each distinct digit is converted to text once: the period
-    of (1+sqrt(1000000000039))/1 has 532,572 digits of 1,103 distinct
-    values.  The digits are joined _BLOCK at a time, so that the display
-    is the only text as long as the period."""
+    periodic, with the start and stop of the period's text in it: the
+    period's digits joined by ", " are display[start:stop].  Each distinct
+    digit is converted to text once: the period of (1+sqrt(1000000000039))/1
+    has 532,572 digits of 1,103 distinct values.  The digits are joined
+    JOIN_BLOCK at a time, so that the display is the only text as long as
+    the period."""
     text = {a: str(a) for a in {*preperiod, *period}}.__getitem__
     parts = [f"[{preperiod[0]}; " if preperiod else "["]
     for digits, opening in ((preperiod[1:], ""), (period, "(")):
         parts.append(opening)
-        for i in range(0, len(digits), _BLOCK):
-            parts += (", ".join(map(text, digits[i : i + _BLOCK])), ", ")
+        # the text of digits starts here; the period's is the one kept
+        start = sum(map(len, parts))
+        for i in range(0, len(digits), JOIN_BLOCK):
+            parts += (", ".join(map(text, digits[i : i + JOIN_BLOCK])), ", ")
     parts[-1] = ")]"
-    return "".join(parts)
+    display = "".join(parts)
+    return display, start, len(display) - 2
 
 
 def _floor_quadratic(p: int, s: int, q: int) -> int:
@@ -147,19 +148,6 @@ def _floor_quadratic(p: int, s: int, q: int) -> int:
     if q > 0:
         return (p + s) // q
     return -((p + s) // (-q)) - 1
-
-
-def _check_minimal(per: tuple) -> None:
-    """Refuse a period that is a proper power of a shorter word."""
-    m = len(per)
-    # a word that is a proper power is a power of prime exponent; its
-    # first 8 digits tell most shifts s apart before a whole slice is made
-    if any(
-        per[s : s + 8] == per[: min(8, m - s)] and per[s:] == per[: m - s]
-        for s in (m // ell for ell in factorize(m))
-    ):
-        k = next(k for k in range(1, m) if m % k == 0 and per[k:] == per[: m - k])
-        raise ValueError(f"period {per} is not minimal (repeats with length {k})")
 
 
 class CFExpansion(Frozen):
@@ -181,17 +169,16 @@ class CFExpansion(Frozen):
             raise ValueError("period entries must be >= 1")
         if any(a < 1 for a in preperiod[1:]):
             raise ValueError("preperiod entries after a0 must be >= 1")
-        _check_minimal(period)
+        per, m = period, len(period)
+        # a word that is a proper power is a power of prime exponent; its
+        # first 8 digits tell most shifts s apart before a whole slice is made
+        if any(
+            per[s : s + 8] == per[: min(8, m - s)] and per[s:] == per[: m - s]
+            for s in (m // ell for ell in factorize(m))
+        ):
+            k = next(k for k in range(1, m) if m % k == 0 and per[k:] == per[: m - k])
+            raise ValueError(f"period {per} is not minimal (repeats with length {k})")
         super().__init__(preperiod, period)
-
-    @classmethod
-    def _of(cls, preperiod: tuple, period: tuple) -> "CFExpansion":
-        # digits of cf_expand: every complete quotient after x itself
-        # exceeds 1, so the digits after a0 are >= 1
-        _check_minimal(period)
-        exp = cls.__new__(cls)
-        Frozen.__init__(exp, preperiod, period)
-        return exp
 
     @property
     def is_purely_periodic(self) -> bool:
@@ -200,7 +187,7 @@ class CFExpansion(Frozen):
     def __str__(self) -> str:
         """"[a0; a1, ..., (b1, ..., bm)]", or "[(b1, ..., bm)]" when purely
         periodic."""
-        return _display(self.preperiod, self.period)
+        return _display(self.preperiod, self.period)[0]
 
 
 def _reduced(p: int, q: int, s: int) -> bool:
@@ -261,7 +248,7 @@ def cf_expand(x: QuadraticIrrational) -> CFExpansion:
             break
         p = p_next
         if p == p0 and q == q0:
-            return CFExpansion._of(tuple(preperiod), tuple(period))
+            return CFExpansion(tuple(preperiod), tuple(period))
     else:
         raise ValueError(_CAP_EXCEEDED)
     # the first centre c is 2i, or 2i + 1 when only Q repeats; the digits
@@ -292,7 +279,7 @@ def cf_expand(x: QuadraticIrrational) -> CFExpansion:
     period = tuple(chain(*halves))
     if k + len(period) > cap:
         raise ValueError(_CAP_EXCEEDED)
-    return CFExpansion._of(tuple(preperiod), period)
+    return CFExpansion(tuple(preperiod), period)
 
 
 def _mirrored(stepped: list, at_digit: bool):

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nclocal import cli, quadratic_cf
+from nclocal import cli
+from nclocal._limits import JOIN_BLOCK
 from nclocal.cli import _cmd_cf, _render_json, main
 
 from intmat_oracle import ck_family
@@ -434,7 +435,7 @@ class TestRenderJson:
 
     def test_long_int_lists_render_as_json_dumps(self):
         # about the blocks in which the ints are joined
-        b = cli._INT_BLOCK
+        b = JOIN_BLOCK
         for n in (0, 1, b - 1, b, b + 1, 2 * b + 5):
             value = {"n": n, "ints": [(-1) ** i * i * 10**18 for i in range(n)], "bools": [True, 1, False]}
             assert render(value) == json.dumps(value, indent=2)
@@ -467,7 +468,7 @@ class TestRenderJson:
 
     def test_cf_digits_across_blocks_and_slices(self, capsys):
         # k + 1/x taken 4100 times over the reduced sqrt(D) + isqrt(D), whose
-        # period has 24,638 digits: a preperiod past _BLOCK digits, and a
+        # period has 24,638 digits: a preperiod past JOIN_BLOCK digits, and a
         # display and period past _TEXT_SLICE characters
         d = 1000000123
         p, q = isqrt(d), 1
@@ -477,7 +478,7 @@ class TestRenderJson:
         value = f"({p}+sqrt({d}))/{q}"
         code, out, _ = run(capsys, "cf", value)
         data = json.loads(out)
-        assert code == 0 and len(data["preperiod"]) > quadratic_cf._BLOCK and len(data["period"]) == 24638
+        assert code == 0 and len(data["preperiod"]) > JOIN_BLOCK and len(data["period"]) == 24638
         assert len(data["display"]) > cli._TEXT_SLICE
         payload, _ = _cmd_cf(argparse.Namespace(value=value))
         plain = {k: list(v) if isinstance(v, list) else v for k, v in payload.items()}

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from nclocal import quadratic_cf
 from nclocal._factor import squarefree_split
+from nclocal._limits import JOIN_BLOCK
 from nclocal.quadratic_cf import (
     CFExpansion,
     QuadraticIrrational,
@@ -247,13 +248,16 @@ class TestExpand:
 
     def test_display_of_long_periods_is_one_plain_join(self):
         # about the blocks in which the digits are joined
-        b = quadratic_cf._BLOCK
+        b = JOIN_BLOCK
         for m in (b - 1, b, b + 1, 2 * b + 5):
             period = (1,) * (m - 1) + (2,)
             assert str(CFExpansion((), period)) == "[(" + ", ".join(map(str, period)) + ")]"
             pre = (-3,) + (7,) * m
             text = "[-3; " + ", ".join(map(str, pre[1:] + ("(" + ", ".join(map(str, period)) + ")",))) + "]"
             assert str(CFExpansion(pre, period)) == text
+            for preperiod in ((), (-3,), pre):
+                display, start, stop = quadratic_cf._display(preperiod, period)
+                assert display[start:stop] == ", ".join(map(str, period))
         assert str(CFExpansion((5,), (1, 2))) == "[5; (1, 2)]"
 
     def test_cf_value_round_trip_family(self):
@@ -425,12 +429,10 @@ class TestMirroredPeriods:
         assert min(kinds) >= 1000, kinds
 
     def test_no_digit_after_a0_below_1(self):
-        # cf_expand builds its result without the digit scans of the
-        # public constructor, which must accept it unchanged
+        # every complete quotient after x itself exceeds 1
         for x in self.family():
             exp = cf_expand(x)
             assert min(exp.period) >= 1 and all(a >= 1 for a in exp.preperiod[1:]), x
-            assert CFExpansion(exp.preperiod, exp.period) == exp
 
     def test_periods_of_length_one_and_two(self):
         for n in range(1, 40):

@@ -74,9 +74,6 @@ UNREACHED = {
     "nclocal.ffield.ExtField.__repr__",
     "nclocal.ffield.FieldElement.__hash__",
     "nclocal.ffield.FieldElement.__repr__",
-    # the checked constructor, for library users: cf_expand builds its
-    # results through CFExpansion._of, without the digit scans
-    "nclocal.quadratic_cf.CFExpansion.__init__",
     # the field protocol over F_{p^n}, which the brute counts use and the
     # CLI runs over F_p only
     "nclocal.ffield.ExtField.zero",
