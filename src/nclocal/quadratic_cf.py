@@ -38,8 +38,8 @@ __all__ = [
 D_DIGITS_GUARD = 22
 
 # the state orbit is always finite, but can be long: a whole `cf` run that
-# reaches this cap took 0.23-0.32 s and 22 MB on one core of a 2-vCPU VM,
-# 0.18-0.19 s of it in cf_expand, which meets no centre of symmetry first
+# reaches this cap took 0.21-0.32 s and 22 MB on one core of a 2-vCPU VM,
+# 0.15-0.19 s of it in cf_expand, which meets no centre of symmetry first
 _MAX_CF_STATES = 10**6
 _CAP_EXCEEDED = "guard exceeded: continued fraction has more than 10^6 states"
 
