@@ -1,12 +1,15 @@
 """Cuntz-Krieger K-theory data.
 
-Builds the Cuntz-Krieger matrix of levels 1..n (L_p^n for the 2x2
+``epsilons`` builds the Cuntz-Krieger matrices of levels 1..n, for
+localize, the zeta comparison and the tests alike: L_p^n for the 2x2
 companion-style matrix L_p at good primes, one step on four ints per
-level; the 1x1 matrix (1 - alpha^n) at bad primes), and computes K0 as
-the cokernel of I minus the transposed matrix: invariant factors by
-elimination modulo the determinant, order via |det|, in closed form at
-2x2.  An infinite K0 is reported as order 0 so the corresponding local
-factor degenerates to 1.
+level, and the 1x1 matrix (1 - alpha^n) at bad primes.  It takes the
+prime field whose construction tested p; ``build_lp``, the checked
+constructor of L_p alone, tests p itself.  K0 is the cokernel of I
+minus the transposed matrix: invariant factors by elimination modulo
+the determinant, order via |det|, in closed form at 2x2.  An infinite
+K0 is reported as order 0 so the corresponding local factor
+degenerates to 1.
 """
 
 from __future__ import annotations
@@ -70,9 +73,21 @@ def build_lp(trace_ap: int, p: int) -> IntMatrix:
     return IntMatrix(2, 2, (trace_ap, p, -1, 0))
 
 
-def _lp_powers(trace_ap: int, p: int, n_max: int) -> list:
-    """L_p^1, ..., L_p^n_max for a p its caller has already tested: each
-    level times L_p = (t, p; -1, 0) is (a, b; c, d) -> (at - b, ap; ct - d, cp)."""
+def epsilons(field, n_max: int, *, trace_ap: int | None = None, alpha: int | None = None) -> list:
+    """Cuntz-Krieger matrices of levels 1..n_max at the prime of ``field``,
+    a PrimeField, which tested p when it was built.  Given trace_ap, the
+    levels L_p^n, each times L_p = (t, p; -1, 0) stepped on four ints,
+    (a, b; c, d) -> (at - b, ap; ct - d, cp); given alpha, the 1x1
+    matrices (1 - alpha^n).  Exactly one of the two is given."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if (trace_ap is None) == (alpha is None):
+        raise ValueError("give exactly one of trace_ap and alpha")
+    if trace_ap is None:
+        if alpha not in (-1, 0, 1):
+            raise ValueError(f"alpha must be one of -1, 0, 1; got {alpha}")
+        return [IntMatrix(1, 1, (1 - alpha**n,)) for n in range(1, n_max + 1)]
+    p = field.p
     out = []
     a, b, c, d = 1, 0, 0, 1
     for _ in range(n_max):
@@ -81,27 +96,11 @@ def _lp_powers(trace_ap: int, p: int, n_max: int) -> list:
     return out
 
 
-def epsilons(p: int, n_max: int, good: bool, *, trace_ap: int | None = None, alpha: int | None = None) -> list:
-    """Cuntz-Krieger matrices of levels 1..n_max: L_p^n at a good prime,
-    checked by build_lp and stepped by ``_lp_powers``; the 1x1 matrix
-    (1 - alpha^n) at a bad one."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if good:
-        if trace_ap is None:
-            raise ValueError("good prime requires trace_ap")
-        build_lp(trace_ap, p)
-        return _lp_powers(trace_ap, p, n_max)
-    if alpha not in (-1, 0, 1):
-        raise ValueError(f"alpha must be one of -1, 0, 1; got {alpha}")
-    return [IntMatrix(1, 1, (1 - alpha**n,)) for n in range(1, n_max + 1)]
-
-
-def epsilon(p: int, n: int, good: bool, *, trace_ap: int | None = None, alpha: int | None = None) -> IntMatrix:
+def epsilon(field, n: int, *, trace_ap: int | None = None, alpha: int | None = None) -> IntMatrix:
     """Cuntz-Krieger matrix of level n alone: the last of ``epsilons``."""
     if n < 1:
         raise ValueError("n must be positive")
-    return epsilons(p, n, good, trace_ap=trace_ap, alpha=alpha)[-1]
+    return epsilons(field, n, trace_ap=trace_ap, alpha=alpha)[-1]
 
 
 def _presentation_matrix(m: IntMatrix) -> IntMatrix:

@@ -127,14 +127,33 @@ def _cmd_cf(args) -> tuple:
     return payload, False
 
 
-def _check_pow(m: IntMatrix, k: int) -> None:
-    """Bound the digits of m^k before computing it.  m is a product of
-    (a, 1; 1, 0), so is m^k: its largest entry is the top-left one, at most
-    tr(m^k) <= lambda^k + 1, lambda = (t + sqrt(t^2 + 4)) / 2 bounding the
-    dominant eigenvalue of a trace-t matrix with det +-1."""
+def _power_digits(m: IntMatrix, k: int) -> float:
+    """log10(lambda^k), lambda = (t + sqrt(t^2 - 4 det)) / 2 the dominant
+    eigenvalue of m, a product of (a, 1; 1, 0) with trace t and det +-1.
+    m^k is such a product too: its largest entry is the top-left one, at
+    most tr(m^k), and tr(m^k) = lambda^k + (det / lambda)^k is within 1
+    of lambda^k."""
     t = m.trace()
-    if k * (log10(t) + log10((1 + sqrt(1 + 4 / t**2)) / 2)) >= POW_DIGITS_GUARD - 1:
+    return k * (log10(t) + log10((1 + sqrt(1 - 4 * m.det() / t**2)) / 2))
+
+
+def _check_pow(m: IntMatrix, k: int) -> None:
+    """Bound the digits of m^k before computing it: below the estimate
+    POW_DIGITS_GUARD - 1, every entry of m^k has at most POW_DIGITS_GUARD
+    digits."""
+    if _power_digits(m, k) >= POW_DIGITS_GUARD - 1:
         raise ValueError(f"guard exceeded: entries of the power {k} may pass {POW_DIGITS_GUARD} digits")
+
+
+def _check_trace(period: list, p: int) -> None:
+    """Refuse exploration mode before tr(A^p) is computed when it surely
+    passes POW_DIGITS_GUARD digits, so that no output could print it: from
+    the estimate POW_DIGITS_GUARD + 1 on, tr(A^p) and the torus coefficient
+    |1 - tr(A^p) + p| both pass 10^POW_DIGITS_GUARD."""
+    from .quadratic_cf import incidence_matrix
+
+    if _power_digits(incidence_matrix(period), p) >= POW_DIGITS_GUARD + 1:
+        raise ValueError(f"guard exceeded: tr(A^{p}) of the period passes {POW_DIGITS_GUARD} digits")
 
 
 def _cmd_matrix(args) -> tuple:
@@ -184,8 +203,7 @@ def _cmd_k0(args) -> tuple:
 
 
 def _cmd_curve(args) -> tuple:
-    from .elliptic import WeierstrassModel, count_nonsingular, invariants, j_invariant
-    from .zeta import local_data
+    from .elliptic import WeierstrassModel, count_nonsingular, invariants, j_invariant, local_data
 
     if not 1 <= args.n <= MAX_LEVEL:
         raise ValueError(f"--n must be between 1 and {MAX_LEVEL}")
@@ -227,12 +245,14 @@ def _cmd_localize(args) -> tuple:
     _check_p(args.p)
     e = WeierstrassModel.parse(args.model)
     period = _parse_period(args.period) if args.period else None
+    if period is not None:
+        _check_trace(period, args.p)
     res = localize(e, args.p, args.nmax, period=period)
     return res.to_json_dict(), False
 
 
 def _cmd_zeta(args) -> tuple:
-    from .elliptic import WeierstrassModel
+    from .elliptic import WeierstrassModel, invariants
     from .zeta import lemma1_check
 
     if not 1 <= args.order <= ORDER_GUARD:
@@ -240,6 +260,13 @@ def _cmd_zeta(args) -> tuple:
     e = WeierstrassModel.parse(args.model)
     primes = _parse_primes(args.primes)
     period = _parse_period(args.period) if args.period else None
+    if period is not None:
+        # tr(A^p) is taken at the good primes only, the primes that do not
+        # divide the discriminant, and it grows with p
+        disc = invariants(e).disc
+        good = [p for p in primes if disc.numerator % p]
+        if good:
+            _check_trace(period, max(good))
     reports = lemma1_check(e, primes, args.order, period=period, mode=args.mode)
     payload = [r.to_json_dict() for r in reports]
     failed = any(r.good and r.verdict != "match" for r in reports)

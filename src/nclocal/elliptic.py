@@ -57,6 +57,7 @@ __all__ = [
     "trace_of_frobenius",
     "point_counts_via_recurrence",
     "LocalData",
+    "local_data",
     "group_structure",
     "isomorphic_over_closure",
     "AP_GUARD",
@@ -369,20 +370,20 @@ def _affine_count(e: WeierstrassModel) -> int:
     f = e.field
     if f.order > COUNT_GUARD:
         raise ValueError("guard exceeded: p^n > 10^6")
-    mul, zero = f.mul, f.zero()
+    mul = f.mul
     fibres = _fibres(f, _raw_consts(e))
     if f.char == 2:
         # y^2 + b y = c has one root when b = 0, else two iff
         # Tr(c / b^2) = 0 after the substitution y = b z
         return sum(
-            1 if b == zero else 2 * (_absolute_trace(f, mul(c, f.inv(mul(b, b)))) == 0)
+            1 if b == 0 else 2 * (_absolute_trace(f, mul(c, f.inv(mul(b, b)))) == 0)
             for _, b, c in fibres
         )
     four = f.from_int(4)
     total = 0
     for _, b, c in fibres:
         disc = f.add(mul(b, b), mul(four, c))
-        if disc == zero:
+        if disc == 0:
             total += 1
         elif is_square(f, disc):
             total += 2
@@ -446,7 +447,7 @@ def point_counts_via_recurrence(ap: int, p: int, n_max: int) -> list:
 
 class LocalData(Frozen):
     """A rational model at one prime: its reduction, the reduction type
-    and, at a good prime only, a_p; built by zeta.local_data."""
+    and, at a good prime only, a_p; built by local_data."""
 
     __slots__ = ("reduced", "reduction", "a_p")
     _optional = ("a_p",)
@@ -475,6 +476,15 @@ class LocalData(Frozen):
             group_structure(self.reduced, n, counts[n - 1]) if n == 1 or self.p**n <= EXT_FIELD_GUARD else None
             for n in range(1, n_max + 1)
         ]
+
+
+def local_data(e: WeierstrassModel, p: int) -> LocalData:
+    """Reduce a model over Q at p, classify the reduction and, at a good
+    prime, compute a_p: the one local pass that localize, theorem1_check,
+    the zeta factors, the Dirichlet coefficients and the CLI share."""
+    red = reduce_mod_p(e, p)
+    rt = classify_reduction(red)
+    return LocalData(red, rt, trace_of_frobenius(red) if rt.is_good else None)
 
 
 # ---------------------------------------------------------------------------

@@ -242,12 +242,6 @@ class PrimeField:
     def order(self) -> int:
         return self.p
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, k: int):
         return k % self.p
 
@@ -327,12 +321,6 @@ class ExtField:
     def order(self) -> int:
         return self.p**self.n
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, k: int):
         return k % self.p
 
@@ -405,9 +393,9 @@ def is_square(field, a) -> bool:
     odd order (0 counts as a square), always true in characteristic 2."""
     if field.char == 2:
         return True
-    if a == field.zero():
+    if a == 0:
         return True
-    return field.pow(a, (field.order - 1) // 2) == field.one()
+    return field.pow(a, (field.order - 1) // 2) == 1
 
 
 class FieldElement:

@@ -15,18 +15,18 @@ from collections.abc import Sequence
 
 from ._frozen import Frozen
 from ._limits import MAX_LEVEL
-from .ck_k0 import _lp_powers, build_lp, epsilons, k0_group
+from .ck_k0 import build_lp, epsilons, k0_group
 from .elliptic import (
     AdmissibleTransform,
     ReductionError,
     ReductionType,
     WeierstrassModel,
     isomorphic_over_closure,
+    local_data,
     transform,
 )
 from .intmat import IntMatrix, mat_pow
 from .quadratic_cf import incidence_matrix
-from .zeta import local_data
 
 __all__ = [
     "LocalizationResult",
@@ -104,8 +104,7 @@ def localize(
     except ReductionError as err:
         raise ValueError(f"{err}; apply a clearing transform first") from None
     rt, ap = local.reduction, local.a_p
-    # local_data's PrimeField(p) has tested p
-    descriptors = tuple(_lp_powers(ap, p, n_max) if rt.is_good else epsilons(p, n_max, False, alpha=rt.alpha))
+    descriptors = tuple(epsilons(local.reduced.field, n_max, trace_ap=ap, alpha=rt.alpha))
     groups = tuple(k0_group(d) for d in descriptors)
     orders = tuple(g.order for g in groups)
     counts = tuple(local.point_counts(n_max))

@@ -3,7 +3,8 @@
 The curve side exponentiates point counts, the torus side K0 orders;
 the comparison engine compares the counts first, and lines up a torus
 series with the curve's coefficient for coefficient only where they
-differ.  Each prime is read once, by ``local_data``.  Counts are
+differ.  Each prime is read once, by ``elliptic.local_data``, and the
+levels of both sides come from ``ck_k0.epsilons``.  Counts are
 exponentiated in integers, with one Fraction per output coefficient.
 No floating point.
 """
@@ -16,21 +17,14 @@ from math import factorial
 
 from ._frozen import Frozen
 from ._limits import DEFAULT_ORDER
-from .ck_k0 import _lp_powers, epsilon, epsilons, k0_order, k0_signed_order
-from .elliptic import (
-    LocalData,
-    WeierstrassModel,
-    classify_reduction,
-    reduce_mod_p,
-    trace_of_frobenius,
-)
+from .ck_k0 import epsilon, epsilons, k0_order, k0_signed_order
+from .elliptic import LocalData, WeierstrassModel, local_data
 from .intmat import mat_pow
 from .quadratic_cf import incidence_matrix
 
 __all__ = [
     "TruncatedSeries",
     "LocalFactorReport",
-    "local_data",
     "lemma1_check",
     "dirichlet_coefficients",
     "euler_factor_polynomial",
@@ -50,20 +44,6 @@ class TruncatedSeries(Frozen):
         # a Fraction is immutable, so only other inputs are converted
         super().__init__(tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients))
 
-    @classmethod
-    def from_list(cls, coeffs: Sequence, order: int) -> "TruncatedSeries":
-        cs = list(coeffs)[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(tuple(cs))
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_list([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_list([1], order)
-
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
@@ -71,14 +51,6 @@ class TruncatedSeries(Frozen):
     def _check(self, other: "TruncatedSeries"):
         if self.order != other.order:
             raise ValueError("truncation orders differ")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
@@ -139,15 +111,6 @@ def _exp_counts(counts: Sequence[int], order: int) -> TruncatedSeries:
     """exp(sum c_n z^n / n) for integers c_n, in integers (_exp_scaled),
     with one Fraction per coefficient."""
     return _series_of_scaled(_exp_scaled(counts, order))
-
-
-def local_data(e: WeierstrassModel, p: int) -> LocalData:
-    """Reduce a model over Q at p, classify the reduction and, at a good
-    prime, compute a_p: the one local pass that localize, theorem1_check,
-    the zeta factors, the Dirichlet coefficients and the CLI share."""
-    red = reduce_mod_p(e, p)
-    rt = classify_reduction(red)
-    return LocalData(red, rt, trace_of_frobenius(red) if rt.is_good else None)
 
 
 def euler_factor_polynomial(ap: int, p: int) -> list:
@@ -243,18 +206,20 @@ def lemma1_check(
         rt = local.reduction
         counts = local.point_counts(order)
         curve = _curve_series(local, counts, order)
+        trace_slot = local.a_p
+        if a_matrix is not None and rt.is_good:
+            trace_slot = mat_pow(a_matrix, p).trace()
+        levels = epsilons(local.reduced.field, order, trace_ap=trace_slot, alpha=rt.alpha)
         if rt.is_good:
-            trace_slot = mat_pow(a_matrix, p).trace() if a_matrix is not None else local.a_p
-            # local_data's PrimeField(p) has tested p; equal counts have equal exp series
-            orders = [order_of(m) for m in _lp_powers(trace_slot, p, order)]
+            # equal counts have equal exp series
+            orders = [order_of(m) for m in levels]
             torus = curve if orders == counts else _exp_counts(orders, order)
-            signed = alpha = None
+            signed = None
             compared = torus
         else:
-            alpha = rt.alpha
             # one signed order per level, alpha^n, feeds both conventions;
             # they differ only when alpha = -1 makes some of them negative
-            orders = [k0_signed_order(d) for d in epsilons(p, order, False, alpha=alpha)]
+            orders = [k0_signed_order(d) for d in levels]
             torus = _exp_counts([abs(n) for n in orders], order)
             signed = torus if min(orders) >= 0 else _exp_counts(orders, order)
             compared = signed if mode == "signed" else torus
@@ -263,7 +228,7 @@ def lemma1_check(
             LocalFactorReport(
                 p=p,
                 good=rt.is_good,
-                alpha=alpha,
+                alpha=rt.alpha,
                 curve_series=curve,
                 torus_series=torus,
                 torus_series_signed=signed,
@@ -310,7 +275,7 @@ def dirichlet_coefficients(e: WeierstrassModel, x: int) -> list:
         if data.reduction.is_good:
             ap = data.a_p
             curve_side = _local_dirichlet(ap, p, x, p)
-            torus_ap = p + 1 - k0_order(epsilon(p, 1, True, trace_ap=ap))
+            torus_ap = p + 1 - k0_order(epsilon(data.reduced.field, 1, trace_ap=ap))
             torus_side = _local_dirichlet(torus_ap, p, x, p)
             if curve_side != torus_side:
                 raise RuntimeError(f"curve and torus local coefficients differ at p={p}")

@@ -2,13 +2,16 @@
 
     python tests/compare_outputs.py PARENT CHANGE --seeds 301..310
     python tests/compare_outputs.py PARENT CHANGE --workloads ck_k0
+    python tests/compare_outputs.py PARENT CHANGE --reach
 
 Builds every batch and edge job of the four workloads, or of those that
 --workloads names, at each seed with bench/workloads.py of the checkout
 that holds this script (read only), runs each job as `python -m
 nclocal.cli` from PARENT/src and from CHANGE/src in the benchmark's
 environment, and prints every job whose exit code, stdout or stderr
-differ.  Exits 1 when any job differs.
+differ.  Exits 1 when any job differs.  With --reach the jobs are the
+commands of tests/test_reach.py instead: bad primes, p = 2, --mode
+signed, --period and CSV output, which no benchmark job runs.
 
 A manual tool, not a test: at ten seeds it runs 280 jobs on each
 side, one at a time, and takes a few minutes.
@@ -26,7 +29,8 @@ import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 FIELDS = ("exit code", "stdout", "stderr")
@@ -53,12 +57,34 @@ def run_job(checkout: Path, args: tuple) -> tuple:
     return proc.returncode, out, err
 
 
+def benchmark_jobs(names: list, seeds: list):
+    """(label, args) of every batch and edge job of the named workloads at
+    each seed."""
+    for name in names:
+        for seed in seeds:
+            workload = workloads.build(name, seed)
+            for kind, jobs in (("batch", workload.batch), ("edge", workload.edges)):
+                for job in jobs:
+                    yield f"{name} seed {seed} {kind}: {str(job)[:200]}", job.args
+
+
+def reach_jobs():
+    """(label, args) of the commands of tests/test_reach.py, which import
+    nclocal from the checkout that holds this script."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import test_reach
+
+    for args in test_reach.COMMANDS:
+        yield f"reach: {' '.join(args)[:200]}", tuple(args)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout whose output is the reference")
     parser.add_argument("change", type=Path, help="checkout to compare with it")
     parser.add_argument("--seeds", default="301..310", help='"lo..hi" or "a,b,..."')
     parser.add_argument("--workloads", default=",".join(workloads.WORKLOADS), help='"NAME[,NAME]"')
+    parser.add_argument("--reach", action="store_true", help="compare the commands of tests/test_reach.py instead")
     args = parser.parse_args(argv)
     names = args.workloads.split(",")
     for name in names:
@@ -70,18 +96,13 @@ def main(argv=None) -> int:
             parser.error(f"{side} is not an nclocal checkout")
 
     total, differ = 0, 0
-    for name in names:
-        for seed in parse_seeds(args.seeds):
-            workload = workloads.build(name, seed)
-            for kind, jobs in (("batch", workload.batch), ("edge", workload.edges)):
-                for job in jobs:
-                    parent, change = (run_job(side, job.args) for side in sides)
-                    total += 1
-                    diff = [f for f, a, b in zip(FIELDS, parent, change) if a != b]
-                    if diff:
-                        differ += 1
-                        text = str(job)
-                        print(f"DIFFERS ({', '.join(diff)}): {name} seed {seed} {kind}: {text[:200]}", flush=True)
+    for label, job_args in reach_jobs() if args.reach else benchmark_jobs(names, parse_seeds(args.seeds)):
+        parent, change = (run_job(side, job_args) for side in sides)
+        total += 1
+        diff = [f for f, a, b in zip(FIELDS, parent, change) if a != b]
+        if diff:
+            differ += 1
+            print(f"DIFFERS ({', '.join(diff)}): {label}", flush=True)
     print(f"{total - differ} of {total} jobs identical")
     return 1 if differ else 0
 

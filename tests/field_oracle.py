@@ -98,12 +98,6 @@ class TableField:
     degree = property(lambda self: self.n)
     order = property(lambda self: self.m + 1)
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, k: int):
         return k % self.p
 

@@ -23,7 +23,7 @@ from nclocal.elliptic import WeierstrassModel, _fibres, _raw_add, _raw_consts, _
 def affine_points(e: WeierstrassModel) -> Iterator:
     """All affine points of a model over its (small) field, raw values."""
     f = e.field
-    mul, zero = f.mul, f.zero()
+    mul = f.mul
     fibres = _fibres(f, _raw_consts(e))
     if f.char == 2:
         # y = b z turns y^2 + b y = c into z^2 + z = c / b^2
@@ -31,7 +31,7 @@ def affine_points(e: WeierstrassModel) -> Iterator:
         for z in range(f.order):
             halves.setdefault(f.add(mul(z, z), z), []).append(z)
         for x, b, c in fibres:
-            if b == zero:
+            if b == 0:
                 # y^2 = c: the Frobenius is bijective
                 yield (x, f.pow(c, f.order // 2))
             else:
@@ -47,7 +47,7 @@ def affine_points(e: WeierstrassModel) -> Iterator:
         r = roots.get(f.add(mul(b, b), mul(four, c)))
         if r is not None:
             yield (x, mul(f.sub(r, b), inv2))
-            if r != zero:
+            if r != 0:
                 yield (x, mul(f.sub(f.neg(r), b), inv2))
 
 

@@ -14,6 +14,7 @@ from nclocal.ck_k0 import (
     k0_order,
     k0_signed_order,
 )
+from nclocal.ffield import PrimeField
 from nclocal.intmat import IntMatrix, mat_pow
 from intmat_oracle import ck_family
 
@@ -36,21 +37,22 @@ class TestBuildLp:
 
 class TestEpsilon:
     def test_matrix_case(self):
-        assert epsilon(3, 2, True, trace_ap=0) == IntMatrix(2, 2, (-3, 0, 0, -3))
+        assert epsilon(PrimeField(3), 2, trace_ap=0) == IntMatrix(2, 2, (-3, 0, 0, -3))
 
     def test_scalar_cases(self):
-        assert epsilon(11, 1, False, alpha=1) == IntMatrix(1, 1, (0,))
-        assert epsilon(11, 2, False, alpha=-1) == IntMatrix(1, 1, (0,))
-        assert epsilon(11, 3, False, alpha=-1) == IntMatrix(1, 1, (2,))
-        assert epsilon(11, 2, False, alpha=0) == IntMatrix(1, 1, (1,))
+        assert epsilon(PrimeField(11), 1, alpha=1) == IntMatrix(1, 1, (0,))
+        assert epsilon(PrimeField(11), 2, alpha=-1) == IntMatrix(1, 1, (0,))
+        assert epsilon(PrimeField(11), 3, alpha=-1) == IntMatrix(1, 1, (2,))
+        assert epsilon(PrimeField(11), 2, alpha=0) == IntMatrix(1, 1, (1,))
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="alpha"):
-            epsilon(5, 1, False, alpha=2)
+            epsilon(PrimeField(5), 1, alpha=2)
 
-    def test_good_requires_trace(self):
-        with pytest.raises(ValueError):
-            epsilon(5, 1, True)
+    def test_exactly_one_of_trace_and_alpha(self):
+        for kwargs in ({}, {"trace_ap": 1, "alpha": 1}):
+            with pytest.raises(ValueError, match="exactly one of trace_ap and alpha"):
+                epsilon(PrimeField(5), 1, **kwargs)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -60,28 +62,26 @@ class TestEpsilon:
     )
     def test_epsilons_match_mat_pow(self, t, p, k):
         # one product per level against binary exponentiation, the oracle
-        levels = epsilons(p, k, True, trace_ap=t)
+        levels = epsilons(PrimeField(p), k, trace_ap=t)
         assert len(levels) == k
         for n, eps in enumerate(levels, 1):
             assert eps == mat_pow(build_lp(t, p), n)
-        assert epsilon(p, k, True, trace_ap=t) == levels[-1]
+        assert epsilon(PrimeField(p), k, trace_ap=t) == levels[-1]
 
     def test_epsilons_scalar_levels(self):
         for alpha in (-1, 0, 1):
-            levels = epsilons(11, 6, False, alpha=alpha)
+            levels = epsilons(PrimeField(11), 6, alpha=alpha)
             assert levels == [IntMatrix(1, 1, (1 - alpha**n,)) for n in range(1, 7)]
 
     def test_epsilons_validation(self):
-        assert epsilons(5, 0, True, trace_ap=1) == epsilons(5, 0, False, alpha=1) == []
+        assert epsilons(PrimeField(5), 0, trace_ap=1) == epsilons(PrimeField(5), 0, alpha=1) == []
         with pytest.raises(ValueError, match="nonnegative"):
-            epsilons(5, -1, True, trace_ap=1)
+            epsilons(PrimeField(5), -1, trace_ap=1)
         for n in (0, -1):
             with pytest.raises(ValueError, match="positive"):
-                epsilon(5, n, True, trace_ap=1)
-        with pytest.raises(ValueError, match="not prime"):
-            epsilons(6, 3, True, trace_ap=1)
+                epsilon(PrimeField(5), n, trace_ap=1)
         with pytest.raises(ValueError, match="alpha"):
-            epsilons(5, 3, False, alpha=2)
+            epsilons(PrimeField(5), 3, alpha=2)
 
 
 class TestAbelianGroupInv:
@@ -135,7 +135,7 @@ class TestK0:
         primes = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
         for t in range(-20, 21):
             for p in primes:
-                assert k0_order(epsilon(p, 1, True, trace_ap=t)) == abs(1 - t + p)
+                assert k0_order(epsilon(PrimeField(p), 1, trace_ap=t)) == abs(1 - t + p)
 
     def test_power_sum_recurrence(self):
         for t in (-4, -1, 0, 2, 6):
@@ -149,7 +149,7 @@ class TestK0:
 
     def test_bad_prime_orders(self):
         def orders(alpha):
-            return [k0_order(epsilon(7, n, False, alpha=alpha)) for n in range(1, 6)]
+            return [k0_order(epsilon(PrimeField(7), n, alpha=alpha)) for n in range(1, 6)]
 
         assert orders(1) == [1, 1, 1, 1, 1]
         assert orders(-1) == [1, 1, 1, 1, 1]
@@ -188,14 +188,14 @@ class TestSignedOrder:
                 for n in range(1, 6):
                     m = mat_pow(build_lp(t, p), n)
                     expected = (1 - m.at(0, 0)) * (1 - m.at(1, 1)) - m.at(0, 1) * m.at(1, 0)
-                    eps = epsilon(p, n, True, trace_ap=t)
+                    eps = epsilon(PrimeField(p), n, trace_ap=t)
                     assert k0_signed_order(eps) == expected
                     assert k0_order(eps) == abs(expected)
 
     def test_signed_order_at_bad_primes_is_alpha_power(self):
         for alpha in (-1, 0, 1):
             for n in range(1, 6):
-                assert k0_signed_order(epsilon(11, n, False, alpha=alpha)) == alpha**n
+                assert k0_signed_order(epsilon(PrimeField(11), n, alpha=alpha)) == alpha**n
 
     @staticmethod
     def _check_2x2(entries):

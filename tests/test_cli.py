@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from math import isqrt
 from pathlib import Path
@@ -350,6 +351,53 @@ class TestGuards:
             code, out, err = run(capsys, "matrix", "--period", period, "--pow", k)
             assert code == 2 and out == ""
             assert err == f"error: guard exceeded: entries of the power {k} may pass 4300 digits\n"
+
+    def test_exploration_trace_guard_refuses_before_any_work(self, capsys):
+        # tr(A^p) of the period [1] is the Lucas number L_p, of about 2.1 million digits here
+        for command, p_flag in (("zeta", "--primes"), ("localize", "--p")):
+            start = time.monotonic()
+            code, out, err = run(capsys, command, "--model", "[0,0,0,-1,0]", p_flag, "10000019", "--period", "1")
+            assert time.monotonic() - start < 1, command
+            assert code == 2 and out == ""
+            assert err == "error: guard exceeded: tr(A^10000019) of the period passes 4300 digits\n"
+
+    @staticmethod
+    def power_trace(t, det, p):
+        # tr(m^n) = t tr(m^(n-1)) - det tr(m^(n-2)) for a 2 x 2 m
+        s_prev, s = 2, t
+        for _ in range(p - 1):
+            s_prev, s = s, t * s - det * s_prev
+        return s
+
+    @pytest.mark.parametrize(
+        "period, t, det, p",
+        # tr(A^p) of 4300 digits, which prints: the matrix guard's margin would
+        # refuse both, and for the even period a bound that takes det = -1
+        # reads 4713 digits
+        [("3", 3, -1, 8287), ("2,1", 4, 1, 7517)],
+    )
+    def test_exploration_trace_guard_passes_what_prints(self, capsys, period, t, det, p):
+        trace = self.power_trace(t, det, p)
+        assert len(str(trace)) == 4300
+        args = ("--model", "[0,0,0,-1,0]", "--period", period)
+        code, out, _ = run(capsys, "localize", *args, "--p", str(p), "--nmax", "1")
+        assert code == 0 and json.loads(out)["exploration"]["trace_ap_matrix"] == trace
+        code, out, _ = run(capsys, "zeta", *args, "--primes", str(p), "--order", "1")
+        (report,) = json.loads(out)
+        assert code == 1 and report["torus_coeffs"] == ["1", str(abs(1 - trace + p))]
+
+    def test_exploration_trace_guard_skips_bad_primes(self, capsys):
+        # y^2 = x^3 + 20593 is bad at 20593, where no tr(A^p) is taken, and
+        # good at 20563, where L_20563 has 4298 digits
+        code, out, _ = run(
+            capsys, "zeta", "--model", "[0,0,0,0,20593]", "--primes", "20563,20593", "--order", "1", "--period", "1"
+        )
+        good, bad = json.loads(out)
+        assert code == 1 and good["good"] and not bad["good"]
+        assert good["torus_coeffs"] == ["1", str(abs(1 - self.power_trace(1, -1, 20563) + 20563))]
+        code, out, err = run(capsys, "zeta", "--model", "[0,0,0,-1,0]", "--primes", "20563,20593", "--period", "1")
+        assert code == 2 and out == ""
+        assert err == "error: guard exceeded: tr(A^20593) of the period passes 4300 digits\n"
 
 
 class TestBadPrimes:

@@ -64,6 +64,26 @@ def test_no_module_imports_the_tests():
     assert found == []
 
 
+# private names that one src module may import from another
+PRIVATE_IMPORTS = {("cli.py", "quadratic_cf", "_display")}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private helper is its module's own; another module that needs it
+    # calls the public name that owns the work
+    found = []
+    for path in sorted(Path(nclocal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nclocal")):
+                module = (node.module or "").removeprefix("nclocal").lstrip(".")
+                found += [
+                    (path.name, module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and (path.name, module, alias.name) not in PRIVATE_IMPORTS
+                ]
+    assert found == []
+
+
 # the start-up cost of every CLI run: dataclasses alone pulls in inspect,
 # ast, dis and tokenize
 SLOW_IMPORTS = ("dataclasses", "typing", "inspect")
@@ -112,6 +132,20 @@ def test_ck_subcommands_load_no_curve_code(args):
     # elimination: no Fraction, and no decimal behind it
     loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) == 0")
     assert loaded & (CURVE_MODULES | {"fractions", "decimal"}) == set()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["curve", "--model", "[0,0,0,-1,0]", "--p", "5", "--n", "2"],
+        ["localize", "--model", "[0,0,0,-1,0]", "--p", "5", "--nmax", "2"],
+        ["theorem1", "--model", "[0,0,0,-1,0]", "--p", "5", "--trials", "2"],
+    ],
+)
+def test_curve_subcommands_load_no_zeta(args):
+    # local_data sits beside LocalData in elliptic; only zeta needs the series
+    loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) == 0")
+    assert "nclocal.elliptic" in loaded and "nclocal.zeta" not in loaded
 
 
 def test_every_public_name_resolves_to_its_module_object():

@@ -119,8 +119,8 @@ class TestFieldArithmetic:
             assert field.mul(a, b) == field.mul(b, a)
             assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
             assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-            if a != field.zero():
-                assert field.mul(a, field.inv(a)) == field.one()
+            if a != 0:
+                assert field.mul(a, field.inv(a)) == 1
 
     @pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (2, 4)])
     def test_frobenius_is_additive_and_multiplicative(self, p, n):
@@ -184,10 +184,10 @@ class TestModulusIndependence:
         def orders(f):
             out = {}
             for a in range(f.order):
-                if a == f.zero():
+                if a == 0:
                     continue
                 k, acc = 1, a
-                while acc != f.one():
+                while acc != 1:
                     acc = f.mul(acc, a)
                     k += 1
                 out[k] = out.get(k, 0) + 1

@@ -18,13 +18,13 @@ from nclocal.elliptic import (
     classify_reduction,
     group_structure,
     invariants,
+    local_data,
     reduce_mod_p,
     transform,
 )
 from nclocal.elliptic import _points, _raw_consts
 from nclocal.ffield import PrimeField, finite_field
 from nclocal.functor import localize
-from nclocal.zeta import local_data
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)  # y^2 = x^3 - x
 CATALOG = {entry.label: entry.model for entry in load_catalog()}

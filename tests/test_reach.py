@@ -74,24 +74,14 @@ UNREACHED = {
     "nclocal.ffield.ExtField.__repr__",
     "nclocal.ffield.FieldElement.__hash__",
     "nclocal.ffield.FieldElement.__repr__",
-    # the field protocol over F_{p^n}, which the brute counts use and the
-    # CLI runs over F_p only
-    "nclocal.ffield.ExtField.zero",
-    "nclocal.ffield.ExtField.one",
     # names that bench/spans.py looks up, which tests/test_bench_spans.py
     # checks, so they stay until the benchmark is respanned: the counted
-    # FieldElement operators, the epsilon hook, and TruncatedSeries, whose
-    # __mul__ and reciprocal are spans and whose ring the series oracles
-    # of tests/zeta_oracle.py use
+    # FieldElement operators, the epsilon hook, and the TruncatedSeries
+    # spans __mul__ and reciprocal
     "nclocal.ffield.FieldElement.__rsub__",
     "nclocal.ffield.FieldElement.__rtruediv__",
     "nclocal.ffield.FieldElement.__pow__",
     "nclocal.ck_k0.epsilon",
-    "nclocal.zeta.TruncatedSeries.from_list",
-    "nclocal.zeta.TruncatedSeries.zero",
-    "nclocal.zeta.TruncatedSeries.one",
-    "nclocal.zeta.TruncatedSeries.__add__",
-    "nclocal.zeta.TruncatedSeries.__sub__",
     "nclocal.zeta.TruncatedSeries.__mul__",
     "nclocal.zeta.TruncatedSeries.reciprocal",
     # Dirichlet coefficients, whose bad primes wait on minimal models

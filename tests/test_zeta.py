@@ -8,15 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nclocal.ck_k0 import epsilons
-from nclocal.elliptic import LocalData, WeierstrassModel, classify_reduction, count_nonsingular, reduce_mod_p
+from nclocal.elliptic import (
+    LocalData,
+    WeierstrassModel,
+    classify_reduction,
+    count_nonsingular,
+    local_data,
+    reduce_mod_p,
+)
+from nclocal.ffield import PrimeField
 from nclocal.functor import localize
 from nclocal.intmat import mat_pow
 from nclocal.quadratic_cf import incidence_matrix
 from nclocal.zeta import TruncatedSeries, dirichlet_coefficients, euler_factor_polynomial, lemma1_check
-from nclocal.zeta import _curve_series, _exp_counts, local_data
+from nclocal.zeta import _curve_series, _exp_counts
 
 from field_oracle import at_level
-from zeta_oracle import curve_local_zeta, series_exp, series_log, torus_local_zeta
+from zeta_oracle import curve_local_zeta, series, series_add, series_exp, series_log, torus_local_zeta
 
 E_MINUS_X = WeierstrassModel.over_q(0, 0, 0, -1, 0)
 E_PLUS_1 = WeierstrassModel.over_q(0, 0, 0, 0, 1)
@@ -41,32 +49,32 @@ class TestSeriesArithmetic:
         assert s.coefficients[1] is half
 
     def test_exp_of_zero(self):
-        z = TruncatedSeries.zero(4)
-        assert series_exp(z) == TruncatedSeries.one(4)
+        z = series([], 4)
+        assert series_exp(z) == series([1], 4)
 
     def test_exp_of_z(self):
-        s = TruncatedSeries.from_list([0, 1], 3)
+        s = series([0, 1], 3)
         assert series_exp(s).coefficients == (1, 1, Fraction(1, 2), Fraction(1, 6))
 
     def test_exp_of_harmonic_is_geometric(self):
-        s = TruncatedSeries.from_list([0] + [Fraction(1, n) for n in range(1, 5)], 4)
+        s = series([0] + [Fraction(1, n) for n in range(1, 5)], 4)
         assert series_exp(s) == geometric(1, 4)
 
     def test_exp_requires_zero_constant(self):
         with pytest.raises(ValueError):
-            series_exp(TruncatedSeries.one(3))
+            series_exp(series([1], 3))
 
     def test_log_requires_unit_constant(self):
         with pytest.raises(ValueError):
-            series_log(TruncatedSeries.zero(3))
+            series_log(series([], 3))
 
     def test_mul_reciprocal(self):
-        s = TruncatedSeries.from_list([1, -3, 2, 5], 5)
-        assert s * s.reciprocal() == TruncatedSeries.one(5)
+        s = series([1, -3, 2, 5], 5)
+        assert s * s.reciprocal() == series([1], 5)
 
     def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries.one(3) + TruncatedSeries.one(4)
+        with pytest.raises(ValueError, match="truncation orders differ"):
+            series([1], 3) * series([1], 4)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -88,7 +96,7 @@ class TestSeriesArithmetic:
     def test_exp_is_homomorphism(self, t1, t2):
         a = TruncatedSeries(tuple([Fraction(0)] + t1))
         b = TruncatedSeries(tuple([Fraction(0)] + t2))
-        assert series_exp(a + b) == series_exp(a) * series_exp(b)
+        assert series_exp(series_add(a, b)) == series_exp(a) * series_exp(b)
 
 
 class TestExpCounts:
@@ -101,7 +109,7 @@ class TestExpCounts:
     @example(5, [])
     def test_matches_series_exp(self, order, counts):
         logs = [0] + [Fraction(c, n) for n, c in enumerate(counts[:order], 1)]
-        assert _exp_counts(counts, order) == series_exp(TruncatedSeries.from_list(logs, order))
+        assert _exp_counts(counts, order) == series_exp(series(logs, order))
 
     def test_non_integral_coefficients_stay_exact(self):
         assert _exp_counts([1], 4).coefficients == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
@@ -116,8 +124,8 @@ class TestCurveZeta:
 
     def test_p5_minus_x_closed_form(self):
         s = curve_local_zeta(E_MINUS_X, 5, 4)
-        numer = TruncatedSeries.from_list([1, 2, 5], 4)
-        denom = TruncatedSeries.from_list([1, -6, 5], 4)
+        numer = series([1, 2, 5], 4)
+        denom = series([1, -6, 5], 4)
         assert s == numer * denom.reciprocal()
 
     def test_constant_term_is_one(self):
@@ -131,8 +139,8 @@ class TestCurveZeta:
                 from nclocal.elliptic import trace_of_frobenius
 
                 ap = trace_of_frobenius(reduce_mod_p(e, p))
-                numer = TruncatedSeries.from_list(euler_factor_polynomial(ap, p), 6)
-                denom = TruncatedSeries.from_list([1, -(p + 1), p], 6)
+                numer = series(euler_factor_polynomial(ap, p), 6)
+                denom = series([1, -(p + 1), p], 6)
                 assert s == numer * denom.reciprocal()
 
     def test_bad_prime_counts_nonsingular_points(self):
@@ -149,7 +157,7 @@ class TestTorusZeta:
 
     def test_alpha_zero_constant_one(self):
         for k in (1, 3, 6, 9):
-            assert torus_local_zeta(11, k, good=False, alpha=0) == TruncatedSeries.one(k)
+            assert torus_local_zeta(11, k, good=False, alpha=0) == series([1], k)
 
     def test_alpha_one_geometric(self):
         assert torus_local_zeta(11, 3, good=False, alpha=1) == geometric(1, 3)
@@ -185,7 +193,7 @@ class TestLemma1Check:
         (report,) = lemma1_check(E_MINUS_X, [2], 4)
         assert not report.good and report.alpha == 0
         assert report.torus_series_signed is not None
-        assert report.torus_series == TruncatedSeries.one(4)
+        assert report.torus_series == series([1], 4)
 
     def test_exploration_mode_reports_without_guarantee(self):
         reports = lemma1_check(E_MINUS_X, [3, 5], 4, period=[2, 1])
@@ -264,7 +272,7 @@ class TestLemma1AgainstOracle:
             lemma1_check(E_MINUS_X, [2], mode="bogus")
 
     def test_lp_chain_tests_no_prime_again(self, monkeypatch):
-        # local_data's PrimeField(p) has tested p before the L_p chain is built
+        # the levels take the PrimeField that local_data built, which has tested p
         import nclocal.ck_k0 as ck_k0
 
         def refuse(n):
@@ -274,8 +282,11 @@ class TestLemma1AgainstOracle:
         lemma1_check(E_MINUS_X, [3, 5, 7], 4)
         lemma1_check(E_MINUS_X, [3, 5, 7], 4, period=[2, 1], mode="signed")
         localize(E_MINUS_X, 5, 3)
-        with pytest.raises(AssertionError, match="is_prime"):
-            epsilons(5, 3, True, trace_ap=1)
+        dirichlet_coefficients(E_MINUS_X, 30)
+        epsilons(PrimeField(5), 3, trace_ap=1)
+        # a composite p is refused where its field is built
+        with pytest.raises(ValueError, match="6 is not prime"):
+            PrimeField(6)
 
 
 class TestDirichlet:
@@ -319,16 +330,12 @@ class TestDirichlet:
 class TestLocalData:
     def test_good_prime(self):
         from nclocal.elliptic import trace_of_frobenius
-        from nclocal.zeta import local_data
-
         local = local_data(E_MINUS_X, 5)
         assert local.p == 5 and local.reduction.is_good
         assert local.a_p == trace_of_frobenius(local.reduced) == -2
         assert local.point_counts(3) == [8, 32, 104]
 
     def test_bad_prime(self):
-        from nclocal.zeta import local_data
-
         local = local_data(WeierstrassModel.over_q(0, 2, 0, 0, 0), 5)  # non-split node
         assert local.a_p is None and local.reduction.alpha == -1
         assert local.point_counts(3) == [5 + 1, 25 - 1, 125 + 1]
@@ -354,8 +361,8 @@ class TestLocalData:
 
     def test_wrong_a_p_check_survives_optimize_flag(self):
         code = (
-            "from nclocal.elliptic import LocalData, WeierstrassModel\n"
-            "from nclocal.zeta import _curve_series, local_data\n"
+            "from nclocal.elliptic import LocalData, WeierstrassModel, local_data\n"
+            "from nclocal.zeta import _curve_series\n"
             "local = local_data(WeierstrassModel.over_q(0, 0, 0, -1, 0), 5)\n"
             "counts = local.point_counts(6)\n"
             "_curve_series(LocalData(local.reduced, local.reduction, local.a_p + 1), counts, 6)\n"

@@ -2,7 +2,8 @@
 
 ``series_exp`` and ``series_log`` are the Fraction recurrences of
 E' = S'E on ``TruncatedSeries``; ``zeta`` exponentiates point counts
-and K0 orders in integers instead, so these are its oracle.
+and K0 orders in integers instead, so these are its oracle.  ``series``
+and ``series_add`` build and add series for them and for the tests.
 ``curve_local_zeta`` exponentiates the point counts of ``local_data``
 with ``series_exp``.  ``torus_local_zeta`` builds each level L_p^n as a
 product of IntMatrix values, takes its K0 order as the determinant of
@@ -17,8 +18,22 @@ from itertools import accumulate, repeat
 
 from nclocal._limits import DEFAULT_ORDER
 from nclocal.ck_k0 import _presentation_matrix, build_lp, epsilons
+from nclocal.elliptic import local_data
+from nclocal.ffield import PrimeField
 from nclocal.intmat import IntMatrix
-from nclocal.zeta import TruncatedSeries, local_data
+from nclocal.zeta import TruncatedSeries
+
+
+def series(coeffs, order):
+    """The series of coeffs, cut at order or padded with zeros to it."""
+    cs = list(coeffs)[: order + 1]
+    return TruncatedSeries(tuple(cs + [0] * (order + 1 - len(cs))))
+
+
+def series_add(a, b):
+    """a + b, coefficient by coefficient, at one truncation order."""
+    a._check(b)
+    return TruncatedSeries(tuple(x + y for x, y in zip(a.coefficients, b.coefficients)))
 
 
 def series_exp(s):
@@ -74,7 +89,7 @@ def torus_local_zeta(p, order=DEFAULT_ORDER, *, good, trace_ap=None, alpha=None,
             raise ValueError("good prime requires trace_ap")
         levels = accumulate(repeat(build_lp(trace_ap, p), order), IntMatrix.__mul__)
     else:
-        levels = epsilons(p, order, False, alpha=alpha)
+        levels = epsilons(PrimeField(p), order, alpha=alpha)
     dets = [_presentation_matrix(m).det() for m in levels]
     counts = dets if mode == "signed" else [abs(d) for d in dets]
     return _exp_sum(counts)
