@@ -1,6 +1,8 @@
 """Internal integer factorization helpers.
 
-Deterministic Miller-Rabin primality below 2^64, Brent-Pollard rho for
+Miller-Rabin primality on the first prime bases, as many as the size of
+n needs: exact below psi_13 = 3317044064679887385961981 (about 3.3e24),
+a strong probable-prime test on 13 bases beyond.  Brent-Pollard rho for
 larger composites, and squarefree decomposition.  Inputs at desk scale
 factor instantly; the rho loop is deterministic (fixed parameter sweep)
 so results are reproducible.
@@ -8,25 +10,41 @@ so results are reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import gcd, isqrt
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = _SMALL_PRIMES + (41,)
+# OEIS A014233: psi_k, the least odd composite that is a strong
+# probable prime to each of the first k prime bases, so that those k
+# bases decide every n < psi_k (Jaeschke, Math. Comp. 61 (1993) 915-926;
+# Sorenson and Webster, Math. Comp. 86 (2017) 985-1003 for psi_12, psi_13)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < 2^64 (and correct with
-    overwhelming margin beyond)."""
+    """Trial division by the primes up to 37, which decides n < 41^2,
+    then Miller-Rabin on the first k prime bases for the least k with
+    n < psi_k: exact for n < psi_13 = 3317044064679887385961981, and a
+    strong probable-prime test on all 13 bases from psi_13 on."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        # a composite this small has a prime factor up to 37
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -17,5 +17,5 @@ MAX_LEVEL = 6
 # series order of zeta when --order is not given
 DEFAULT_ORDER = 6
 # most strings joined in one str.join, which first makes a sequence of
-# every string it is given: the cf display and the JSON int lists
+# every string it is given: the cf display and the JSON int and string lists
 JOIN_BLOCK = 4096

@@ -27,15 +27,14 @@ from ._limits import AP_GUARD, DEFAULT_ORDER, JOIN_BLOCK, MAX_LEVEL
 # integers in a --primes range, on one core of a 2-vCPU VM: the 337 primes
 # just below AP_GUARD take 8.2-9.8 s at the default order on a curve
 # without CM (y^2 = x^3 + x + 1), almost all of it a_p by baby-step
-# giant-step, and 0.15-0.31 s as a process on the catalog curves cm-3,
-# cm-4, cm-67 and cm-163 (5 runs each, two sessions), where a_p is a
-# residue symbol
+# giant-step, and 0.15-0.20 s as a process on the catalog curves cm-3,
+# cm-4, cm-67 and cm-163 (5 runs each), where a_p is a residue symbol
 PRIMES_SPAN_GUARD = 10**4
 # largest series order of zeta; --primes 2..10001 at order 12 takes 0.95-1.15 s
 ORDER_GUARD = 12
 # most theorem1 trials; 100 at p = 999999999989 take 1.7-2.0 s as a
-# process on y^2 = x^3 + x + 1, without CM, and 0.10-0.11 s on
-# y^2 = x^3 - x, where a_p is a residue symbol (5 runs each)
+# process on y^2 = x^3 + x + 1, without CM (5 runs), and 0.11-0.13 s on
+# y^2 = x^3 - x, where a_p is a residue symbol (12 runs)
 TRIALS_GUARD = 100
 # largest k0 matrix, and most digits of the Hadamard bound on
 # |det(I - A^t)|; dense 120 x 120 matrices near the digit edge take 5.5-7 s
@@ -306,11 +305,12 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
     strings at a time.
 
     Containers recurse, and strings and ints are encoded directly; any
-    other scalar goes through json.dumps.  A list of plain ints is joined
-    JOIN_BLOCK ints at a time, and an _IntList is printed from its text,
-    _TEXT_SLICE characters at a time.  A string longer than _TEXT_SLICE
-    that needs no escapes is appended itself, between quotes.  `indent`
-    is the newline and indentation of the enclosing level.
+    other scalar goes through json.dumps.  A list of plain ints, or of
+    plain strings, is joined JOIN_BLOCK items at a time, and an _IntList
+    is printed from its text, _TEXT_SLICE characters at a time.  A string
+    longer than _TEXT_SLICE that needs no escapes is appended itself,
+    between quotes.  `indent` is the newline and indentation of the
+    enclosing level.
     """
     if type(o) is int:
         pieces.append(int.__repr__(o))
@@ -333,9 +333,10 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
                 pieces += (text[start:end].replace(", ", sep), sep)
                 start = end + 2
             pieces.append(text[start:stop].replace(", ", sep))
-        elif all(type(v) is int for v in o):
+        elif (kind := type(o[0])) in (int, str) and all(type(v) is kind for v in o):
+            encode = int.__repr__ if kind is int else encode_basestring_ascii
             for i in range(0, len(o), JOIN_BLOCK):
-                pieces += (sep.join(map(int.__repr__, o[i : i + JOIN_BLOCK])), sep)
+                pieces += (sep.join(map(encode, o[i : i + JOIN_BLOCK])), sep)
             pieces.pop()
         else:
             for i, v in enumerate(o):

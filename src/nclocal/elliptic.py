@@ -151,7 +151,7 @@ class WeierstrassModel(Frozen):
             a if isinstance(a, FieldElement) else FieldElement.of(field, a)
             for a in (a1, a2, a3, a4, a6)
         ]
-        return cls(*coeffs, field=field)
+        return cls(*coeffs, field)
 
     @classmethod
     def parse(cls, text: str) -> "WeierstrassModel":
@@ -277,9 +277,12 @@ def reduce_mod_p(e: WeierstrassModel, p: int) -> WeierstrassModel:
         raise ReductionError(str(err)) from None
     vals = []
     for a in e.coefficients:
-        if a.denominator % p == 0:
+        if a.denominator == 1:
+            vals.append(a.numerator % p)
+        elif a.denominator % p == 0:
             raise ReductionError(f"model not p-integral at p={p} (coefficient {a})")
-        vals.append(a.numerator * fp.inv(a.denominator % p) % p)
+        else:
+            vals.append(a.numerator * fp.inv(a.denominator % p) % p)
     return WeierstrassModel.over_field(fp, *vals)
 
 

@@ -37,9 +37,13 @@ class IntMatrix(Frozen):
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
-        # rows * cols ints that intmat's own arithmetic produced
-        m = cls.__new__(cls)
-        Frozen.__init__(m, rows, cols, entries)
+        # rows * cols ints that intmat's own arithmetic produced: the three
+        # slots are set directly, without Frozen.__init__'s argument binding
+        m = object.__new__(cls)
+        set_rows, set_cols, set_entries = cls._setters
+        set_rows(m, rows)
+        set_cols(m, cols)
+        set_entries(m, entries)
         return m
 
     @classmethod

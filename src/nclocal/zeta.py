@@ -20,7 +20,6 @@ from ._limits import DEFAULT_ORDER
 from .ck_k0 import epsilon, epsilons, k0_order, k0_signed_order
 from .elliptic import LocalData, WeierstrassModel, local_data
 from .intmat import mat_pow
-from .quadratic_cf import incidence_matrix
 
 __all__ = [
     "TruncatedSeries",
@@ -102,9 +101,18 @@ def _exp_scaled(counts: Sequence[int], order: int) -> list:
     return scaled
 
 
+# n! for n <= 20, past every series order the CLI allows
+_FACTORIALS = tuple(map(factorial, range(21)))
+
+
+def _factorials(order: int) -> tuple:
+    """0!, 1!, ..., order! and, up to order 20, further ones."""
+    return _FACTORIALS if order < len(_FACTORIALS) else tuple(map(factorial, range(order + 1)))
+
+
 def _series_of_scaled(scaled: list) -> TruncatedSeries:
     """The series whose coefficient n is Fraction(E_n, n!)."""
-    return TruncatedSeries(tuple(Fraction(e, factorial(n)) for n, e in enumerate(scaled)))
+    return TruncatedSeries(tuple(map(Fraction, scaled, _factorials(len(scaled) - 1))))
 
 
 def _exp_counts(counts: Sequence[int], order: int) -> TruncatedSeries:
@@ -131,8 +139,9 @@ def _curve_series(local: LocalData, counts: list, order: int) -> TruncatedSeries
         # E_n - (p+1) n E_{n-1} + p n(n-1) E_{n-2} = numerator_n n!
         numerator = euler_factor_polynomial(local.a_p, p) + [0] * order
         big = [0, 0] + scaled
+        facts = _factorials(order)
         if any(
-            big[n + 2] - (p + 1) * n * big[n + 1] + p * n * (n - 1) * big[n] != numerator[n] * factorial(n)
+            big[n + 2] - (p + 1) * n * big[n + 1] + p * n * (n - 1) * big[n] != numerator[n] * facts[n]
             for n in range(order + 1)
         ):
             raise RuntimeError(f"exp-sum and rational form disagree at p={p}, a_p={local.a_p}")
@@ -161,13 +170,11 @@ class LocalFactorReport(Frozen):
     first_mismatch: int | None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "good": self.good,
-            "curve_coeffs": [str(c) for c in self.curve_series.coefficients],
-            "torus_coeffs": [str(c) for c in self.torus_series.coefficients],
-            "verdict": self.verdict,
-        }
+        curve = [str(c) for c in self.curve_series.coefficients]
+        series = self.torus_series
+        # a torus side that is the curve series itself reuses its strings
+        torus = curve[:] if series is self.curve_series else [str(c) for c in series.coefficients]
+        out = {"p": self.p, "good": self.good, "curve_coeffs": curve, "torus_coeffs": torus, "verdict": self.verdict}
         if self.alpha is not None:
             out["alpha"] = self.alpha
         if self.torus_series_signed is not None:
@@ -196,7 +203,11 @@ def lemma1_check(
     signed orders alpha^n are never negative, ``torus_series_signed`` is
     ``torus_series``.
     """
-    a_matrix = incidence_matrix(period) if period is not None else None
+    a_matrix = None
+    if period is not None:
+        from .quadratic_cf import incidence_matrix
+
+        a_matrix = incidence_matrix(period)
     order_of = {"absolute": k0_order, "signed": k0_signed_order}.get(mode)
     if order_of is None:
         raise ValueError(f"unknown mode {mode!r}")
@@ -224,18 +235,8 @@ def lemma1_check(
             signed = torus if min(orders) >= 0 else _exp_counts(orders, order)
             compared = signed if mode == "signed" else torus
         mismatch = None if compared is curve else curve.first_mismatch(compared)
-        reports.append(
-            LocalFactorReport(
-                p=p,
-                good=rt.is_good,
-                alpha=rt.alpha,
-                curve_series=curve,
-                torus_series=torus,
-                torus_series_signed=signed,
-                verdict="match" if mismatch is None else "mismatch",
-                first_mismatch=mismatch,
-            )
-        )
+        verdict = "match" if mismatch is None else "mismatch"
+        reports.append(LocalFactorReport(p, rt.is_good, rt.alpha, curve, torus, signed, verdict, mismatch))
     return reports
 
 

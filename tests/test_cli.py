@@ -192,6 +192,11 @@ class TestZeta:
     def test_prime_range_guards(self, capsys, monkeypatch):
         import nclocal._factor
 
+        # the modules that bind is_prime at import load first, so that they
+        # keep the real one once the stub is undone
+        import nclocal.ck_k0
+        import nclocal.ffield  # noqa: F401
+
         def no_primality_tests(n):
             raise AssertionError("a guard must reject the range before any primality test")
 
@@ -469,6 +474,7 @@ JSON_VALUES = st.recursive(
     JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=6)
     | st.lists(st.integers(), max_size=6)
+    | st.lists(st.text(max_size=8), max_size=6)
     | st.dictionaries(st.text(max_size=8), inner, max_size=6),
     max_leaves=40,
 )
@@ -488,12 +494,34 @@ class TestRenderJson:
             value = {"n": n, "ints": [(-1) ** i * i * 10**18 for i in range(n)], "bools": [True, 1, False]}
             assert render(value) == json.dumps(value, indent=2)
 
+    def test_string_lists_render_as_json_dumps(self):
+        # escapes inside a joined block, and the blocks in which the strings
+        # are joined; a list that mixes kinds renders item by item
+        b = JOIN_BLOCK
+        lists = [
+            ['"', "\\", '\\"', "", "\x00\x1f\n\t\r\x7f", "\u00e9\u4e2d\U0001d11e\ud800", "-7/12", ""],
+            [""],
+            ["", ""],
+            ["a", 1],
+            [1, "a"],
+            ["a", True],
+        ]
+        lists += [[('"', "\\", "\u00e9")[i % 3] + str(i % 7) for i in range(n)] for n in (b - 1, b, b + 1, 2 * b + 5)]
+        for items in lists:
+            value = [{"p": 2, "curve_coeffs": items, "torus_coeffs": list(items), "verdict": "match"}]
+            assert render(value) == json.dumps(value, indent=2)
+            # CSV prints each list as json.dumps gives it
+            (row,) = csv.DictReader(io.StringIO(cli._render_csv(value)))
+            text = json.dumps(items)
+            assert row == {"p": "2", "curve_coeffs": text, "torus_coeffs": text, "verdict": "match"}
+
     def test_long_strings_render_as_json_dumps(self):
         # past _TEXT_SLICE a string that needs no escapes is printed itself
         n = cli._TEXT_SLICE
         for tail in ("", "a", '"', "\\", "\n", "\x1f", "\x7f", "\u00e9", "\ud800"):
             for text in ("x" * (n - 1) + tail, "x" * n + tail, tail + "y" * (2 * n)):
                 assert render({"s": [text]}) == json.dumps({"s": [text]}, indent=2)
+                assert render({"s": text}) == json.dumps({"s": text}, indent=2)
 
     def test_tuples_and_non_string_keys_render_like_json(self):
         value = {1: (1, 2), 2.5: ((), [()]), None: {True: (None, "x")}, False: [1.5, -0.0, 10**30]}

@@ -148,6 +148,15 @@ def test_curve_subcommands_load_no_zeta(args):
     assert "nclocal.elliptic" in loaded and "nclocal.zeta" not in loaded
 
 
+@pytest.mark.parametrize("period", [None, "2,1"])
+def test_zeta_loads_continued_fractions_only_for_a_period(period):
+    # the incidence matrix of a period is exploration mode's alone
+    args = ["zeta", "--model", "[0,0,0,-1,0]", "--primes", "2..30"] + (["--period", period] if period else [])
+    # exploration mode makes no pass guarantee, so its exit code may be 1
+    loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) in (0, 1)")
+    assert "nclocal.zeta" in loaded and ("nclocal.quadratic_cf" in loaded) == (period is not None)
+
+
 def test_every_public_name_resolves_to_its_module_object():
     # nclocal loads its names on first use; each must be the object its
     # module defines, not a copy
