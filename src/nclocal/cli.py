@@ -7,18 +7,23 @@ only after the whole document is rendered, so a failure never leaves
 part of one.  Exit codes: 0 on full pass, 1 when any verdict fails (a
 good-prime series mismatch or a failed transform trial), 2 on input
 error, 141 (128 + SIGPIPE) when the reader of stdout closes it early.
+
+A run loads only what its own subcommand and input need, since each
+job is a fresh interpreter: the parser adds the arguments of the named
+subcommand alone, each handler imports the modules it runs, and the
+json package is imported only for a string that needs escaping, a float
+that is not finite, CSV output, the catalog subcommand, or a model or
+matrix that is not plain text.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from collections.abc import Sequence
-from math import log10, sqrt
+from math import isfinite, log10, sqrt
 
 # each handler imports the modules it runs, so that `--help`, `cf`,
 # `matrix` and `k0` load no curve code
@@ -300,25 +305,58 @@ def _cmd_catalog(args) -> tuple:
 _TEXT_SLICE = 1 << 16
 
 
+def _plain(text: str) -> bool:
+    """Whether json.dumps writes text between quotes as it is: printable
+    ASCII without '"' or '\\'."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _quote(text: str) -> str:
+    """The text of json.dumps(text)."""
+    if _plain(text):
+        return f'"{text}"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+def _scalar(o) -> str:
+    """The text of json.dumps(o) for a scalar o: ints, finite floats, true,
+    false and null are written here, anything else by json itself."""
+    if type(o) is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if type(o) is float and isfinite(o):
+        return float.__repr__(o)
+    import json
+
+    return json.dumps(o)
+
+
 def _render_json(o, pieces: list, indent: str = "\n") -> None:
     """Append the text of json.dumps(o, indent=2) to pieces, a few
     strings at a time.
 
-    Containers recurse, and strings and ints are encoded directly; any
-    other scalar goes through json.dumps.  A list of plain ints, or of
+    Containers recurse, and scalars are written by _scalar.  A string
+    that needs no escapes is written between quotes as it is; any other
+    string goes through json's encoder.  A list of plain ints, or of
     plain strings, is joined JOIN_BLOCK items at a time, and an _IntList
-    is printed from its text, _TEXT_SLICE characters at a time.  A string
-    longer than _TEXT_SLICE that needs no escapes is appended itself,
-    between quotes.  `indent` is the newline and indentation of the
-    enclosing level.
+    is printed from its text, _TEXT_SLICE characters at a time.  A plain
+    string longer than _TEXT_SLICE is appended itself, not copied.
+    `indent` is the newline and indentation of the enclosing level.
     """
     if type(o) is int:
         pieces.append(int.__repr__(o))
     elif isinstance(o, str):
-        if len(o) > _TEXT_SLICE and o.isascii() and o.isprintable() and '"' not in o and "\\" not in o:
+        if len(o) > _TEXT_SLICE and _plain(o):
             pieces += ('"', o, '"')
         else:
-            pieces.append(encode_basestring_ascii(o))
+            pieces.append(_quote(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             pieces.append("[]")
@@ -334,9 +372,17 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
                 start = end + 2
             pieces.append(text[start:stop].replace(", ", sep))
         elif (kind := type(o[0])) in (int, str) and all(type(v) is kind for v in o):
-            encode = int.__repr__ if kind is int else encode_basestring_ascii
+            quoted_sep = f'"{sep}"'
             for i in range(0, len(o), JOIN_BLOCK):
-                pieces += (sep.join(map(encode, o[i : i + JOIN_BLOCK])), sep)
+                block = o[i : i + JOIN_BLOCK]
+                if kind is int:
+                    pieces.append(sep.join(map(int.__repr__, block)))
+                # plain strings joined are plain, and the other way round
+                elif _plain("".join(block)):
+                    pieces.append(f'"{quoted_sep.join(block)}"')
+                else:
+                    pieces.append(sep.join(map(_quote, block)))
+                pieces.append(sep)
             pieces.pop()
         else:
             for i, v in enumerate(o):
@@ -353,15 +399,16 @@ def _render_json(o, pieces: list, indent: str = "\n") -> None:
         for i, (k, v) in enumerate(o.items()):
             if i:
                 pieces.append("," + inner)
-            pieces.append(encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": ")
+            pieces.append(_quote(k if isinstance(k, str) else _scalar(k)) + ": ")
             _render_json(v, pieces, inner)
         pieces.append(indent + "}")
     else:
-        pieces.append(json.dumps(o))
+        pieces.append(_scalar(o))
 
 
 def _render_csv(payload) -> str:
     import csv
+    import json
 
     rows = payload if isinstance(payload, list) else [payload]
     buf = io.StringIO()
@@ -384,75 +431,82 @@ def _render_csv(payload) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given the argv it will parse,
+    one in which only the subcommand that argv names has its arguments.
+    Every subcommand is registered either way, so usage, help and error
+    texts are the same.  The top-level parser takes no option with a
+    value, so the first token that is not an option names the
+    subcommand."""
     parser = argparse.ArgumentParser(
         prog="nclocal",
         description="Exact-arithmetic localization of CM curves into Cuntz-Krieger data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((arg for arg in argv if not arg.startswith("-")), None)
+
+    def add(name: str, help_text: str, handler):
+        """Register a subcommand; its parser when it takes arguments here,
+        else None."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=handler)
+        return p if argv is None or name == named else None
 
     def add_format(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p_cf = sub.add_parser("cf", help="continued fraction of a quadratic irrational")
-    p_cf.add_argument("value", help='e.g. "(1+sqrt(5))/2" or "sqrt(2)"')
-    add_format(p_cf)
-    p_cf.set_defaults(func=_cmd_cf)
+    if p := add("cf", "continued fraction of a quadratic irrational", _cmd_cf):
+        p.add_argument("value", help='e.g. "(1+sqrt(5))/2" or "sqrt(2)"')
+        add_format(p)
 
-    p_mat = sub.add_parser("matrix", help="incidence matrix of a period")
-    p_mat.add_argument("--period", required=True, help="comma-separated, e.g. 2,1")
-    p_mat.add_argument("--pow", type=int, default=None)
-    add_format(p_mat)
-    p_mat.set_defaults(func=_cmd_matrix)
+    if p := add("matrix", "incidence matrix of a period", _cmd_matrix):
+        p.add_argument("--period", required=True, help="comma-separated, e.g. 2,1")
+        p.add_argument("--pow", type=int, default=None)
+        add_format(p)
 
-    p_k0 = sub.add_parser("k0", help="K0 invariant factors of a Cuntz-Krieger matrix")
-    p_k0.add_argument("--matrix", required=True, help='e.g. "[[0,3],[-1,0]]"')
-    add_format(p_k0)
-    p_k0.set_defaults(func=_cmd_k0)
+    if p := add("k0", "K0 invariant factors of a Cuntz-Krieger matrix", _cmd_k0):
+        p.add_argument("--matrix", required=True, help='e.g. "[[0,3],[-1,0]]"')
+        add_format(p)
 
-    p_curve = sub.add_parser("curve", help="invariants, reduction type, counts, groups")
-    p_curve.add_argument("--model", required=True, help='"[a1,a2,a3,a4,a6]", rationals as "n/d"')
-    p_curve.add_argument("--p", type=int, default=None)
-    p_curve.add_argument("--n", type=int, default=1, help=f"levels 1..{MAX_LEVEL}")
-    add_format(p_curve)
-    p_curve.set_defaults(func=_cmd_curve)
+    if p := add("curve", "invariants, reduction type, counts, groups", _cmd_curve):
+        p.add_argument("--model", required=True, help='"[a1,a2,a3,a4,a6]", rationals as "n/d"')
+        p.add_argument("--p", type=int, default=None)
+        p.add_argument("--n", type=int, default=1, help=f"levels 1..{MAX_LEVEL}")
+        add_format(p)
 
-    p_loc = sub.add_parser("localize", help="full localization data at a prime")
-    p_loc.add_argument("--model", required=True)
-    p_loc.add_argument("--p", type=int, required=True)
-    p_loc.add_argument("--nmax", type=int, default=2, help=f"levels 1..{MAX_LEVEL}")
-    p_loc.add_argument("--period", default=None, help="exploration-mode CF period")
-    add_format(p_loc)
-    p_loc.set_defaults(func=_cmd_localize)
+    if p := add("localize", "full localization data at a prime", _cmd_localize):
+        p.add_argument("--model", required=True)
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--nmax", type=int, default=2, help=f"levels 1..{MAX_LEVEL}")
+        p.add_argument("--period", default=None, help="exploration-mode CF period")
+        add_format(p)
 
-    p_zeta = sub.add_parser("zeta", help="curve vs torus local zeta factors")
-    p_zeta.add_argument("--model", required=True)
-    p_zeta.add_argument("--primes", required=True, help='"2..50" or "3,5,7"')
-    p_zeta.add_argument("--order", type=int, default=DEFAULT_ORDER, help=f"series order 1..{ORDER_GUARD}")
-    p_zeta.add_argument("--mode", choices=("absolute", "signed"), default="absolute")
-    p_zeta.add_argument("--period", default=None, help="exploration-mode CF period")
-    add_format(p_zeta)
-    p_zeta.set_defaults(func=_cmd_zeta)
+    if p := add("zeta", "curve vs torus local zeta factors", _cmd_zeta):
+        p.add_argument("--model", required=True)
+        p.add_argument("--primes", required=True, help='"2..50" or "3,5,7"')
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER, help=f"series order 1..{ORDER_GUARD}")
+        p.add_argument("--mode", choices=("absolute", "signed"), default="absolute")
+        p.add_argument("--period", default=None, help="exploration-mode CF period")
+        add_format(p)
 
-    p_t1 = sub.add_parser("theorem1", help="random-transform invariance transcript")
-    p_t1.add_argument("--model", required=True)
-    p_t1.add_argument("--p", type=int, required=True)
-    p_t1.add_argument("--trials", type=int, default=20, help=f"1..{TRIALS_GUARD}")
-    p_t1.add_argument("--seed", type=int, default=0)
-    add_format(p_t1)
-    p_t1.set_defaults(func=_cmd_theorem1)
+    if p := add("theorem1", "random-transform invariance transcript", _cmd_theorem1):
+        p.add_argument("--model", required=True)
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--trials", type=int, default=20, help=f"1..{TRIALS_GUARD}")
+        p.add_argument("--seed", type=int, default=0)
+        add_format(p)
 
-    p_cat = sub.add_parser("catalog", help="built-in CM catalog (verified at load)")
-    p_cat.add_argument("--file", default=None, help="external curves.json instead")
-    add_format(p_cat)
-    p_cat.set_defaults(func=_cmd_catalog)
+    if p := add("catalog", "built-in CM catalog (verified at load)", _cmd_catalog):
+        p.add_argument("--file", default=None, help="external curves.json instead")
+        add_format(p)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         payload, failed = args.func(args)
         if args.format == "json":
@@ -461,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             pieces = [_render_csv(payload)]
         pieces.append("\n")
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

@@ -27,7 +27,6 @@ counts over F_p only, and counts over F_{p^n} are test work.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
@@ -120,6 +119,31 @@ CM_MODELS = {
 }
 
 
+# the whitespace that JSON allows around a value
+_JSON_SPACE = " \t\n\r"
+
+
+def _plain_coefficients(text: str) -> list | None:
+    """The five Fractions of text when it is a list of five ints or "n/d"
+    of ints, each written as str writes ints, with d > 0 and only JSON
+    whitespace around the brackets, commas and entries; None otherwise.
+    A list of ints is also JSON, and json.loads reads the same values."""
+    body = text.strip(_JSON_SPACE)
+    if body[:1] != "[" or body[-1:] != "]" or len(tokens := body[1:-1].split(",")) != 5:
+        return None
+    coefficients = []
+    for token in tokens:
+        num, slash, den = token.strip(_JSON_SPACE).partition("/")
+        try:
+            n, d = int(num), int(den) if slash else 1
+        except ValueError:
+            return None
+        if str(n) != num or (slash and (str(d) != den or d < 1)):
+            return None
+        coefficients.append(Fraction(n, d))
+    return coefficients
+
+
 class ReductionError(ValueError):
     """Raised when a model has no reduction at p: p is not prime, the
     model is not over Q, or a coefficient is not p-integral."""
@@ -155,7 +179,15 @@ class WeierstrassModel(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "WeierstrassModel":
-        """Parse the CLI form "[a1,a2,a3,a4,a6]" with rationals as "n/d"."""
+        """Parse the CLI form "[a1,a2,a3,a4,a6]" with rationals as "n/d".
+        Plain entries are read directly (_plain_coefficients); any other
+        text goes through json.loads and, where that fails, through
+        Fraction on each comma-separated entry."""
+        coefficients = _plain_coefficients(text)
+        if coefficients is not None:
+            return cls(*coefficients)
+        import json
+
         try:
             data = json.loads(text)
         except json.JSONDecodeError:

@@ -26,7 +26,6 @@ from .elliptic import (
     transform,
 )
 from .intmat import IntMatrix, mat_pow
-from .quadratic_cf import incidence_matrix
 
 __all__ = [
     "LocalizationResult",
@@ -112,6 +111,8 @@ def localize(
         raise RuntimeError(f"K0 order must equal the point count: {orders} != {counts} for {e} at p={p}")
     exploration = None
     if period is not None:
+        from .quadratic_cf import incidence_matrix
+
         tr_ap = mat_pow(incidence_matrix(period), p).trace()
         exploration = {
             "period": list(period),

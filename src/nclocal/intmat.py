@@ -8,7 +8,6 @@ use.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from math import gcd, prod
 from operator import mul
@@ -16,6 +15,42 @@ from operator import mul
 from ._frozen import Frozen
 
 __all__ = ["IntMatrix", "identity", "mat_pow", "invariant_factors"]
+
+
+# the whitespace that JSON allows around a value
+_JSON_SPACE = " \t\n\r"
+
+
+def _plain_rows(text: str) -> list | None:
+    """The rows of text as json.loads reads them, when text is a list of
+    one or more lists of ints written as str writes them, with only JSON
+    whitespace around the brackets, commas and ints; None otherwise."""
+    body = text.strip(_JSON_SPACE)
+    if body[:1] != "[" or body[-1:] != "]":
+        return None
+    # each part but the last is one row's "[" and ints, after a "," from
+    # the second row on
+    *parts, tail = body[1:-1].split("]")
+    if not parts or tail.strip(_JSON_SPACE):
+        return None
+    rows = []
+    for part in parts:
+        part = part.strip(_JSON_SPACE)
+        if rows:
+            if part[:1] != ",":
+                return None
+            part = part[1:].lstrip(_JSON_SPACE)
+        if part[:1] != "[":
+            return None
+        tokens = [token.strip(_JSON_SPACE) for token in part[1:].split(",")]
+        try:
+            row = list(map(int, tokens))
+        except ValueError:
+            return None
+        if list(map(str, row)) != tokens:
+            return None
+        rows.append(row)
+    return rows
 
 
 class IntMatrix(Frozen):
@@ -58,11 +93,17 @@ class IntMatrix(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "IntMatrix":
-        """Parse the CLI form ``[[a,b],[c,d]]``."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"cannot parse matrix {text!r}: {e}") from None
+        """Parse the CLI form ``[[a,b],[c,d]]``.  Plain rows of ints are
+        read directly (_plain_rows); any other text goes through
+        json.loads."""
+        data = _plain_rows(text)
+        if data is None:
+            import json
+
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"cannot parse matrix {text!r}: {e}") from None
         if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
             raise ValueError(f"cannot parse matrix {text!r}: expected list of rows")
         # from_rows would truncate 0.9 to 0 and read true and "0" as integers

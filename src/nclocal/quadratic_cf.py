@@ -122,15 +122,25 @@ class QuadraticIrrational(Frozen):
         raise ValueError(f"cannot parse quadratic irrational {text!r}")
 
 
+class _DigitText(dict):
+    """The text of each digit, converted on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, digit: int) -> str:
+        text = self[digit] = str(digit)
+        return text
+
+
 def _display(preperiod: Sequence[int], period: Sequence[int]) -> tuple:
     """"[a0; a1, ..., (b1, ..., bm)]", or "[(b1, ..., bm)]" when purely
     periodic, with the start and stop of the period's text in it: the
     period's digits joined by ", " are display[start:stop].  Each distinct
-    digit is converted to text once: the period of (1+sqrt(1000000000039))/1
-    has 532,572 digits of 1,103 distinct values.  The digits are joined
-    JOIN_BLOCK at a time, so that the display is the only text as long as
-    the period."""
-    text = {a: str(a) for a in {*preperiod, *period}}.__getitem__
+    digit is converted to text once, in the one walk over the digits: the
+    period of (1+sqrt(1000000000039))/1 has 532,572 digits of 1,103
+    distinct values.  The digits are joined JOIN_BLOCK at a time, so that
+    the display is the only text as long as the period."""
+    text = _DigitText().__getitem__
     parts = [f"[{preperiod[0]}; " if preperiod else "["]
     for digits, opening in ((preperiod[1:], ""), (period, "(")):
         parts.append(opening)

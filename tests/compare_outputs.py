@@ -11,7 +11,9 @@ nclocal.cli` from PARENT/src and from CHANGE/src in the benchmark's
 environment, and prints every job whose exit code, stdout or stderr
 differ.  Exits 1 when any job differs.  With --reach the jobs are the
 commands of tests/test_reach.py instead: bad primes, p = 2, --mode
-signed, --period and CSV output, which no benchmark job runs.
+signed, --period and CSV output, which no benchmark job runs; then the
+PARSER_CASES below, command lines and inputs that the parser and the
+readers of models and matrices must treat as before.
 
 A manual tool, not a test: at ten seeds it runs 280 jobs on each
 side, one at a time, and takes a few minutes.
@@ -68,14 +70,53 @@ def benchmark_jobs(names: list, seeds: list):
                     yield f"{name} seed {seed} {kind}: {str(job)[:200]}", job.args
 
 
+MODEL = "[0,0,0,-1,0]"
+# usage errors, help and the texts that the direct readers of plain
+# models and matrices leave to JSON; their exit codes and stderr count too
+PARSER_CASES = [
+    ["--bogus", "zeta", "--model", MODEL, "--primes", "2..30"],
+    ["zeta", "--model", MODEL, "--primes", "2..30", "extra"],
+    ["cf", "sqrt(2)", "extra"],
+    ["frobnicate", "--model", MODEL],
+    [],
+    ["--help"],
+    ["zeta", "--help"],
+    ["k0"],
+    ["zeta", "--model", MODEL, "--primes", "2..30", "--ord", "4"],
+    ["zeta", "--model", MODEL, "--primes", "2..30", "--order", "4", "--period"],
+    ["curve", f"--model={MODEL}", "--p", "5"],
+    ["curve", "--model", '["0","0","0","-1","0"]', "--p", "5"],
+    ["curve", "--model", '["1/2",0,0,"-3/4",1]', "--p", "7"],
+    ["curve", "--model", "[0.0,0,0,-1e0,0]", "--p", "5"],
+    ["curve", "--model", "[0,0,0,-0.5,0]", "--p", "5"],
+    ["curve", "--model", "[1/2, 0, 0, -3/4, 1]", "--p", "7"],
+    ["curve", "--model", " [ 0 , 0 , 0 , -1 , 0 ] ", "--p", "5"],
+    ["curve", "--model", "[0,0,0,-01,0]", "--p", "5"],
+    ["curve", "--model", "[true,0,0,0,0]"],
+    ["curve", "--model", "[0,0,0,1/0,0]"],
+    ["curve", "--model", "[0,0,0,-1]"],
+    ["curve", "--model", ""],
+    ["k0", "--matrix", "[[0, 3], [-1, 0]]"],
+    ["k0", "--matrix", " [ [1,1] ,\n [1,0] ] "],
+    ["k0", "--matrix", "[[1,2],[3]]"],
+    ["k0", "--matrix", "[[0,3],[-1,0.0]]"],
+    ["k0", "--matrix", "[[01,1],[1,0]]"],
+    ["k0", "--matrix", "[]"],
+    ["k0", "--matrix", ""],
+]
+
+
 def reach_jobs():
     """(label, args) of the commands of tests/test_reach.py, which import
-    nclocal from the checkout that holds this script."""
+    nclocal from the checkout that holds this script, then of
+    PARSER_CASES."""
     sys.path.insert(0, str(ROOT / "src"))
     import test_reach
 
     for args in test_reach.COMMANDS:
         yield f"reach: {' '.join(args)[:200]}", tuple(args)
+    for args in PARSER_CASES:
+        yield f"parser: {' '.join(args)[:200]}", tuple(args)
 
 
 def main(argv=None) -> int:
@@ -84,7 +125,9 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout to compare with it")
     parser.add_argument("--seeds", default="301..310", help='"lo..hi" or "a,b,..."')
     parser.add_argument("--workloads", default=",".join(workloads.WORKLOADS), help='"NAME[,NAME]"')
-    parser.add_argument("--reach", action="store_true", help="compare the commands of tests/test_reach.py instead")
+    parser.add_argument(
+        "--reach", action="store_true", help="compare the commands of tests/test_reach.py and PARSER_CASES instead"
+    )
     args = parser.parse_args(argv)
     names = args.workloads.split(",")
     for name in names:

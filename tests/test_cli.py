@@ -527,6 +527,23 @@ class TestRenderJson:
         value = {1: (1, 2), 2.5: ((), [()]), None: {True: (None, "x")}, False: [1.5, -0.0, 10**30]}
         assert render(value) == json.dumps(value, indent=2)
 
+    def test_scalars_and_escapes_render_as_json_dumps(self):
+        # what the renderer writes itself, next to what it leaves to json
+        strings = ['"', "\\", "a\"b\\c", "\x00", "\x1f", "\n\t\r", "\x7f", "~ !", "\u00e9", "\u4e2d\U0001f600", "\ud800"]
+        floats = [0.0, -0.0, 1.5, 1e300, -2.5e-308, 5e-324, float("inf"), float("-inf"), float("nan")]
+        keys = [1, -7, 10**30, 1.5, -0.0, float("inf"), float("nan"), True, False, None, "", '"', "\x7f", "\u00e9"]
+        value = {
+            "strings": strings,
+            "floats": floats,
+            "mixed": [*strings, *floats, True, False, None, 3],
+            "keys": dict(zip(keys, range(len(keys)))),
+            "nested": [{k: s} for k, s in zip(keys, strings)],
+        }
+        assert render(value) == json.dumps(value, indent=2)
+        for item in [*strings, *floats, *keys, [], {}]:
+            assert render(item) == json.dumps(item, indent=2)
+            assert render([item, item]) == json.dumps([item, item], indent=2)
+
     def test_rendering_error_leaves_stdout_empty(self, capsys, monkeypatch):
         # an int past Python's int-to-str limit fails late in the document
         monkeypatch.setattr(cli, "_cmd_cf", lambda args: ({"period": list(range(9000)), "big": 10**5000}, False))
@@ -564,6 +581,47 @@ class TestRenderJson:
         assert code == 0 and row == {
             k: json.dumps(v) if isinstance(v, list) else str(v) for k, v in data.items()
         }
+
+
+SUBCOMMANDS = ("cf", "matrix", "k0", "curve", "localize", "zeta", "theorem1", "catalog")
+
+
+def parser_output(parser, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+class TestParser:
+    """A parser built for one argv adds only the arguments of the
+    subcommand that argv names, and prints the texts of the full one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], ["--bogus", "zeta"], ["nope"], ["cf", "sqrt(2)"], ["zeta", "--model", "[0,0,0,-1,0]"]],
+    )
+    def test_top_level_texts_match_the_full_build(self, argv):
+        full, one = cli.build_parser(), cli.build_parser(argv)
+        assert one.format_usage() == full.format_usage()
+        assert one.format_help() == full.format_help()
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_only_the_named_subcommand_has_arguments(self, name):
+        (sub,) = (a for a in cli.build_parser([name])._actions if isinstance(a, argparse._SubParsersAction))
+        (full_sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(full_sub.choices) == list(SUBCOMMANDS)
+        for other, p in sub.choices.items():
+            n_actions = len(full_sub.choices[other]._actions) if other == name else 1  # -h alone
+            assert len(p._actions) == n_actions
+            assert p.get_default("func") is getattr(cli, f"_cmd_{other}")
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    @pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"]])
+    def test_subcommand_texts_match_the_full_build(self, capsys, name, tail):
+        argv = ["--bogus", name, *tail]
+        full = parser_output(cli.build_parser(), argv, capsys)
+        assert full[0] in (0, 2) and parser_output(cli.build_parser(argv), argv, capsys) == full
 
 
 class TestBrokenPipe:

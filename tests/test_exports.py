@@ -118,9 +118,19 @@ CURVE_MODULES = {"nclocal.elliptic", "nclocal.ffield", "nclocal.functor", "ncloc
 
 def test_cli_import_loads_no_slow_module():
     # each subcommand imports its own modules when it runs
-    unwanted = CURVE_MODULES | {"nclocal.ck_k0", "nclocal.quadratic_cf", "nclocal.catalog", "csv", "fractions"}
+    unwanted = CURVE_MODULES | {"nclocal.ck_k0", "nclocal.quadratic_cf", "nclocal.catalog", "csv", "fractions", "json"}
     loaded = _loaded_after("import nclocal.cli; nclocal.cli.build_parser()")
     assert loaded & (unwanted | set(SLOW_IMPORTS)) == set()
+
+
+SUBCOMMANDS = ("cf", "matrix", "k0", "curve", "localize", "zeta", "theorem1", "catalog")
+
+
+@pytest.mark.parametrize("args", [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS])
+def test_help_loads_no_json_and_no_math(args):
+    code = f"import nclocal.cli\ntry:\n    nclocal.cli.main({args!r})\nexcept SystemExit as stop:\n    assert stop.code == 0"
+    loaded = _loaded_after(code)
+    assert loaded & (CURVE_MODULES | {"nclocal.ck_k0", "nclocal.quadratic_cf", "json", "fractions"}) == set()
 
 
 @pytest.mark.parametrize(
@@ -129,9 +139,10 @@ def test_cli_import_loads_no_slow_module():
 )
 def test_ck_subcommands_load_no_curve_code(args):
     # a quadratic irrational is an integer triple, and K0 is integer
-    # elimination: no Fraction, and no decimal behind it
+    # elimination: no Fraction, and no decimal behind it.  Plain input is
+    # read, and the output written, without json
     loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) == 0")
-    assert loaded & (CURVE_MODULES | {"fractions", "decimal"}) == set()
+    assert loaded & (CURVE_MODULES | {"fractions", "decimal", "json"}) == set()
 
 
 @pytest.mark.parametrize(
@@ -140,12 +151,16 @@ def test_ck_subcommands_load_no_curve_code(args):
         ["curve", "--model", "[0,0,0,-1,0]", "--p", "5", "--n", "2"],
         ["localize", "--model", "[0,0,0,-1,0]", "--p", "5", "--nmax", "2"],
         ["theorem1", "--model", "[0,0,0,-1,0]", "--p", "5", "--trials", "2"],
+        ["localize", "--model", "[0, 0, 0, -1/4, 0]", "--p", "5", "--nmax", "2"],
     ],
 )
 def test_curve_subcommands_load_no_zeta(args):
-    # local_data sits beside LocalData in elliptic; only zeta needs the series
+    # local_data sits beside LocalData in elliptic; only zeta needs the
+    # series, and only a --period the continued fractions.  Plain input
+    # is read, and the output written, without json
     loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) == 0")
-    assert "nclocal.elliptic" in loaded and "nclocal.zeta" not in loaded
+    assert "nclocal.elliptic" in loaded
+    assert loaded & {"nclocal.zeta", "nclocal.quadratic_cf", "json"} == set()
 
 
 @pytest.mark.parametrize("period", [None, "2,1"])
@@ -155,6 +170,13 @@ def test_zeta_loads_continued_fractions_only_for_a_period(period):
     # exploration mode makes no pass guarantee, so its exit code may be 1
     loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) in (0, 1)")
     assert "nclocal.zeta" in loaded and ("nclocal.quadratic_cf" in loaded) == (period is not None)
+    assert "json" not in loaded
+
+
+def test_localize_loads_continued_fractions_for_a_period():
+    args = ["localize", "--model", "[0,0,0,-1,0]", "--p", "5", "--period", "2,1"]
+    loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) == 0")
+    assert "nclocal.quadratic_cf" in loaded
 
 
 def test_every_public_name_resolves_to_its_module_object():
