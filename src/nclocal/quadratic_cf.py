@@ -14,7 +14,6 @@ instead of stepping through them.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 from itertools import chain, islice
 from math import gcd, isqrt, lcm
@@ -101,17 +100,21 @@ class QuadraticIrrational(Frozen):
 
     __repr__ = __str__
 
+    # compiled by re on the first parse, and cached there: matrix and the
+    # --period runs import this module for incidence_matrix alone
     _PATTERNS = (
-        re.compile(r"^\(\s*(?:(-?\d+)\s*\+\s*)?sqrt\(\s*(\d+)\s*\)\s*\)\s*(?:/\s*(-?\d+))?$"),
-        re.compile(r"^(?:(-?\d+)\s*\+\s*)?sqrt\(\s*(\d+)\s*\)\s*(?:/\s*(-?\d+))?$"),
+        r"^\(\s*(?:(-?\d+)\s*\+\s*)?sqrt\(\s*(\d+)\s*\)\s*\)\s*(?:/\s*(-?\d+))?$",
+        r"^(?:(-?\d+)\s*\+\s*)?sqrt\(\s*(\d+)\s*\)\s*(?:/\s*(-?\d+))?$",
     )
 
     @classmethod
     def parse(cls, text: str) -> "QuadraticIrrational":
         """Parse "(P+sqrt(D))/Q"; P, /Q and the parentheses may be omitted.
         D may have at most D_DIGITS_GUARD digits, since it is factored."""
+        import re
+
         for pattern in cls._PATTERNS:
-            m = pattern.match(text.strip())
+            m = re.match(pattern, text.strip())
             if m:
                 if len(m.group(2).lstrip("0")) > D_DIGITS_GUARD:
                     raise ValueError(f"guard exceeded: D has more than {D_DIGITS_GUARD} digits")
@@ -175,7 +178,8 @@ class CFExpansion(Frozen):
     def __init__(self, preperiod: tuple, period: tuple):
         if not period:
             raise ValueError("period must be nonempty")
-        if min(period) < 1:
+        # over the distinct digits: a long period repeats few values
+        if min(set(period)) < 1:
             raise ValueError("period entries must be >= 1")
         if any(a < 1 for a in preperiod[1:]):
             raise ValueError("preperiod entries after a0 must be >= 1")

@@ -71,8 +71,9 @@ def benchmark_jobs(names: list, seeds: list):
 
 
 MODEL = "[0,0,0,-1,0]"
-# usage errors, help and the texts that the direct readers of plain
-# models and matrices leave to JSON; their exit codes and stderr count too
+# usage errors, help, the command lines that cli._read_argv leaves to
+# argparse and the texts that the direct readers of plain models and
+# matrices leave to JSON; their exit codes and stderr count too
 PARSER_CASES = [
     ["--bogus", "zeta", "--model", MODEL, "--primes", "2..30"],
     ["zeta", "--model", MODEL, "--primes", "2..30", "extra"],
@@ -103,6 +104,15 @@ PARSER_CASES = [
     ["k0", "--matrix", "[[01,1],[1,0]]"],
     ["k0", "--matrix", "[]"],
     ["k0", "--matrix", ""],
+    # forms that cli._read_argv leaves to argparse
+    ["curve", "--model", MODEL, "--p", "5", "--p", "7"],
+    ["curve", "--model", MODEL, "--", "--p", "5"],
+    ["theorem1", "--model", MODEL, "--p", "5", "--trials", "2", "--seed", "-3"],
+    ["curve", "--model", MODEL, "--p", "5", "-h"],
+    ["curve", "--model", MODEL, "--p", "five"],
+    ["k0", "--matrix", "[[0,3],[-1,0]]", "--format", "xml"],
+    ["zeta", "--model", MODEL, "--primes", "2..30", "--mode", "both"],
+    ["cf"],
 ]
 
 

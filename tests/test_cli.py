@@ -8,18 +8,27 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import permutations
 from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclocal import cli
 from nclocal._limits import JOIN_BLOCK
 from nclocal.cli import _cmd_cf, _render_json, main
 
+import test_reach
 from intmat_oracle import ck_family
+
+# compare_outputs turns bytecode writing off, for the bench/ modules it
+# imports; the rest of the test run writes bytecode as before
+_dont_write = sys.dont_write_bytecode
+import compare_outputs  # noqa: E402
+
+sys.dont_write_bytecode = _dont_write
 
 
 def run(capsys, *args):
@@ -622,6 +631,162 @@ class TestParser:
         argv = ["--bogus", name, *tail]
         full = parser_output(cli.build_parser(), argv, capsys)
         assert full[0] in (0, 2) and parser_output(cli.build_parser(argv), argv, capsys) == full
+
+
+def parsed(parser, argv):
+    """vars() of the namespace argparse reads from argv, or None where it
+    prints help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def split_items(argv) -> tuple:
+    """The subcommand, and the rest of a canonical argv as its items: each
+    "--name value" pair, and the positional, as a tuple of tokens."""
+    rest, items = list(argv[1:]), []
+    while rest:
+        n = 2 if rest[0].startswith("-") else 1
+        items.append(tuple(rest[:n]))
+        del rest[:n]
+    return argv[0], items
+
+
+# values in place of an option's value: negative, empty, a lone "-",
+# bad ints and choices, ints that int() reads although they are not ASCII
+# digits, and the tokens that only argparse knows
+ODD_VALUES = ["-3", "", "-", "five", "1.5", " 5 ", "\u0663", "1_0", "json", "xml", "signed", "both", "--", "-h"]
+
+
+def variants(argv):
+    """Command lines near a canonical argv: its items in every order, each
+    item repeated or dropped, each pair as --name=value or with its name
+    cut short, each value replaced by an odd one, help or "--" at every
+    position, a token too many and one too few."""
+    name, items = split_items(argv)
+
+    def line(items):
+        return [name, *(token for item in items for token in item)]
+
+    for order in permutations(items):
+        yield line(order)
+    for i, item in enumerate(items):
+        yield line(items + [item])
+        yield line(items[:i] + items[i + 1 :])
+        if len(item) == 2:
+            flag, value = item
+            yield line(items[:i] + [(f"{flag}={value}",)] + items[i + 1 :])
+            yield line(items[:i] + [(flag[:-1], value)] + items[i + 1 :])
+            for odd in ODD_VALUES:
+                yield line(items[:i] + [(flag, odd)] + items[i + 1 :])
+        else:
+            for odd in ODD_VALUES:
+                yield line(items[:i] + [(odd,)] + items[i + 1 :])
+    tokens = line(items)
+    for i in range(1, len(tokens) + 1):
+        for extra in ("-h", "--help", "--", "extra"):
+            yield tokens[:i] + [extra] + tokens[i:]
+    yield tokens[:-1]
+
+
+def benchmark_argvs() -> list:
+    return [list(args) for _, args in compare_outputs.benchmark_jobs(list(compare_outputs.workloads.WORKLOADS), [301, 302, 303])]
+
+
+def known_argvs() -> list:
+    """Every command line the tests and the benchmark run: the reach
+    commands, the parser cases of compare_outputs, the goldens, and every
+    batch and edge job of the four workloads at seeds 301-303."""
+    goldens = [
+        (GOLDENS / f"{g}.txt").read_text().split("\n", 1)[0].partition("  # exit ")[0].split()[1:]
+        for g in sorted(p.stem for p in GOLDENS.glob("*.txt"))
+    ]
+    return [*test_reach.COMMANDS, *compare_outputs.PARSER_CASES, *goldens, *benchmark_argvs()]
+
+
+ARGV_TOKENS = [
+    *SUBCOMMANDS,
+    # in table order, so that hypothesis draws the same tokens under any hash seed
+    *dict.fromkeys(flag for _, *options in cli._COMMANDS.values() for flag, _ in options),
+    "-h", "--help", "--", "--p=5", "--pe", "--form", "--format=csv",
+    "5", "-3", "", "five", "json", "csv", "xml", "absolute", "signed", "2,1", "2..30", "[0,0,0,-1,0]", "sqrt(2)",
+]
+
+
+class TestReadArgv:
+    """cli._read_argv either leaves a command line to argparse or reads
+    from it what argparse reads, and it reads every benchmark job."""
+
+    @pytest.fixture(scope="class")
+    def parser(self):
+        return cli.build_parser()
+
+    def check(self, parser, argv) -> bool:
+        read = cli._read_argv(argv)
+        if read is not None:
+            assert vars(read) == parsed(parser, argv), argv
+        return read is not None
+
+    def test_every_benchmark_job_is_read_without_argparse(self):
+        argvs = benchmark_argvs()
+        assert {a[0] for a in argvs} == {"cf", "matrix", "k0", "curve", "localize", "zeta", "theorem1"}
+        assert [a for a in argvs if cli._read_argv(a) is None] == []
+
+    def test_known_command_lines_read_as_argparse_reads_them(self, parser):
+        argvs = known_argvs()
+        read = [a for a in argvs if self.check(parser, a)]
+        # the fallback forms are argparse's alone
+        assert all(a in read for a in benchmark_argvs())
+        assert ["curve", "--model=[0,0,0,-1,0]", "--p", "5"] not in read
+        assert not any(a in read for a in compare_outputs.PARSER_CASES[-8:])
+
+    def test_variants_read_as_argparse_reads_them(self, parser):
+        # one command line of each shape: subcommand and option names
+        bases = {}
+        for argv in known_argvs():
+            if cli._read_argv(argv) is not None:
+                name, items = split_items(argv)
+                bases.setdefault((name, tuple(item[0] for item in items if len(item) == 2)), argv)
+        assert {shape[0] for shape in bases} == set(SUBCOMMANDS)
+        read = total = 0
+        for argv in bases.values():
+            for variant in variants(argv):
+                total += 1
+                read += self.check(parser, variant)
+        # every order of the items is read, and so are a few odd values
+        assert 0 < read < total
+
+    def test_refuses_what_is_not_canonical(self, parser):
+        model = "[0,0,0,-1,0]"
+        for argv in (
+            ["curve", "--model", model, "--p", "5", "--p", "5"],
+            ["curve", "--model", model, "--", "--p", "5"],
+            ["theorem1", "--model", model, "--p", "5", "--seed", "-3"],
+            ["curve", "-h", "--model", model],
+            ["curve", "--model", model, "--p", "five"],
+            ["curve", "--mod", model],
+            ["curve", f"--model={model}"],
+            ["zeta", "--model", model, "--primes", "2..30", "--mode", "both"],
+            ["cf"],
+            ["cf", "sqrt(2)", "sqrt(3)"],
+            ["k0", "--matrix"],
+            [],
+            ["--help"],
+        ):
+            assert cli._read_argv(argv) is None, argv
+        # argparse reads some of them all the same
+        assert parsed(parser, ["theorem1", "--model", model, "--p", "5", "--seed", "-3"])["seed"] == -3
+
+    def test_handler_looked_up_on_each_call(self, monkeypatch):
+        monkeypatch.setattr(cli, "_cmd_k0", lambda args: ({}, False))
+        assert cli._read_argv(["k0", "--matrix", "[[1]]"]).func is cli._cmd_k0
+
+    @given(st.sampled_from([*SUBCOMMANDS, "nope", "--help"]), st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+    @settings(max_examples=400)
+    def test_token_soup_reads_as_argparse_reads_it(self, name, rest):
+        self.check(cli.build_parser(), [name, *rest])
 
 
 class TestBrokenPipe:

@@ -133,6 +133,48 @@ def test_help_loads_no_json_and_no_math(args):
     assert loaded & (CURVE_MODULES | {"nclocal.ck_k0", "nclocal.quadratic_cf", "json", "fractions"}) == set()
 
 
+MODEL = "[0,0,0,-1,0]"
+# one well-formed command line of each subcommand, in the canonical form
+# that every benchmark job uses
+WELL_FORMED = [
+    ["cf", "sqrt(7)"],
+    ["matrix", "--period", "2,1", "--pow", "5"],
+    ["k0", "--matrix", "[[0,3],[-1,0]]"],
+    ["curve", "--model", MODEL, "--p", "5", "--n", "2"],
+    ["localize", "--model", MODEL, "--p", "5", "--nmax", "2", "--format", "csv"],
+    ["zeta", "--model", MODEL, "--primes", "2..30", "--order", "4", "--mode", "signed"],
+    ["theorem1", "--model", MODEL, "--p", "5", "--trials", "2", "--seed", "7"],
+    ["catalog"],
+]
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("args", WELL_FORMED)
+def test_well_formed_runs_load_no_argparse(args):
+    # cli._read_argv reads them from the option table
+    assert [a[0] for a in WELL_FORMED] == list(SUBCOMMANDS)
+    loaded = _loaded_after(f"import nclocal.cli; assert nclocal.cli.main({args!r}) == 0")
+    assert loaded & ARGPARSE == set()
+
+
+@pytest.mark.parametrize(
+    "args, code", [(["--help"], 0), (["zeta", "--help"], 0), (["zeta", "--model", MODEL, "--primes"], 2)]
+)
+def test_help_and_usage_errors_still_use_argparse(args, code):
+    program = (
+        f"import nclocal.cli\ntry:\n    nclocal.cli.main({args!r})\n"
+        f"except SystemExit as stop:\n    assert stop.code == {code}\nelse:\n    raise AssertionError('no exit')"
+    )
+    assert "argparse" in _loaded_after(program)
+
+
+def test_matrix_compiles_no_pattern():
+    # the patterns of QuadraticIrrational.parse are compiled on its first
+    # call: matrix imports quadratic_cf for incidence_matrix alone
+    loaded = _loaded_after("import nclocal.cli; assert nclocal.cli.main(['matrix', '--period', '2,1']) == 0")
+    assert "nclocal.quadratic_cf" in loaded and "re" not in loaded
+
+
 @pytest.mark.parametrize(
     "args",
     [["cf", "sqrt(7)"], ["matrix", "--period", "2,1", "--pow", "5"], ["k0", "--matrix", "[[0,3],[-1,0]]"]],

@@ -274,6 +274,17 @@ class TestExpand:
         with pytest.raises(ValueError, match="not minimal"):
             CFExpansion((1,), (2, 1, 2, 1))
 
+    def test_digits_below_1_deep_in_a_long_period(self):
+        # the digit check runs over the distinct digits; a bad one anywhere
+        # in the period is still found
+        n = 3 * JOIN_BLOCK
+        for bad in (0, -1):
+            for at in (1, n // 2, n - 2):
+                period = [1 + i % 7 for i in range(n)]
+                period[at] = bad
+                with pytest.raises(ValueError, match=r"^period entries must be >= 1$"):
+                    CFExpansion((), tuple(period))
+
     def test_minimality_message_names_the_shortest_repeat(self):
         # a prime-exponent check finds the repeat; the message still names
         # the shortest one, as the scan over every length did

@@ -20,7 +20,8 @@ import nclocal
 MODEL = "[0,0,0,-1,0]"
 NO_CM = "[0,0,0,1,1]"
 # every subcommand and both formats; --period on localize and zeta;
-# --mode signed; good and bad primes, p = 2 and level n = 3
+# --mode signed; good and bad primes, p = 2 and level n = 3; one
+# command line that cli._read_argv leaves to argparse
 COMMANDS = [
     ["cf", "(1+sqrt(5))/2"],
     ["cf", "(-7+sqrt(19))/30", "--format", "csv"],
@@ -49,6 +50,8 @@ COMMANDS = [
     ["theorem1", "--model", NO_CM, "--p", "1009", "--trials", "2", "--format", "csv"],
     ["catalog"],
     ["catalog", "--format", "csv"],
+    # a form that only argparse reads, so that build_parser runs too
+    ["curve", f"--model={MODEL}", "--p", "5"],
 ]
 
 # the functions no command reaches, as "module.qualname"
