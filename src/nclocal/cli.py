@@ -38,20 +38,18 @@ from types import SimpleNamespace
 # `matrix` and `k0` load no curve code
 from ._limits import AP_GUARD, DEFAULT_ORDER, JOIN_BLOCK, MAX_LEVEL
 
-# integers in a --primes range, on one core of a 2-vCPU VM: the 337 primes
-# just below AP_GUARD take 8.2-9.8 s at the default order on a curve
-# without CM (y^2 = x^3 + x + 1), almost all of it a_p by baby-step
-# giant-step, and 0.15-0.20 s as a process on the catalog curves cm-3,
-# cm-4, cm-67 and cm-163 (5 runs each), where a_p is a residue symbol
+# integers in a --primes range; as a process on one core of a 2-vCPU VM,
+# 5 runs each: the 337 primes just below AP_GUARD take 5.6-7.2 s at the
+# default order without CM (y^2 = x^3 + x + 1), almost all of it a_p by
+# baby-step giant-step, and 0.14-0.17 s on cm-3 and cm-4 (residue symbols)
 PRIMES_SPAN_GUARD = 10**4
-# largest series order of zeta; --primes 2..10001 at order 12 takes 0.95-1.15 s
+# largest series order of zeta; --primes 2..10001 at order 12 on y^2 = x^3 - x takes 0.23-0.26 s
 ORDER_GUARD = 12
-# most theorem1 trials; 100 at p = 999999999989 take 1.7-2.0 s as a
-# process on y^2 = x^3 + x + 1, without CM (5 runs), and 0.11-0.13 s on
-# y^2 = x^3 - x, where a_p is a residue symbol (12 runs)
+# most theorem1 trials; 100 at p = 999999999989 take 1.73-1.88 s on
+# y^2 = x^3 + x + 1, without CM, and 0.10-0.11 s on y^2 = x^3 - x
 TRIALS_GUARD = 100
 # largest k0 matrix, and most digits of the Hadamard bound on
-# |det(I - A^t)|; dense 120 x 120 matrices near the digit edge take 5.5-7 s
+# |det(I - A^t)|; dense 120 x 120 matrices at 394 digits take 4.0-4.6 s
 K0_SIZE_GUARD = 120
 K0_DIGITS_GUARD = 400
 # most digits of an entry of matrix --pow: Python's int-to-str limit

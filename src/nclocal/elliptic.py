@@ -50,6 +50,7 @@ __all__ = [
     "transform",
     "reduce_mod_p",
     "ReductionError",
+    "NotIntegralError",
     "classify_reduction",
     "count_points",
     "count_nonsingular",
@@ -68,11 +69,11 @@ __all__ = [
 # measured worst cases at each edge, one core of a 2-vCPU VM, Python 3.11;
 # AP_GUARD, the largest p of a_p, is in _limits
 # brute-force count over the model's own field, whose order it bounds:
-# 3.4 s at p = 999983 (the oracle; the CLI counts over F_p only, for a_p
-# at p <= MESTRE_BOUND when the CM path does not apply, and once at a
-# bad prime in `curve`).  The tests count over F_{p^n} on the table
-# fields of tests/field_oracle.py: at 997^2, 0.85 s to build the field
-# and 1.7 s to count (Python 3.11, 2-vCPU Xeon)
+# 2.7-3.6 s in process at p = 999983, 2.5-2.9 s for a whole `curve` there
+# (the oracle; the CLI counts over F_p only, for a_p at p <= MESTRE_BOUND
+# when the CM path does not apply, and once at a bad prime in `curve`).
+# The tests count over F_{p^n} on the table fields of tests/field_oracle.py:
+# at 997^2, 0.85 s to build the field and 1.7 s to count
 COUNT_GUARD = 10**6
 # Mestre: for p > 229, E or its quadratic twist has a point whose order
 # has a single multiple in the Hasse interval (Schoof, JTNB 7 (1995),
@@ -147,6 +148,10 @@ def _plain_coefficients(text: str) -> list | None:
 class ReductionError(ValueError):
     """Raised when a model has no reduction at p: p is not prime, the
     model is not over Q, or a coefficient is not p-integral."""
+
+
+class NotIntegralError(ReductionError):
+    """A coefficient is not p-integral: a change of coordinates can clear it."""
 
 
 class WeierstrassModel(Frozen):
@@ -312,7 +317,7 @@ def reduce_mod_p(e: WeierstrassModel, p: int) -> WeierstrassModel:
         if a.denominator == 1:
             vals.append(a.numerator % p)
         elif a.denominator % p == 0:
-            raise ReductionError(f"model not p-integral at p={p} (coefficient {a})")
+            raise NotIntegralError(f"model not p-integral at p={p} (coefficient {a})")
         else:
             vals.append(a.numerator * fp.inv(a.denominator % p) % p)
     return WeierstrassModel.over_field(fp, *vals)

@@ -36,9 +36,9 @@ __all__ = [
 # structure `curve` and `localize` compute (N ~ q is factored, and the
 # Sylow steps take discrete logs in E(F_q)); past it they print null.
 # Building a field costs only the search for its modulus, so the edge is
-# cheap: `curve --model "[0,0,0,-1,0]" --p 997 --n 2` takes 35-40 ms as a
-# process and 2-6 ms in process, and `localize` at 97^3, 31^4, 13^5 and
-# 7^6 at most 50 ms as a process (Python 3.11, 2-vCPU Xeon)
+# cheap: `curve --model "[0,0,0,-1,0]" --p 997 --n 2` takes 0.11-0.14 s as
+# a process and 13-20 ms in process, and `localize` at 97^3, 31^4, 13^5
+# and 7^6 at most 0.17 s as a process (5 runs; Python 3.11, 2-vCPU Xeon)
 EXT_FIELD_GUARD = 10**6
 
 

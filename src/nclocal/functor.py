@@ -18,7 +18,7 @@ from ._limits import MAX_LEVEL
 from .ck_k0 import build_lp, epsilons, k0_group
 from .elliptic import (
     AdmissibleTransform,
-    ReductionError,
+    NotIntegralError,
     ReductionType,
     WeierstrassModel,
     isomorphic_over_closure,
@@ -100,7 +100,7 @@ def localize(
         raise ValueError(f"n_max must be between 1 and {MAX_LEVEL}")
     try:
         local = local_data(e, p)
-    except ReductionError as err:
+    except NotIntegralError as err:
         raise ValueError(f"{err}; apply a clearing transform first") from None
     rt, ap = local.reduction, local.a_p
     descriptors = tuple(epsilons(local.reduced.field, n_max, trace_ap=ap, alpha=rt.alpha))

@@ -33,12 +33,13 @@ __all__ = [
 ]
 
 # parse refuses a D of more digits before factoring it; Brent's rho on a
-# balanced semiprime took up to 0.45 s at 22 digits and 1.0 s at 23-25
+# balanced semiprime took up to 0.2 s at 22 digits and 0.75 s at 23-25,
+# and a whole `cf` run on a 22-digit one 0.6-0.9 s
 D_DIGITS_GUARD = 22
 
 # the state orbit is always finite, but can be long: a whole `cf` run that
-# reaches this cap took 0.21-0.32 s and 22 MB on one core of a 2-vCPU VM,
-# 0.15-0.19 s of it in cf_expand, which meets no centre of symmetry first
+# reaches this cap took 0.25-0.28 s and 22.5 MB on one core of a 2-vCPU VM
+# (5 runs), 0.17-0.21 s of it in cf_expand, which meets no centre first
 _MAX_CF_STATES = 10**6
 _CAP_EXCEEDED = "guard exceeded: continued fraction has more than 10^6 states"
 
@@ -101,11 +102,9 @@ class QuadraticIrrational(Frozen):
     __repr__ = __str__
 
     # compiled by re on the first parse, and cached there: matrix and the
-    # --period runs import this module for incidence_matrix alone
-    _PATTERNS = (
-        r"^\(\s*(?:(-?\d+)\s*\+\s*)?sqrt\(\s*(\d+)\s*\)\s*\)\s*(?:/\s*(-?\d+))?$",
-        r"^(?:(-?\d+)\s*\+\s*)?sqrt\(\s*(\d+)\s*\)\s*(?:/\s*(-?\d+))?$",
-    )
+    # --period runs import this module for incidence_matrix alone.  The
+    # closing parenthesis is required exactly when group 1 opened one.
+    _PATTERN = r"^(\(\s*)?(?:(-?\d+)\s*\+\s*)?sqrt\(\s*(\d+)\s*\)(?(1)\s*\))\s*(?:/\s*(-?\d+))?$"
 
     @classmethod
     def parse(cls, text: str) -> "QuadraticIrrational":
@@ -113,16 +112,13 @@ class QuadraticIrrational(Frozen):
         D may have at most D_DIGITS_GUARD digits, since it is factored."""
         import re
 
-        for pattern in cls._PATTERNS:
-            m = re.match(pattern, text.strip())
-            if m:
-                if len(m.group(2).lstrip("0")) > D_DIGITS_GUARD:
-                    raise ValueError(f"guard exceeded: D has more than {D_DIGITS_GUARD} digits")
-                p = int(m.group(1)) if m.group(1) else 0
-                d = int(m.group(2))
-                q = int(m.group(3)) if m.group(3) else 1
-                return cls(p, d, q)
-        raise ValueError(f"cannot parse quadratic irrational {text!r}")
+        m = re.match(cls._PATTERN, text.strip())
+        if not m:
+            raise ValueError(f"cannot parse quadratic irrational {text!r}")
+        _, p, d, q = m.groups()
+        if len(d.lstrip("0")) > D_DIGITS_GUARD:
+            raise ValueError(f"guard exceeded: D has more than {D_DIGITS_GUARD} digits")
+        return cls(int(p) if p else 0, int(d), int(q) if q else 1)
 
 
 class _DigitText(dict):
@@ -224,15 +220,16 @@ def cf_expand(x: QuadraticIrrational) -> CFExpansion:
     (P_{i+1}, Q_i), whose digits run a_i, a_{i-1}, ...  So P_{i+1} = P_i
     makes the period digits symmetric about a_i, a_t = a_{c-t} with
     centre c = 2i, and Q_{i+1} = Q_i makes them symmetric between a_i and
-    a_{i+1}, c = 2i + 1.  The loop tests for these two, in this order,
-    before the return of the first reduced state.  At the first centre c,
-    a_{i+1}..a_c mirror the digits before them.  The first state
-    reversed, (P_0, Q_{-1}), is then state c + 1, with Q_c = Q_0; from
-    there the loop steps to the second centre c + m, m the period length,
-    and mirrors the rest.  A symmetric period thus takes about m/2 steps,
-    and one without a centre runs until its first state returns.  An
-    expansion of more than _MAX_CF_STATES states, preperiod and period
-    together, is refused with ValueError.
+    a_{i+1}, c = 2i + 1.  One stepping function, _steps, walks both
+    halves of the period: it tests for these two, in this order, before
+    the return of the state it starts from.  From the first reduced state
+    it steps to the first centre c, or back to that state; a_{i+1}..a_c
+    mirror the digits before c.  The first state reversed, (P_0, Q_{-1}), is then
+    state c + 1, with Q_c = Q_0; from there _steps walks to the second
+    centre c + m, m the period length, and the rest mirrors.  A symmetric
+    period thus takes about m/2 steps, and one without a centre runs until
+    its first state returns.  An expansion of more than _MAX_CF_STATES
+    states, preperiod and period together, is refused with ValueError.
     """
     cap = _MAX_CF_STATES
     d = x.D
@@ -247,53 +244,50 @@ def cf_expand(x: QuadraticIrrational) -> CFExpansion:
         if len(preperiod) > cap:
             raise ValueError(_CAP_EXCEEDED)
     k = len(preperiod)
-    p0, q0 = p, q
     # Q_{i-1} Q_i = D - P_i^2 holds at every state, the first one included
-    q_back = q_prev = (d - p * p) // q
-    period = []
-    append = period.append
-    for i in range(cap - k):
-        # reduced states stay reduced, so q > 0 from here on
-        a = (p + s) // q
-        append(a)
-        p_next = a * q - p
-        q_prev, q = q, q_prev + a * (p - p_next)
-        if p_next == p or q == q_prev:
-            break
-        p = p_next
-        if p == p0 and q == q0:
-            return CFExpansion(tuple(preperiod), tuple(period))
-    else:
-        raise ValueError(_CAP_EXCEEDED)
-    # the first centre c is 2i, or 2i + 1 when only Q repeats; the digits
-    # past it mirror all those stepped but a_c when c = 2i
-    halves = [_mirrored(period, p_next == p)]
-    c = 2 * i + (p_next != p)
+    q_back = (d - p * p) // q
+    period, at_digit = _steps(p, q_back, q, s, cap - k)
+    if at_digit is None:
+        return CFExpansion(tuple(preperiod), tuple(period))
+    # the first centre c is 2i, or 2i + 1 when only Q repeats, for the last
+    # digit a_i; the digits past it mirror all those stepped but a_c when c = 2i
+    halves = [_mirrored(period, at_digit)]
+    c = 2 * (len(period) - 1) + (not at_digit)
     # Q_{-1} = Q_0 makes c = m - 1: the period is its own mirror image
-    if q_back != q0:
+    if q_back != q:
         # state c + 1 is (P_0, Q_{-1}); the second centre c + m is found at
-        # step (c + m) // 2, which a period within the cap reaches
-        p, q_prev, q = p0, q0, q_back
-        second = []
-        append = second.append
-        for j in range(c + 1, (c + cap - k) // 2 + 1):
-            a = (p + s) // q
-            append(a)
-            p_next = a * q - p
-            q_prev, q = q, q_prev + a * (p - p_next)
-            if p_next == p or q == q_prev:
-                break
-            p = p_next
-        else:
-            raise ValueError(_CAP_EXCEEDED)
-        # the second centre c + m is 2j, or 2j + 1 when only Q repeats
-        halves.append(_mirrored(second, p_next == p))
+        # step (c + m) // 2, which a period within the cap reaches, fewer
+        # than m steps on: before state c + 1 could return
+        second, at_digit = _steps(p, q, q_back, s, (c + cap - k) // 2 - c)
+        halves.append(_mirrored(second, at_digit))
     # the period is built from the stepped digits alone, with no copy of
     # either half next to it
     period = tuple(chain(*halves))
     if k + len(period) > cap:
         raise ValueError(_CAP_EXCEEDED)
     return CFExpansion(tuple(preperiod), period)
+
+
+def _steps(p: int, q_prev: int, q: int, s: int, steps: int) -> tuple:
+    """(digits, at_digit): the digits from the reduced state (p, q) after
+    one with Q = q_prev, to a centre of symmetry, where at_digit tells if P
+    repeats, or to the return of (p, q), where it is None.  Past `steps`
+    digits ValueError."""
+    p0, q0 = p, q
+    digits = []
+    append = digits.append
+    for _ in range(steps):
+        # reduced states stay reduced, so q > 0
+        a = (p + s) // q
+        append(a)
+        p_next = a * q - p
+        q_prev, q = q, q_prev + a * (p - p_next)
+        if p_next == p or q == q_prev:
+            return digits, p_next == p
+        p = p_next
+        if p == p0 and q == q0:
+            return digits, None
+    raise ValueError(_CAP_EXCEEDED)
 
 
 def _mirrored(stepped: list, at_digit: bool):

@@ -104,6 +104,23 @@ PARSER_CASES = [
     ["k0", "--matrix", "[[01,1],[1,0]]"],
     ["k0", "--matrix", "[]"],
     ["k0", "--matrix", ""],
+    # the one pattern of QuadraticIrrational.parse, the trial division and
+    # perfect-square test behind its factoring, and the stepping of cf_expand
+    ["cf", "sqrt(13)/2"],
+    ["cf", "( 1 + sqrt( 13 ) ) / 2"],
+    ["cf", "(1+sqrt(13)/2"],
+    ["cf", "1+sqrt(13))/2"],
+    ["cf", "((1+sqrt(13)))/2"],
+    # D = 14543 * 41257 * 600000553, and D = 5 * 10009^2
+    ["cf", "(1+sqrt(360000662400304703))/2"],
+    ["cf", "sqrt(500900405)"],
+    # a period with no centre of symmetry, one with two, and the state cap
+    ["cf", "(-3+sqrt(31))/7"],
+    ["cf", "(-3+sqrt(37))/5"],
+    ["cf", "(1+sqrt(1234567890123457))/2"],
+    # localize hints at a clearing transform for a non-integral model only
+    ["localize", "--model", MODEL, "--p", "4"],
+    ["localize", "--model", "[1/5,0,0,-1,0]", "--p", "5"],
     # forms that cli._read_argv leaves to argparse
     ["curve", "--model", MODEL, "--p", "5", "--p", "7"],
     ["curve", "--model", MODEL, "--", "--p", "5"],

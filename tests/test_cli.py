@@ -144,6 +144,15 @@ class TestCurve:
         code, _, err = run(capsys, "curve", "--model", '["1/5",0,0,1,1]', "--p", "5")
         assert code == 2 and "p-integral" in err
 
+    def test_composite_p_has_one_message(self, capsys):
+        # localize hints at a clearing transform for a non-integral model only
+        for command in ("curve", "localize", "theorem1"):
+            code, out, err = run(capsys, command, "--model", "[0,0,0,-1,0]", "--p", "4")
+            assert code == 2 and out == "" and err == "error: 4 is not prime\n", command
+        code, out, err = run(capsys, "localize", "--model", '["1/5",0,0,1,1]', "--p", "5")
+        assert code == 2 and out == ""
+        assert err == "error: model not p-integral at p=5 (coefficient 1/5); apply a clearing transform first\n"
+
     def test_n_zero_exit_2(self, capsys):
         code, out, err = run(capsys, "curve", "--model", "[0,0,0,-1,0]", "--p", "5", "--n", "0")
         assert code == 2 and out == "" and "--n must be between 1 and 6" in err

@@ -1,9 +1,13 @@
-"""Primality and factorization of nclocal._factor against trial division
-and the strong pseudoprimes psi_k of OEIS A014233."""
+"""Primality, factorization and squarefree decomposition of
+nclocal._factor against trial division and the strong pseudoprimes psi_k
+of OEIS A014233."""
 
-from math import prod
+from math import isqrt, prod
 
-from nclocal._factor import _MR_BASES, _PSI, factorize, is_prime
+import pytest
+
+import nclocal._factor
+from nclocal._factor import _MR_BASES, _PSI, _trial_divide, factorize, is_prime, squarefree_split
 
 # the distinct psi_k and their prime factors
 PSI_FACTORS = {
@@ -78,3 +82,87 @@ def test_known_primes_and_composites_across_the_sizes():
     composites = [41 * 41, 41 * 43, 1009 * 1013, 561, 41041, 825265, 2**32 + 1, 2**64 + 1, 2**67 - 1]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in composites)
+
+
+def trial_division_factors(n: int) -> dict:
+    out: dict = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_and_squarefree_split_agree_with_brute_force_below_2_10_to_the_4():
+    bound = 2 * 10**4
+    # the largest g with g^2 | n, from every multiple of every square
+    root = [1] * bound
+    for g in range(2, isqrt(bound - 1) + 1):
+        for n in range(g * g, bound, g * g):
+            root[n] = g
+    for n in range(1, bound):
+        factors = trial_division_factors(n)
+        assert factorize(n) == factors, n
+        assert squarefree_split(n) == (root[n], n // root[n] ** 2), n
+
+
+# factors in (10^4, 10^5) are past the trial division and come from rho
+P, Q, R = 10007, 10009, 99991
+M61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "n, factors, split",
+    [
+        (P * R, {P: 1, R: 1}, (1, P * R)),
+        (P * M61, {P: 1, M61: 1}, (1, P * M61)),
+        (P * Q * R, {P: 1, Q: 1, R: 1}, (1, P * Q * R)),
+        (P * P * R, {P: 2, R: 1}, (P, R)),
+        (P * Q * M61 * M61, {P: 1, Q: 1, M61: 2}, (M61, P * Q)),
+        (2**3 * 3 * P * Q * Q * R, {2: 3, 3: 1, P: 1, Q: 2, R: 1}, (2 * Q, 2 * 3 * P * R)),
+    ],
+)
+def test_smallest_prime_past_the_trial_division(n, factors, split):
+    assert prod(p**e for p, e in factors.items()) == n
+    assert factorize(n) == factors
+    assert squarefree_split(n) == split
+
+
+def test_the_trial_division_stops_at_its_bound():
+    # 9973 is the largest prime below 10^4: trial division finds it, and
+    # leaves the rest whole, prime or not
+    assert _trial_divide(9973 * P * R) == ({9973: 1}, P * R)
+    assert _trial_divide(2 * 3 * 9973 * 9973 * P) == ({2: 1, 3: 1, 9973: 2}, P)
+
+
+# F_300 and its factorization, five of its primes past 10^4
+F_300 = 222232244629420445529739893461909967206666939096499764990979600
+F_300_FACTORS = {
+    2: 4, 3: 2, 5: 2, 11: 1, 31: 1, 41: 1, 61: 1, 101: 1, 151: 1, 401: 1, 601: 1, 2521: 1, 3001: 1,
+    12301: 1, 18451: 1, 570601: 1, 230686501: 1, 87129547172401: 1,
+}
+M127 = 2**127 - 1
+
+
+def test_squareful_inputs():
+    assert prod(p**e for p, e in F_300_FACTORS.items()) == F_300
+    expected = {p: 2 * e for p, e in F_300_FACTORS.items()}
+    expected[5] += 1
+    assert factorize(5 * F_300**2) == expected
+
+
+def test_a_square_rest_needs_no_rho(monkeypatch):
+    # the rest past the trial division is a perfect square, and its root
+    # joins g unfactored: for 5 * F_300^2 a composite of 37 digits
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(nclocal._factor, "_brent_rho", no_rho)
+    assert squarefree_split(5 * F_300**2) == (F_300, 5)
+    assert squarefree_split(3 * M127**2) == (M127, 3)
+    assert squarefree_split(7 * P**2 * R**2) == (P * R, 7)
+    assert factorize(3 * M127**2) == {3: 1, M127: 2}

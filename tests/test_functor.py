@@ -51,8 +51,10 @@ class TestLocalize:
         from fractions import Fraction
 
         e = WeierstrassModel.over_q(Fraction(1, 5), 0, 0, -1, 0)
-        with pytest.raises(ValueError, match="clearing transform"):
+        message = "model not p-integral at p=5 (coefficient 1/5); apply a clearing transform first"
+        with pytest.raises(ValueError) as err:
             localize(e, 5, 1)
+        assert str(err.value) == message
 
     def test_exploration_record(self):
         res = localize(E_MINUS_X, 3, 1, period=[2, 1])
@@ -137,8 +139,9 @@ class TestTheorem1:
 
 
 class TestLocalizeErrors:
-    def test_reduction_errors_carry_the_hint(self):
-        with pytest.raises(ValueError, match="^4 is not prime; apply a clearing transform first$"):
+    def test_a_composite_p_gets_no_hint(self):
+        # no change of coordinates makes 4 prime
+        with pytest.raises(ValueError, match="^4 is not prime$"):
             localize(E_MINUS_X, 4, 1)
 
     def test_classifier_errors_do_not(self):
